@@ -146,7 +146,7 @@ def _analyze_graph6(payload: tuple[str, int | None]) -> tuple[str, int, int | No
         g.n,
         None if d == math.inf else int(d),
         report.is_unmixed,
-        report.is_unmixed and report.is_accessible_system,
+        report.is_accessible,
         report.oracle_dimension,
     )
 
@@ -168,6 +168,8 @@ def bms_scan(
     ``max_n`` are filtered silently.  When ``script_dir`` is set, each
     accessible graph gets a verification script named after its line number.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     limit = enumeration_bound(bound)
 
     def report_error(lineno: int, message: str) -> None:

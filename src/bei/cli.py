@@ -27,6 +27,7 @@ from .corona import (
     l_corona,
 )
 from .cutsets import (
+    CutsetReport,
     EnumerationBoundError,
     accessibility_witness_chain,
     enumerate_cutsets,
@@ -94,6 +95,8 @@ def _graph_arg(token: str, fmt: str | None = None) -> Graph:
         return parse_edge_list(text)
     if fmt in ("json", "spec-json"):
         obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise ValueError(f"JSON graph input must be an object, got {type(obj).__name__}")
         if {"base", "L", "pendant"} <= obj.keys():
             return l_corona(corona_spec_from_json(obj))[0]
         return graph_from_json(obj)
@@ -137,7 +140,10 @@ def _cmd_construct(args) -> int:
         pend = _graph_arg(args.l_corona[1], args.format)
         if not args.attach:
             raise ValueError("--l-corona needs --attach with base vertex indices")
-        attach = vset(int(tok) for tok in args.attach.split(","))
+        vertices = [int(tok) for tok in args.attach.split(",")]
+        if len(set(vertices)) != len(vertices):
+            raise ValueError(f"--attach repeats a vertex: {args.attach}")
+        attach = vset(vertices)
         g = l_corona(CoronaSpec(base, attach, pend))[0]
     elif args.cone:
         g = cone(_graph_arg(args.cone, args.format))
@@ -164,9 +170,8 @@ def _cmd_cutsets(args) -> int:
     return 0
 
 
-def _stuck_cutset(g: Graph, bound: int | None) -> int | None:
+def _stuck_cutset(report: CutsetReport) -> int | None:
     """First nonempty cutset with no single-vertex removal staying a cutset."""
-    report = enumerate_cutsets(g, bound=bound)
     family = set(report.cutsets)
     for mask in report.cutsets:
         if mask and not any((mask ^ (1 << v)) in family for v in members(mask)):
@@ -190,19 +195,17 @@ def _cmd_check(args) -> int:
                     break
     elif args.accessible:
         report = enumerate_cutsets(g, bound=args.bound)
-        value = report.is_unmixed and report.is_accessible_system
-        result = {"check": "accessible", "value": value}
+        result = {"check": "accessible", "value": report.is_accessible}
         if not report.is_unmixed:
             result["reason"] = "not-unmixed"
         elif not report.is_accessible_system:
-            stuck = _stuck_cutset(g, args.bound)
             result["reason"] = "no-removable-vertex"
-            result["witness"] = _labels(g, stuck)
+            result["witness"] = _labels(g, _stuck_cutset(report))
     elif args.accessible_system:
         report = enumerate_cutsets(g, bound=args.bound)
         result = {"check": "accessible-system", "value": report.is_accessible_system}
         if not report.is_accessible_system:
-            result["witness"] = _labels(g, _stuck_cutset(g, args.bound))
+            result["witness"] = _labels(g, _stuck_cutset(report))
     elif args.cutset is not None:
         mask = vset(int(tok) for tok in args.cutset.split(",") if tok != "")
         value = is_cutset(g, mask)
@@ -350,7 +353,7 @@ def _cmd_export(args) -> int:
             expected = {
                 "dim": report.oracle_dimension,
                 "unmixed": report.is_unmixed,
-                "accessible": report.is_unmixed and report.is_accessible_system,
+                "accessible": report.is_accessible,
             }
         script = emit_cas_script(g, dialect=args.dialect, expected=expected)
         _write_out(script.text, args.output)

@@ -3,12 +3,19 @@
 A subset T of vertices is a cutset when it is empty, or when removing any
 single vertex of T strictly lowers the number of components of G minus T.
 Equivalently, every vertex of T must touch at least two distinct components
-of G minus T.  A simplicial vertex's surviving neighbours always sit inside
-one clique, hence one component, so simplicial vertices never occur in any
-cutset; the enumerator therefore walks only the submasks of the
-non-simplicial vertex set, rejects candidates whose members keep fewer than
-two outside neighbours, and re-derives component counts per survivor with a
-bitmask flood fill.
+of G minus T, so its outside neighbourhood N(v) minus T holds two
+non-adjacent vertices.  A simplicial vertex's neighbourhood is a clique, so
+simplicial vertices never occur in any cutset.
+
+The enumerator is a depth-first set-extension search over the
+non-simplicial vertices: each set grows by one candidate below its lowest
+member, children in ascending order, so the sets come out in ascending mask
+order.  A set is pruned with its whole subtree as soon as some member's
+outside neighbourhood is a clique.  That prune is exact: a subset of a
+clique is a clique, so no superset of a pruned set is a cutset, and the
+surviving sets are closed under taking subsets, so every cutset is reached
+through surviving prefixes.  Each surviving set gets a bitmask flood fill
+and the two-component test.
 
 Quotient-ring facts read off the cutset family: the Krull dimension of the
 quotient by the binomial edge ideal is ``n + max(components - |T|)`` over
@@ -26,6 +33,7 @@ from .graph import (
     Graph,
     VertexSet,
     _components,
+    _is_clique,
     iter_members,
     members,
     simplicial_vertices,
@@ -70,7 +78,14 @@ def is_cutset(g: Graph, t: VertexSet) -> bool:
 
 def iter_cutsets(g: Graph, bound: int | None = None) -> Iterator[tuple[VertexSet, int]]:
     """Yield ``(cutset, component_count)`` pairs, the empty set first, the
-    rest in ascending submask order over the non-simplicial vertices."""
+    rest in ascending mask order.
+
+    Depth-first set extension over the non-simplicial vertices: a set's
+    children add one candidate below its lowest member.  A child is dropped,
+    with every superset below it, when a member's neighbourhood outside the
+    child is a clique; adding ``u`` changes only the outside neighbourhoods
+    of ``u`` and of the members adjacent to ``u``, so only those are checked.
+    """
     limit = enumeration_bound(bound)
     if g.n > limit:
         raise EnumerationBoundError(
@@ -78,28 +93,13 @@ def iter_cutsets(g: Graph, bound: int | None = None) -> Iterator[tuple[VertexSet
         )
     adj = g.adj
     full = g.full_mask
-    yield 0, len(_components(adj, full))
     cand = full & ~simplicial_vertices(g)
-    s = 0
-    while True:
-        s = (s - cand) & cand
-        if not s:
-            return
-        # cheap necessary condition: each member keeps >= 2 outside neighbours
-        t = s
-        ok = True
-        while t:
-            b = t & -t
-            t ^= b
-            if (adj[b.bit_length() - 1] & ~s).bit_count() < 2:
-                ok = False
-                break
-        if not ok:
-            continue
-        alive = full & ~s
-        comps = _components(adj, alive)
-        if len(comps) < 2:
-            continue
+    # sets that passed the prune, popped lowest first; the empty set has no
+    # member to test, so it is yielded with the component count of G
+    stack = [0]
+    while stack:
+        s = stack.pop()
+        comps = _components(adj, full & ~s)
         t = s
         while t:
             b = t & -t
@@ -115,6 +115,25 @@ def iter_cutsets(g: Graph, bound: int | None = None) -> Iterator[tuple[VertexSet
                 break
         else:
             yield s, len(comps)
+        # children take a candidate below s's lowest member (any candidate
+        # when s is empty); push the passing ones highest first, so the
+        # lowest pops next
+        rest = cand & ((s & -s) - 1)
+        while rest:
+            b = 1 << (rest.bit_length() - 1)
+            rest ^= b
+            child = s | b
+            row = adj[b.bit_length() - 1]
+            if _is_clique(adj, row & ~child):
+                continue
+            t = s & row
+            while t:
+                c = t & -t
+                t ^= c
+                if _is_clique(adj, adj[c.bit_length() - 1] & ~child):
+                    break
+            else:
+                stack.append(child)
 
 
 @dataclass(frozen=True)
@@ -135,6 +154,10 @@ class CutsetReport:
     is_accessible_system: bool
     oracle_dimension: int
     size_cap: int | None = None
+
+    @property
+    def is_accessible(self) -> bool:
+        return self.is_unmixed and self.is_accessible_system
 
     def to_json(self) -> dict:
         return {
@@ -211,7 +234,9 @@ def is_accessible_system(g: Graph, bound: int | None = None) -> bool:
 
 
 def is_accessible(g: Graph, bound: int | None = None) -> bool:
-    return is_unmixed(g, bound) and is_accessible_system(g, bound)
+    """Unmixed with an accessible cutset system, both read off one
+    enumeration."""
+    return enumerate_cutsets(g, bound=bound).is_accessible
 
 
 def dimension_oracle(g: Graph, bound: int | None = None) -> int:

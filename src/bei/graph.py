@@ -312,13 +312,21 @@ def join(g1: Graph, g2: Graph) -> Graph:
 # simplicial structure
 
 
-def is_simplicial(g: Graph, v: int) -> bool:
-    """True when the neighbourhood of ``v`` induces a clique."""
-    nv = g.adj[v]
-    for u in iter_members(nv):
-        if nv & ~g.adj[u] != 1 << u:
+def _is_clique(adj: tuple[VertexSet, ...], mask: VertexSet) -> bool:
+    """True when ``mask`` induces a complete subgraph (so also when it has
+    at most one member)."""
+    rest = mask
+    while rest:
+        b = rest & -rest
+        rest ^= b
+        if mask & ~adj[b.bit_length() - 1] != b:
             return False
     return True
+
+
+def is_simplicial(g: Graph, v: int) -> bool:
+    """True when the neighbourhood of ``v`` induces a clique."""
+    return _is_clique(g.adj, g.adj[v])
 
 
 def simplicial_vertices(g: Graph) -> VertexSet:
@@ -354,13 +362,6 @@ class BlockDecomposition:
     cut_vertices: VertexSet
     is_clique_path: bool
     block_order: tuple[int, ...] | None
-
-
-def _is_clique(g: Graph, mask: VertexSet) -> bool:
-    for v in iter_members(mask):
-        if mask & ~g.adj[v] != 1 << v:
-            return False
-    return True
 
 
 def block_decomposition(g: Graph) -> BlockDecomposition:
@@ -410,7 +411,7 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     dfs(0)
     blocks = tuple(sorted(raw_blocks, key=members))
 
-    clique_path = all(_is_clique(g, b) for b in blocks)
+    clique_path = all(_is_clique(g.adj, b) for b in blocks)
     if clique_path:
         for c in iter_members(cut):
             if sum(1 for b in blocks if b >> c & 1) != 2:
@@ -447,7 +448,7 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
 
 def is_block_graph(g: Graph) -> bool:
     """Connected graph whose biconnected components are all cliques."""
-    return all(_is_clique(g, b) for b in block_decomposition(g).blocks)
+    return all(_is_clique(g.adj, b) for b in block_decomposition(g).blocks)
 
 
 def is_cm_closed(g: Graph) -> bool:

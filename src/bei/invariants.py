@@ -139,7 +139,7 @@ def base_invariants_block_graph(g: Graph, bound: int | None = None) -> BaseInvar
         is_complete=comp,
         is_unmixed=report.is_unmixed,
         is_cm=cm,
-        is_accessible=report.is_unmixed and report.is_accessible_system,
+        is_accessible=report.is_accessible,
         r_extremal=reg if (cm and not comp) else None,
         provenance="closed-form" if cm else "oracle",
     )

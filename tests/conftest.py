@@ -16,14 +16,18 @@ import bei
 # the library path it checks)
 
 
-def naive_ncomp(g: bei.Graph, removed: set[int]) -> int:
+def _naive_adjacency(g: bei.Graph) -> dict[int, set[int]]:
     adj: dict[int, set[int]] = {v: set() for v in range(g.n)}
     for u, v in g.edges():
         adj[u].add(v)
         adj[v].add(u)
+    return adj
+
+
+def _naive_count(adj: dict[int, set[int]], removed: set[int]) -> int:
     seen = set(removed)
     count = 0
-    for s in range(g.n):
+    for s in adj:
         if s in seen:
             continue
         count += 1
@@ -38,12 +42,17 @@ def naive_ncomp(g: bei.Graph, removed: set[int]) -> int:
     return count
 
 
+def naive_ncomp(g: bei.Graph, removed: set[int]) -> int:
+    return _naive_count(_naive_adjacency(g), removed)
+
+
 def naive_cutsets(g: bei.Graph) -> list[int]:
     """All cutsets by the definition, scanning every one of the 2^n subsets."""
     n = g.n
+    adj = _naive_adjacency(g)
     comp = {}
     for bits in range(1 << n):
-        comp[bits] = naive_ncomp(g, {v for v in range(n) if bits >> v & 1})
+        comp[bits] = _naive_count(adj, {v for v in range(n) if bits >> v & 1})
     out = []
     for bits in range(1 << n):
         if bits == 0 or all(

@@ -1,6 +1,8 @@
 """Cutset enumeration against the brute-force oracle, and the verdicts."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bei
 from bei import members, vset
@@ -10,7 +12,28 @@ from conftest import (
     naive_cutsets,
     naive_is_accessible_system,
     naive_is_unmixed,
+    naive_ncomp,
 )
+
+
+def assert_matches_naive(g):
+    """The enumerator yields exactly the oracle's cutsets with their
+    component counts, the empty set first and then in strictly ascending
+    mask order (the order ``bei cutsets --out jsonl`` prints)."""
+    got = list(bei.iter_cutsets(g))
+    masks = [m for m, _ in got]
+    assert masks[0] == 0
+    assert all(a < b for a, b in zip(masks, masks[1:]))
+    assert got == [(m, naive_ncomp(g, set(members(m)))) for m in naive_cutsets(g)]
+
+
+@st.composite
+def small_graphs(draw, max_n=10):
+    """Any graph on at most ``max_n`` vertices, disconnected ones included."""
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return bei.Graph(n, [p for p, k in zip(pairs, keep) if k])
 
 
 def test_is_cutset_examples(square_leaves_product):
@@ -42,8 +65,8 @@ def test_enumerate_frozen_small_families():
 
 
 def test_enumerate_matches_naive_on_small_corpus():
-    for g in connected_atlas(5):
-        assert sorted(m for m, _ in bei.iter_cutsets(g)) == naive_cutsets(g)
+    for g in connected_atlas(7):
+        assert_matches_naive(g)
 
 
 def test_enumerate_matches_naive_on_disconnected_graphs():
@@ -52,7 +75,24 @@ def test_enumerate_matches_naive_on_disconnected_graphs():
         bei.Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)]),
         bei.Graph(3),
     ):
-        assert sorted(m for m, _ in bei.iter_cutsets(g)) == naive_cutsets(g)
+        assert_matches_naive(g)
+
+
+def test_enumerate_matches_naive_on_small_coronas():
+    pendants = (bei.complete_graph(1), bei.complete_graph(2), bei.path_graph(3))
+    products = [
+        bei.corona(bei.complete_graph(n), h)[0] for n in (1, 2, 3) for h in pendants
+    ]
+    products.append(bei.corona(bei.cycle_graph(4), bei.complete_graph(1))[0])
+    for g in products:
+        assert g.n <= 12
+        assert_matches_naive(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs())
+def test_enumerate_matches_naive_on_random_graphs(g):
+    assert_matches_naive(g)
 
 
 def test_report_fields(square_leaves_base):
