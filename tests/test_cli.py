@@ -1,11 +1,24 @@
 """Command-line front end: bad input ends in a JSON error and exit code 1,
-and the verdict witnesses come from one enumeration."""
+the verdict witnesses come from one enumeration, and the recorded calls
+under ``tests/golden`` keep their exact stdout, stderr and exit code.
 
+Each golden file holds one call's ``argv`` (paths relative to
+``tests/golden``) and what it printed.  After a deliberate output change,
+``PYTHONPATH=src python tests/test_cli.py`` rewrites every golden file
+from the current CLI.
+"""
+
+import contextlib
+import io
 import json
+import os
+from pathlib import Path
 
 import pytest
 
 from bei.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(argv, capsys):
@@ -61,3 +74,30 @@ def test_check_accessible_reports_the_stuck_cutset(tmp_path, capsys):
     code, out, _ = run(["check", "--accessible-system", "--input", str(path)], capsys)
     assert code == 0
     assert json.loads(out)["witness"] == ["3", "4"]
+
+
+def capture(argv):
+    """Run one CLI call from the golden directory and return what it did."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(GOLDEN)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+@pytest.mark.parametrize(
+    "path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.stem
+)
+def test_golden_call(path):
+    case = json.loads(path.read_text())
+    assert capture(case["argv"]) == case
+
+
+if __name__ == "__main__":
+    for path in sorted(GOLDEN.glob("*.json")):
+        case = capture(json.loads(path.read_text())["argv"])
+        path.write_text(json.dumps(case, indent=2) + "\n")
