@@ -8,24 +8,19 @@ from .graph import (
     Graph,
     VertexSet,
     block_decomposition,
-    cliquify,
     complete_graph,
     components,
     cone,
     cycle_graph,
-    delete,
     diameter,
-    disjoint_union,
     distances_from,
     internal_vertex_count,
     is_block_graph,
     is_cm_closed,
     is_complete,
     is_connected,
-    is_isomorphic_small,
     is_simplicial,
     iter_members,
-    join,
     members,
     ncomponents,
     path_graph,
@@ -51,11 +46,8 @@ from .cutsets import (
     enumerate_cutsets,
     enumeration_bound,
     is_accessible,
-    is_accessible_system,
     is_cutset,
-    is_unmixed,
     iter_cutsets,
-    unmixedness_violation,
 )
 from .corona import (
     CoronaDecomposition,
@@ -76,7 +68,6 @@ from .invariants import (
     base_invariants_block_graph,
     base_invariants_complete,
     classify,
-    cmdef_report,
     depth_reg_corona_cm_closed,
     depth_reg_corona_complete,
     depth_reg_corona_path,
@@ -84,11 +75,9 @@ from .invariants import (
     extremal_betti_position,
 )
 from .bms import (
-    DiameterClass,
     ReductionCheck,
     ScanRecord,
     bms_scan,
-    diameter_class,
     verify_reduction_d2,
     verify_reduction_d3,
 )

@@ -1,5 +1,5 @@
-"""Diameter filtration, the two diameter-reduction wrappers, and corpus
-scanning for small accessible graphs.
+"""The two diameter-reduction wrappers and corpus scanning, filtered by
+diameter, for small accessible graphs.
 
 The wrappers embed an arbitrary connected graph into a graph of diameter
 exactly 2 (cone over the graph plus an isolated companion) or exactly 3
@@ -23,19 +23,6 @@ from .corona import gadget_d2, gadget_d3
 from .cutsets import enumerate_cutsets, enumeration_bound, is_accessible
 from .graph import Graph, diameter, distances_from
 from .io import from_graph6, to_graph6
-
-
-@dataclass(frozen=True)
-class DiameterClass:
-    """Diameter filtration slot: members of the k-th slot have diameter at
-    most k, with ``strict`` marking diameter exactly k."""
-
-    k: int | float
-    strict: bool
-
-
-def diameter_class(g: Graph) -> DiameterClass:
-    return DiameterClass(diameter(g), True)
 
 
 @dataclass(frozen=True)

@@ -27,14 +27,13 @@ from .corona import (
     l_corona,
 )
 from .cutsets import (
-    CutsetReport,
     EnumerationBoundError,
     accessibility_witness_chain,
     enumerate_cutsets,
     is_cutset,
     iter_cutsets,
 )
-from .graph import Graph, complete_graph, cone, is_cm_closed, members, vset
+from .graph import Graph, complete_graph, cone, is_cm_closed, members, path_graph, vset
 from .invariants import (
     BaseInvariants,
     base_invariants_block_graph,
@@ -54,7 +53,7 @@ from .io import (
     to_graph6,
 )
 
-GRAPH_FORMATS = ("graph6", "edgelist", "json", "spec-json")
+GRAPH_FORMATS = ("graph6", "edgelist", "json")
 
 
 def _sniff_format(source: str, text: str) -> str:
@@ -93,7 +92,7 @@ def _graph_arg(token: str, fmt: str | None = None) -> Graph:
         return from_graph6(line)
     if fmt == "edgelist":
         return parse_edge_list(text)
-    if fmt in ("json", "spec-json"):
+    if fmt == "json":
         obj = json.loads(text)
         if not isinstance(obj, dict):
             raise ValueError(f"JSON graph input must be an object, got {type(obj).__name__}")
@@ -170,15 +169,6 @@ def _cmd_cutsets(args) -> int:
     return 0
 
 
-def _stuck_cutset(report: CutsetReport) -> int | None:
-    """First nonempty cutset with no single-vertex removal staying a cutset."""
-    family = set(report.cutsets)
-    for mask in report.cutsets:
-        if mask and not any((mask ^ (1 << v)) in family for v in members(mask)):
-            return mask
-    return None
-
-
 def _cmd_check(args) -> int:
     g = _graph_arg(args.input, args.format)
     result: dict
@@ -186,13 +176,10 @@ def _cmd_check(args) -> int:
         report = enumerate_cutsets(g, bound=args.bound)
         result = {"check": "unmixed", "value": report.is_unmixed}
         if not report.is_unmixed:
-            w0 = report.base_components
-            for mask, w in zip(report.cutsets, report.per_cutset_components):
-                if w != mask.bit_count() + w0:
-                    result["witness"] = _labels(g, mask)
-                    result["witness_components"] = w
-                    result["expected_components"] = mask.bit_count() + w0
-                    break
+            mask, w = report.unmixed_violation
+            result["witness"] = _labels(g, mask)
+            result["witness_components"] = w
+            result["expected_components"] = mask.bit_count() + report.base_components
     elif args.accessible:
         report = enumerate_cutsets(g, bound=args.bound)
         result = {"check": "accessible", "value": report.is_accessible}
@@ -200,12 +187,12 @@ def _cmd_check(args) -> int:
             result["reason"] = "not-unmixed"
         elif not report.is_accessible_system:
             result["reason"] = "no-removable-vertex"
-            result["witness"] = _labels(g, _stuck_cutset(report))
+            result["witness"] = _labels(g, report.stuck_cutset)
     elif args.accessible_system:
         report = enumerate_cutsets(g, bound=args.bound)
         result = {"check": "accessible-system", "value": report.is_accessible_system}
         if not report.is_accessible_system:
-            result["witness"] = _labels(g, _stuck_cutset(report))
+            result["witness"] = _labels(g, report.stuck_cutset)
     elif args.cutset is not None:
         mask = vset(int(tok) for tok in args.cutset.split(",") if tok != "")
         value = is_cutset(g, mask)
@@ -239,39 +226,32 @@ def _base_record(args) -> tuple[BaseInvariants, Graph | None]:
 def _cmd_invariants(args) -> int:
     base, pendant_graph = _base_record(args)
     family = args.family
-    product = None
-    if family == "full-corona":
-        if args.n is None:
-            raise ValueError("--family full-corona needs --n")
-        report = depth_reg_corona_complete(args.n, args.n, base)
-        if pendant_graph is not None:
-            product = corona(complete_graph(args.n), pendant_graph)[0]
+    # each family names its base graph and attach set (None: every vertex)
+    attach = None
+    if family == "cm-closed":
+        if not args.b_graph:
+            raise ValueError("--family cm-closed needs --b-graph")
+        graph = _graph_arg(args.b_graph, args.format)
+        report = depth_reg_corona_cm_closed(graph, base, pendant_graph, args.bound)
     elif family == "l-corona":
         if args.n is None or args.ell is None:
             raise ValueError("--family l-corona needs --n and --ell")
         report = depth_reg_corona_complete(args.n, args.ell, base)
-        if pendant_graph is not None:
-            spec = CoronaSpec(
-                complete_graph(args.n), (1 << args.ell) - 1, pendant_graph
-            )
-            product = l_corona(spec)[0]
-    elif family == "cm-closed":
-        if not args.b_graph:
-            raise ValueError("--family cm-closed needs --b-graph")
-        b_graph = _graph_arg(args.b_graph, args.format)
-        report = depth_reg_corona_cm_closed(b_graph, base, pendant_graph, args.bound)
-        if pendant_graph is not None:
-            product = corona(b_graph, pendant_graph)[0]
-    elif family == "path":
-        if args.n is None:
-            raise ValueError("--family path needs --n")
-        report = depth_reg_corona_path(args.n, base, pendant_graph, args.bound)
-        if pendant_graph is not None:
-            from .graph import path_graph
-
-            product = corona(path_graph(args.n), pendant_graph)[0]
+        graph, attach = complete_graph(args.n), (1 << args.ell) - 1
+    elif args.n is None:
+        raise ValueError(f"--family {family} needs --n")
+    elif family == "full-corona":
+        report = depth_reg_corona_complete(args.n, args.n, base)
+        graph = complete_graph(args.n)
     else:
-        raise ValueError(f"unknown family {family!r}")
+        report = depth_reg_corona_path(args.n, base, pendant_graph, args.bound)
+        graph = path_graph(args.n)
+    product = None
+    if pendant_graph is not None:
+        if attach is None:
+            product = corona(graph, pendant_graph)[0]
+        else:
+            product = l_corona(CoronaSpec(graph, attach, pendant_graph))[0]
 
     if args.emit_cas:
         if product is None:

@@ -24,7 +24,7 @@ from .graph import (
     simplicial_vertices,
     vset,
 )
-from .io import from_graph6, to_graph6
+from .io import _is_json_int, from_graph6, to_graph6
 
 VertexTag = tuple
 
@@ -257,10 +257,12 @@ def corona_spec_to_json(spec: CoronaSpec) -> dict:
     }
 
 
-def corona_spec_from_json(obj: dict, relaxed: bool = False) -> CoronaSpec:
-    return CoronaSpec(
-        from_graph6(obj["base"]),
-        vset(int(v) for v in obj["L"]),
-        from_graph6(obj["pendant"]),
-        relaxed=relaxed,
-    )
+def corona_spec_from_json(obj: dict) -> CoronaSpec:
+    """Spec from ``{"base": graph6, "L": [vertex, ...], "pendant": graph6}``;
+    a field of the wrong type is a ValueError."""
+    base, attach, pend = obj["base"], obj["L"], obj["pendant"]
+    if not isinstance(base, str) or not isinstance(pend, str):
+        raise ValueError("corona spec fields 'base' and 'pendant' must be graph6 strings")
+    if not isinstance(attach, list) or not all(map(_is_json_int, attach)):
+        raise ValueError("corona spec field 'L' must be a list of base vertex indices")
+    return CoronaSpec(from_graph6(base), vset(attach), from_graph6(pend))

@@ -20,7 +20,9 @@ and the two-component test.
 Quotient-ring facts read off the cutset family: the Krull dimension of the
 quotient by the binomial edge ideal is ``n + max(components - |T|)`` over
 cutsets, and (for connected graphs) unmixedness says every cutset satisfies
-``components == |T| + 1``.
+``components == |T| + 1``.  ``enumerate_cutsets`` is where the verdicts are
+decided: its report carries the first unmixedness violation and the first
+stuck cutset, and the unmixed and accessible verdicts are read off them.
 """
 
 from __future__ import annotations
@@ -140,9 +142,13 @@ def iter_cutsets(g: Graph, bound: int | None = None) -> Iterator[tuple[VertexSet
 class CutsetReport:
     """Full cutset family of one graph plus the verdicts derived from it.
 
-    With a ``size_cap`` the boolean fields and the dimension are computed
-    over the listed cutsets only.  For disconnected graphs unmixedness uses
-    the extension ``components == |T| + components(G)``.
+    ``unmixed_violation`` is the first cutset, in report order, whose
+    component count breaks unmixedness, as ``(mask, components)``;
+    ``stuck_cutset`` is the first nonempty cutset from which no single
+    removal leaves a cutset.  The verdicts are read off these two witnesses.
+    With a ``size_cap`` everything is computed over the listed cutsets only.
+    For disconnected graphs unmixedness uses the extension
+    ``components == |T| + components(G)``.
     """
 
     n: int
@@ -150,10 +156,18 @@ class CutsetReport:
     base_components: int
     cutsets: tuple[VertexSet, ...]
     per_cutset_components: tuple[int, ...]
-    is_unmixed: bool
-    is_accessible_system: bool
+    unmixed_violation: tuple[VertexSet, int] | None
+    stuck_cutset: VertexSet | None
     oracle_dimension: int
     size_cap: int | None = None
+
+    @property
+    def is_unmixed(self) -> bool:
+        return self.unmixed_violation is None
+
+    @property
+    def is_accessible_system(self) -> bool:
+        return self.stuck_cutset is None
 
     @property
     def is_accessible(self) -> bool:
@@ -179,57 +193,31 @@ def enumerate_cutsets(
     g: Graph, size_cap: int | None = None, bound: int | None = None
 ) -> CutsetReport:
     """All cutsets (optionally capped by size), sorted by size then by
-    ascending member lists, with the derived verdicts."""
+    ascending member lists, with the derived witnesses and verdicts."""
     found = []
     for mask, w in iter_cutsets(g, bound):
         if size_cap is None or mask.bit_count() <= size_cap:
             found.append((mask, w))
     found.sort(key=lambda mw: (mw[0].bit_count(), members(mw[0])))
     masks = tuple(m for m, _ in found)
-    comps = tuple(w for _, w in found)
-    w0 = comps[0]  # empty cutset sorts first
-    unmixed = all(w == m.bit_count() + w0 for m, w in found)
+    w0 = found[0][1]  # empty cutset sorts first
     mask_set = set(masks)
-    accessible = all(
-        any((m ^ (1 << v)) in mask_set for v in iter_members(m))
+    violations = ((m, w) for m, w in found if w != m.bit_count() + w0)
+    stuck = (
+        m
         for m in masks
-        if m
+        if m and not any((m ^ (1 << v)) in mask_set for v in iter_members(m))
     )
-    dim = g.n + max(w - m.bit_count() for m, w in found)
     return CutsetReport(
         n=g.n,
         connected=w0 <= 1,
         base_components=w0,
         cutsets=masks,
-        per_cutset_components=comps,
-        is_unmixed=unmixed,
-        is_accessible_system=accessible,
-        oracle_dimension=dim,
+        per_cutset_components=tuple(w for _, w in found),
+        unmixed_violation=next(violations, None),
+        stuck_cutset=next(stuck, None),
+        oracle_dimension=g.n + max(w - m.bit_count() for m, w in found),
         size_cap=size_cap,
-    )
-
-
-def unmixedness_violation(
-    g: Graph, bound: int | None = None
-) -> tuple[VertexSet, int] | None:
-    """First cutset breaking ``components == |T| + components(G)``, or None."""
-    it = iter_cutsets(g, bound)
-    _, w0 = next(it)
-    for mask, w in it:
-        if w != mask.bit_count() + w0:
-            return mask, w
-    return None
-
-
-def is_unmixed(g: Graph, bound: int | None = None) -> bool:
-    return unmixedness_violation(g, bound) is None
-
-
-def is_accessible_system(g: Graph, bound: int | None = None) -> bool:
-    """Every nonempty cutset contains a vertex whose removal is again a cutset."""
-    masks = {m for m, _ in iter_cutsets(g, bound)}
-    return all(
-        any((m ^ (1 << v)) in masks for v in iter_members(m)) for m in masks if m
     )
 
 

@@ -6,8 +6,8 @@ int used as a bitmask (bit ``i`` set <=> vertex ``i`` in the set); the alias
 make union, difference and cardinality one machine operation per word, which
 is what keeps exhaustive subset enumeration tolerable in pure Python.
 
-Graphs are immutable: every transformation returns a new value, so graphs
-may be shared freely across threads.
+Graphs are immutable: constructors such as ``cone`` return a new value, so
+graphs may be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -236,51 +236,7 @@ def diameter(g: Graph) -> int | float:
 
 
 # ---------------------------------------------------------------------------
-# local transformations
-
-
-def cliquify(g: Graph, v: int) -> Graph:
-    """Add every edge between two neighbours of ``v`` (vertex set unchanged)."""
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range")
-    nv = g.adj[v]
-    adj = list(g.adj)
-    for u in iter_members(nv):
-        adj[u] |= nv & ~(1 << u)
-    return Graph._from_adj(tuple(adj), g.labels)
-
-
-def delete(g: Graph, s: VertexSet) -> tuple[Graph, dict[int, int]]:
-    """Induced subgraph on V minus ``s``, relabeled to a contiguous range.
-
-    Returns the compact graph and the old->new index map for the kept
-    vertices (ascending order is preserved).
-    """
-    if s & ~g.full_mask:
-        raise ValueError("deleted set out of range")
-    keep = members(g.full_mask & ~s)
-    index = {old: new for new, old in enumerate(keep)}
-    adj = []
-    for old in keep:
-        row = 0
-        for w in iter_members(g.adj[old]):
-            if w in index:
-                row |= 1 << index[w]
-        adj.append(row)
-    labels = tuple(g.label(old) for old in keep) if g.labels is not None else None
-    return Graph._from_adj(tuple(adj), labels), index
-
-
-def disjoint_union(g1: Graph, g2: Graph) -> Graph:
-    """Block-diagonal union; the second graph's indices are shifted up by g1.n."""
-    shift = g1.n
-    adj = g1.adj + tuple(row << shift for row in g2.adj)
-    labels = None
-    if g1.labels is not None or g2.labels is not None:
-        labels = tuple(g1.label(i) for i in range(g1.n)) + tuple(
-            g2.label(i) for i in range(g2.n)
-        )
-    return Graph._from_adj(adj, labels)
+# cones
 
 
 def cone(g: Graph, apex_label: str = "apex") -> Graph:
@@ -291,20 +247,6 @@ def cone(g: Graph, apex_label: str = "apex") -> Graph:
     labels = None
     if g.labels is not None:
         labels = tuple(g.label(i) for i in range(n)) + (apex_label,)
-    return Graph._from_adj(adj, labels)
-
-
-def join(g1: Graph, g2: Graph) -> Graph:
-    """Disjoint union plus all edges between the two parts."""
-    shift = g1.n
-    m1 = (1 << g1.n) - 1
-    m2 = ((1 << g2.n) - 1) << shift
-    adj = tuple(r | m2 for r in g1.adj) + tuple((r << shift) | m1 for r in g2.adj)
-    labels = None
-    if g1.labels is not None or g2.labels is not None:
-        labels = tuple(g1.label(i) for i in range(g1.n)) + tuple(
-            g2.label(i) for i in range(g2.n)
-        )
     return Graph._from_adj(adj, labels)
 
 
@@ -455,59 +397,3 @@ def is_cm_closed(g: Graph) -> bool:
     """True when the blocks of ``g`` form a clique path (complete blocks in a
     line, consecutive ones sharing exactly one vertex)."""
     return block_decomposition(g).is_clique_path
-
-
-# ---------------------------------------------------------------------------
-# isomorphism (small graphs only; exists for consistency tests)
-
-
-def is_isomorphic_small(g1: Graph, g2: Graph, max_n: int = 12) -> bool:
-    """Exact isomorphism by degree-pruned backtracking; rejects inputs above
-    ``max_n`` vertices."""
-    if g1.n > max_n or g2.n > max_n:
-        raise ValueError(f"isomorphism check capped at {max_n} vertices")
-    if g1.n != g2.n or g1.m != g2.m:
-        return False
-    n = g1.n
-    if n == 0:
-        return True
-
-    def signature(g: Graph) -> list[tuple[int, tuple[int, ...]]]:
-        degs = [g.degree(v) for v in range(n)]
-        return [
-            (degs[v], tuple(sorted(degs[u] for u in g.neighbors(v))))
-            for v in range(n)
-        ]
-
-    sig1 = signature(g1)
-    sig2 = signature(g2)
-    if sorted(sig1) != sorted(sig2):
-        return False
-
-    order = sorted(range(n), key=lambda v: (-sig1[v][0], sig1[v][1], v))
-    mapping: list[int] = []
-
-    def extend(i: int, used: int) -> bool:
-        if i == n:
-            return True
-        u = order[i]
-        placed = 0
-        need = 0
-        for j in range(i):
-            xb = 1 << mapping[j]
-            placed |= xb
-            if g1.has_edge(u, order[j]):
-                need |= xb
-        for x in range(n):
-            if used >> x & 1:
-                continue
-            if sig2[x] != sig1[u]:
-                continue
-            if g2.adj[x] & placed == need:
-                mapping.append(x)
-                if extend(i + 1, used | (1 << x)):
-                    return True
-                mapping.pop()
-        return False
-
-    return extend(0, 0)

@@ -7,6 +7,12 @@ combinatorial values (vertex count + 1 and internal-vertex count + 1);
 their dimension and the unmixed/accessible verdicts come from the cutset
 oracle, since a block graph need not be Cohen-Macaulay (a star already is
 not).  Anything else is user-supplied.  All arithmetic is exact integers.
+
+Every product with a pendant copy at every base vertex -- the full corona
+over K_n, the corona of a clique-path base and its path case -- comes from
+one computation on the base graph; the three families differ only in the
+labels their reports carry.  The L-corona with 1 <= ell < n has its own
+depth and regularity rules.  All reports are assembled in one place.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from .corona import CoronaSpec, corona
 from .cutsets import dimension_oracle, enumerate_cutsets, enumeration_bound
 from .graph import (
     Graph,
+    complete_graph,
     internal_vertex_count,
     is_block_graph,
     is_cm_closed,
@@ -293,64 +300,151 @@ def _verdicts(n: int, ell: int, base: BaseInvariants, base_complete: bool) -> di
     }
 
 
-def depth_reg_corona_complete(n: int, ell: int, base: BaseInvariants) -> InvariantReport:
-    """Depth and regularity for a complete base on ``n`` vertices with
-    ``ell`` pendant copies, with dimension, Cohen-Macaulay defect, extremal
-    Betti position and verdicts attached."""
-    _check_params(n, ell)
-    nv = n + ell * base.h
-    notes: list[str] = []
-    if ell == n:
-        family = FULL_CORONA
-        rule = "formula:full-corona"
-        if base.is_complete:
-            depth = 1 + n * base.depth_q
-            # the product is a block graph; reg = iv + 1, which is n + 1 for
-            # n >= 2 but 1 for n == 1 (the product is then complete)
-            reg = n + 1 if n >= 2 else 1
-            if n == 1:
-                notes.append("single-vertex base with complete pendant: product is complete")
-        else:
-            depth = n * base.depth_q
-            reg = n * base.reg_q
-    elif ell == 1:
-        family = L_CORONA
-        rule = "formula:single-attach"
-        depth = n + base.depth_q
-        reg = 2 if base.is_complete else 1 + base.reg_q
-    else:
-        family = L_CORONA
-        rule = "formula:multi-attach"
-        depth = n - ell + 1 + ell * base.depth_q
-        reg = 1 + ell * base.reg_q
-    dim = dim_l_corona(n, ell, base)
-    extremal = None
-    if not base.is_complete and base.r_extremal is not None:
-        if family == FULL_CORONA and n == 1:
-            notes.append("extremal position not stated for a single-vertex base")
-        else:
-            extremal = extremal_betti_position(family, base, n=n, ell=ell)
+def _report(
+    family: str,
+    base: BaseInvariants,
+    *,
+    nv: int,
+    depth: int,
+    reg: int,
+    dim: int | None,
+    dim_prov: str,
+    extremal: tuple[int, int] | None,
+    verdicts: dict[str, Verdict],
+    rule: str,
+    notes: tuple[str, ...] = (),
+    **ids: int,
+) -> InvariantReport:
+    """Assemble a report: ``pd`` by Auslander-Buchsbaum, the defect as
+    dim - depth, and ``rule`` as the provenance of depth and regularity."""
     return InvariantReport(
         family=family,
         base=base,
-        n=n,
-        ell=ell,
         product_vertices=nv,
         depth_q=depth,
         reg_q=reg,
         pd=2 * nv - depth,
         dim_q=dim,
-        cmdef=dim - depth,
+        cmdef=None if dim is None else dim - depth,
         extremal_position=extremal,
-        verdicts=_verdicts(n, ell, base, base_complete=True),
+        verdicts=verdicts,
         provenances={
-            "dim": "formula:l-corona-dimension",
+            "dim": dim_prov,
             "depth": rule,
             "reg": rule,
             "pd": "auslander-buchsbaum",
-            "cmdef": "dim-minus-depth",
+            "cmdef": "dim-minus-depth" if dim is not None else "oracle-unavailable",
         },
-        notes=tuple(notes),
+        notes=notes,
+        **ids,
+    )
+
+
+def _single_vertex_notes(n: int, base: BaseInvariants) -> tuple[str, ...]:
+    """What a report over a complete base says when that base is one vertex."""
+    if n > 1:
+        return ()
+    if base.is_complete:
+        return ("single-vertex base with complete pendant: product is complete",)
+    if base.r_extremal is not None:
+        return ("extremal position not stated for a single-vertex base",)
+    return ()
+
+
+def _every_vertex_report(
+    family: str,
+    b_graph: Graph,
+    base: BaseInvariants,
+    rule: str,
+    *,
+    pendant: Graph | None = None,
+    bound: int | None = None,
+    notes: tuple[str, ...] = (),
+    **ids: int,
+) -> InvariantReport:
+    """A copy of the pendant at every vertex of the clique-path base
+    ``b_graph``.  The full corona over K_n, the clique-path corona and the
+    path corona all come through here; they differ only in their family,
+    provenance and notes.  A complete base has the dimension formula and,
+    for b >= 2, the full-corona extremal statement; any other clique path
+    takes its dimension from the cutset oracle and the clique-path extremal
+    statement, whose column offset keeps its +1."""
+    b = b_graph.n
+    complete = is_complete(b_graph)
+    if base.is_complete:
+        depth = 1 + b * base.depth_q
+        # the product is a block graph; reg = iv + 1, which is b + 1 for
+        # b >= 2 but 1 for b == 1 (the product is then complete)
+        reg = b + 1 if b >= 2 else 1
+    else:
+        depth = b * base.depth_q
+        reg = b * base.reg_q
+    if complete:
+        dim, dim_prov = dim_l_corona(b, b, base), "formula:l-corona-dimension"
+    else:
+        dim, dim_prov = _oracle_dim_for(b_graph, base, pendant, bound)
+    extremal = None
+    if b >= 2 and not base.is_complete and base.r_extremal is not None:
+        # (unstated for a single-vertex base)
+        if complete:
+            extremal = extremal_betti_position(FULL_CORONA, base, n=b)
+        else:
+            extremal = extremal_betti_position(CM_CLOSED, base, b=b)
+    return _report(
+        family,
+        base,
+        nv=b * (1 + base.h),
+        depth=depth,
+        reg=reg,
+        dim=dim,
+        dim_prov=dim_prov,
+        extremal=extremal,
+        verdicts=_verdicts(b, b, base, base_complete=complete),
+        rule=rule,
+        notes=notes,
+        **ids,
+    )
+
+
+def depth_reg_corona_complete(n: int, ell: int, base: BaseInvariants) -> InvariantReport:
+    """Depth and regularity for a complete base on ``n`` vertices with
+    ``ell`` pendant copies, with dimension, Cohen-Macaulay defect, extremal
+    Betti position and verdicts attached."""
+    _check_params(n, ell)
+    if ell == n:
+        return _every_vertex_report(
+            FULL_CORONA,
+            complete_graph(n),
+            base,
+            "formula:full-corona",
+            notes=_single_vertex_notes(n, base),
+            n=n,
+            ell=n,
+        )
+    if ell == 1:
+        rule = "formula:single-attach"
+        depth = n + base.depth_q
+        reg = 2 if base.is_complete else 1 + base.reg_q
+    else:
+        rule = "formula:multi-attach"
+        depth = n - ell + 1 + ell * base.depth_q
+        reg = 1 + ell * base.reg_q
+    extremal = None
+    if not base.is_complete and base.r_extremal is not None:
+        extremal = extremal_betti_position(L_CORONA, base, n=n, ell=ell)
+    return _report(
+        L_CORONA,
+        base,
+        nv=n + ell * base.h,
+        depth=depth,
+        reg=reg,
+        dim=dim_l_corona(n, ell, base),
+        dim_prov="formula:l-corona-dimension",
+        extremal=extremal,
+        verdicts=_verdicts(n, ell, base, base_complete=True),
+        rule=rule,
+        n=n,
+        ell=ell,
     )
 
 
@@ -374,62 +468,21 @@ def depth_reg_corona_cm_closed(
     bound: int | None = None,
 ) -> InvariantReport:
     """Depth and regularity for the corona of a clique-path base with an
-    arbitrary connected pendant.  A complete base delegates to the
-    complete-base closed forms (dimension included); otherwise no dimension
-    formula exists and the cutset oracle fills it in when the product fits
-    the enumeration bound and the pendant graph is supplied."""
+    arbitrary connected pendant.  A complete base gets the complete-base
+    closed forms (dimension included); otherwise no dimension formula
+    exists and the cutset oracle fills it in when the product fits the
+    enumeration bound and the pendant graph is supplied."""
     if not is_cm_closed(b_graph):
         raise ValueError("base graph is not a clique path")
     b = b_graph.n
+    rule, notes = "formula:cm-closed-corona", ()
     if is_complete(b_graph):
-        rep = depth_reg_corona_complete(b, b, base)
-        return InvariantReport(
-            family=CM_CLOSED,
-            base=base,
-            b=b,
-            product_vertices=rep.product_vertices,
-            depth_q=rep.depth_q,
-            reg_q=rep.reg_q,
-            pd=rep.pd,
-            dim_q=rep.dim_q,
-            cmdef=rep.cmdef,
-            extremal_position=rep.extremal_position,
-            verdicts=rep.verdicts,
-            provenances=rep.provenances,
-            notes=rep.notes + ("complete clique path: complete-base closed forms apply",),
+        rule = "formula:full-corona"
+        notes = _single_vertex_notes(b, base) + (
+            "complete clique path: complete-base closed forms apply",
         )
-    nv = b * (1 + base.h)
-    if base.is_complete:
-        depth = 1 + b * base.depth_q
-        reg = b + 1
-    else:
-        depth = b * base.depth_q
-        reg = b * base.reg_q
-    dim, dim_prov = _oracle_dim_for(b_graph, base, pendant, bound)
-    extremal = None
-    if not base.is_complete and base.r_extremal is not None:
-        extremal = extremal_betti_position(CM_CLOSED, base, b=b)
-    # a non-complete base here has at least two blocks, so b >= 3
-    verdicts = _verdicts(b, b, base, base_complete=False)
-    return InvariantReport(
-        family=CM_CLOSED,
-        base=base,
-        b=b,
-        product_vertices=nv,
-        depth_q=depth,
-        reg_q=reg,
-        pd=2 * nv - depth,
-        dim_q=dim,
-        cmdef=None if dim is None else dim - depth,
-        extremal_position=extremal,
-        verdicts=verdicts,
-        provenances={
-            "dim": dim_prov,
-            "depth": "formula:cm-closed-corona",
-            "reg": "formula:cm-closed-corona",
-            "pd": "auslander-buchsbaum",
-            "cmdef": "dim-minus-depth" if dim is not None else "oracle-unavailable",
-        },
+    return _every_vertex_report(
+        CM_CLOSED, b_graph, base, rule, pendant=pendant, bound=bound, notes=notes, b=b
     )
 
 
@@ -439,63 +492,12 @@ def depth_reg_corona_path(
     pendant: Graph | None = None,
     bound: int | None = None,
 ) -> InvariantReport:
-    """Path specialization of the clique-path corona formulas."""
+    """The clique-path corona on the path with ``n`` vertices."""
     if n < 1:
         raise ValueError("path length must be at least 1")
-    nv = n * (1 + base.h)
-    if base.is_complete:
-        depth = 1 + n * base.depth_q
-        # n == 1 gives a complete product, where reg is 1
-        reg = n + 1 if n >= 2 else 1
-    else:
-        depth = n * base.depth_q
-        reg = n * base.reg_q
-    p = path_graph(n)
-    if is_complete(p):  # n <= 2: dimension comes from the complete-base formula
-        dim: int | None = dim_l_corona(n, n, base)
-        dim_prov = "formula:l-corona-dimension"
-    else:
-        dim, dim_prov = _oracle_dim_for(p, base, pendant, bound)
-    extremal = None
-    if not base.is_complete and base.r_extremal is not None:
-        if n == 1:
-            pass  # unstated for a single-vertex base
-        elif n == 2:
-            extremal = extremal_betti_position(FULL_CORONA, base, n=2)
-        else:
-            extremal = extremal_betti_position(PATH, base, n=n)
-    verdicts = _verdicts(n, n, base, base_complete=n <= 2)
-    return InvariantReport(
-        family=PATH,
-        base=base,
-        n=n,
-        product_vertices=nv,
-        depth_q=depth,
-        reg_q=reg,
-        pd=2 * nv - depth,
-        dim_q=dim,
-        cmdef=None if dim is None else dim - depth,
-        extremal_position=extremal,
-        verdicts=verdicts,
-        provenances={
-            "dim": dim_prov,
-            "depth": "formula:path-corona",
-            "reg": "formula:path-corona",
-            "pd": "auslander-buchsbaum",
-            "cmdef": "dim-minus-depth" if dim is not None else "oracle-unavailable",
-        },
+    return _every_vertex_report(
+        PATH, path_graph(n), base, "formula:path-corona", pendant=pendant, bound=bound, n=n
     )
-
-
-def cmdef_report(n: int, ell: int, base: BaseInvariants) -> int:
-    """Cohen-Macaulay defect of the product with a complete base, by the
-    piecewise closed form (independently of dim - depth)."""
-    _check_params(n, ell)
-    if ell < n:
-        return ell * base.cmdef
-    if base.is_complete:
-        return 0
-    return 1 + ell * base.cmdef
 
 
 def extremal_betti_position(

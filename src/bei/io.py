@@ -203,9 +203,22 @@ def graph_to_json(g: Graph) -> dict:
     return obj
 
 
+def _is_json_int(value) -> bool:
+    """True for a JSON integer (``bool`` is an ``int`` subclass in Python,
+    but not a JSON integer)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def graph_from_json(obj: dict) -> Graph:
-    return Graph(
-        int(obj["n"]),
-        [(int(u), int(v)) for u, v in obj.get("edges", [])],
-        labels=obj.get("labels"),
-    )
+    """Graph from ``{"n": int, "edges": [[u, v], ...], "labels": [...]}``;
+    a field of the wrong type is a ValueError."""
+    n, edges, labels = obj["n"], obj.get("edges", []), obj.get("labels")
+    if not _is_json_int(n):
+        raise ValueError(f"JSON graph field 'n' must be an integer, got {n!r}")
+    if not isinstance(edges, list) or not all(
+        isinstance(e, list) and len(e) == 2 and all(map(_is_json_int, e)) for e in edges
+    ):
+        raise ValueError("JSON graph field 'edges' must be a list of [u, v] integer pairs")
+    if labels is not None and not isinstance(labels, list):
+        raise ValueError("JSON graph field 'labels' must be a list")
+    return Graph(n, edges, labels=labels)

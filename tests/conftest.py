@@ -125,6 +125,16 @@ def connected_atlas(max_n: int) -> tuple[bei.Graph, ...]:
     return tuple(out)
 
 
+def to_nx(g: bei.Graph):
+    """The same graph as a networkx graph, for ``networkx.is_isomorphic``."""
+    import networkx as nx
+
+    out = nx.Graph()
+    out.add_nodes_from(range(g.n))
+    out.add_edges_from(g.edges())
+    return out
+
+
 def random_connected_graph(rng: random.Random, n: int) -> bei.Graph:
     """Random spanning tree plus a random sprinkling of extra edges."""
     edges = [(rng.randrange(i), i) for i in range(1, n)]

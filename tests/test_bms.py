@@ -1,7 +1,6 @@
 """Diameter wrappers, their verification records, and corpus scanning."""
 
 import json
-import math
 
 import pytest
 
@@ -9,13 +8,6 @@ import bei
 from bei.bms import _expected_d3_distance
 
 from conftest import connected_atlas
-
-
-def test_diameter_class():
-    assert bei.diameter_class(bei.complete_graph(5)) == bei.DiameterClass(1, True)
-    assert bei.diameter_class(bei.gadget_d2(bei.path_graph(3))).k == 2
-    assert bei.diameter_class(bei.gadget_d3(bei.complete_graph(2))).k == 3
-    assert bei.diameter_class(bei.Graph(2)).k == math.inf
 
 
 def test_verify_reduction_d2():

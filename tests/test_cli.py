@@ -32,7 +32,20 @@ def assert_invalid_input(code, err):
     assert json.loads(err)["kind"] == "invalid-input"
 
 
-@pytest.mark.parametrize("text", ["[1, 2]", "3", '"K4"', "null"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[1, 2]",
+        "3",
+        '"K4"',
+        "null",
+        # objects with malformed fields
+        '{"n": 3, "edges": [1, 2]}',
+        '{"n": 3, "labels": 7}',
+        '{"base": 1, "L": [0], "pendant": "Bw"}',
+        '{"base": "Bw", "L": 5, "pendant": "Bw"}',
+    ],
+)
 def test_non_object_json_input_is_invalid(tmp_path, capsys, text):
     path = tmp_path / "x.json"
     path.write_text(text)

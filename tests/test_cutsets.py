@@ -123,30 +123,40 @@ def test_sorted_by_size_then_lex():
     assert keys == sorted(keys)
 
 
+def unmixed(g):
+    return bei.enumerate_cutsets(g).is_unmixed
+
+
+def accessible_system(g):
+    return bei.enumerate_cutsets(g).is_accessible_system
+
+
 def test_unmixedness_examples(square_leaves_base, square_leaves_product):
     for n in range(1, 6):
-        assert bei.is_unmixed(bei.complete_graph(n))
-    assert bei.is_unmixed(square_leaves_base)
-    assert not bei.is_unmixed(square_leaves_product)
-    mask, w = bei.unmixedness_violation(square_leaves_product)
+        assert unmixed(bei.complete_graph(n))
+    assert unmixed(square_leaves_base)
+    rep = bei.enumerate_cutsets(square_leaves_product)
+    assert not rep.is_unmixed
+    mask, w = rep.unmixed_violation
     assert members(mask) == [0, 2] and w == 4
+    assert bei.enumerate_cutsets(square_leaves_base).unmixed_violation is None
 
 
 def test_unmixedness_matches_naive_on_corpus():
     for g in connected_atlas(5):
-        assert bei.is_unmixed(g) == naive_is_unmixed(g)
+        assert unmixed(g) == naive_is_unmixed(g)
 
 
 def test_disconnected_unmixedness_extension():
     # both parts unmixed: the union satisfies components == |T| + components(G)
-    g = bei.disjoint_union(bei.path_graph(3), bei.path_graph(3))
-    assert bei.is_unmixed(g)
+    g = bei.Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])  # P3 + P3
+    assert unmixed(g)
     rep = bei.enumerate_cutsets(g)
     assert not rep.connected
     assert rep.to_json()["unmixedness_definition"] == "disconnected-extension"
     # one part mixed: the union is mixed too
-    star = bei.Graph(4, [(0, 1), (0, 2), (0, 3)])
-    assert not bei.is_unmixed(bei.disjoint_union(star, bei.path_graph(2)))
+    star_and_edge = bei.Graph(6, [(0, 1), (0, 2), (0, 3), (4, 5)])
+    assert not unmixed(star_and_edge)
 
 
 def test_accessibility_examples(square_leaves_product):
@@ -155,17 +165,19 @@ def test_accessibility_examples(square_leaves_product):
     assert bei.is_accessible(bei.path_graph(4))
     # the corona counterexample has an accessible cutset system but is not
     # unmixed, hence not accessible
-    assert bei.is_accessible_system(square_leaves_product)
+    assert accessible_system(square_leaves_product)
     assert not bei.is_accessible(square_leaves_product)
     # the 4-cycle fails at the system level: {0,2} has no removable vertex
     c4 = bei.cycle_graph(4)
-    assert not bei.is_accessible_system(c4)
+    assert not accessible_system(c4)
     assert not bei.is_accessible(c4)
+    assert bei.enumerate_cutsets(c4).stuck_cutset == vset([0, 2])
+    assert bei.enumerate_cutsets(bei.path_graph(4)).stuck_cutset is None
 
 
 def test_accessible_system_matches_naive_on_corpus():
     for g in connected_atlas(5):
-        assert bei.is_accessible_system(g) == naive_is_accessible_system(g)
+        assert accessible_system(g) == naive_is_accessible_system(g)
 
 
 def test_dimension_oracle_examples():
@@ -185,7 +197,7 @@ def test_dimension_oracle_unmixed_iff_tight_on_corpus():
     # for connected graphs, dimension n+1 is equivalent to every cutset
     # having components == |T| + 1 *at the maximum*; unmixedness implies it
     for g in connected_atlas(5):
-        if bei.is_unmixed(g):
+        if unmixed(g):
             assert bei.dimension_oracle(g) == g.n + 1
 
 

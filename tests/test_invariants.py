@@ -148,18 +148,20 @@ def test_single_vertex_base_complete_pendant_is_complete_product():
 def test_cmdef_report():
     p3 = block(bei.path_graph(3))
     k2 = block(bei.complete_graph(2))
-    assert bei.cmdef_report(3, 3, k2) == 0
-    assert bei.cmdef_report(1, 1, p3) == 1
-    assert bei.cmdef_report(2, 2, p3) == 1  # almost Cohen-Macaulay
     star = block(bei.Graph(4, [(0, 1), (0, 2), (0, 3)]))
     assert star.cmdef == 1
-    assert bei.cmdef_report(3, 2, star) == 2  # first branch: ell * cmdef
-    # agrees with dim - depth from the independent formulas
-    for rec in (p3, k2, star):
-        for n in (1, 2, 3, 4):
-            for ell in range(1, n + 1):
+    # the piecewise closed form, row n lists ell = 1..n: ell * cmdef(H) for
+    # ell < n; at ell = n, 0 for a complete pendant, else 1 + n * cmdef(H)
+    expected = (
+        (p3, [[1], [0, 1], [0, 0, 1], [0, 0, 0, 1]]),  # (2, 2): almost CM
+        (k2, [[0], [0, 0], [0, 0, 0], [0, 0, 0, 0]]),
+        (star, [[2], [1, 3], [1, 2, 4], [1, 2, 3, 5]]),
+    )
+    for rec, rows in expected:
+        for n, row in enumerate(rows, 1):
+            for ell, want in enumerate(row, 1):
                 rep = bei.depth_reg_corona_complete(n, ell, rec)
-                assert bei.cmdef_report(n, ell, rec) == rep.dim_q - rep.depth_q
+                assert rep.cmdef == rep.dim_q - rep.depth_q == want, (n, ell)
 
 
 def test_cmdef_with_almost_cm_pendant_built_from_a_report():
@@ -168,7 +170,6 @@ def test_cmdef_with_almost_cm_pendant_built_from_a_report():
     inner = bei.depth_reg_corona_complete(2, 2, p3)
     pend = inner.to_base_invariants()
     assert pend.h == 8 and pend.cmdef == 1 and pend.is_cm is False
-    assert bei.cmdef_report(3, 2, pend) == 2
     # oracle cross-check at desk scale: dim of the 19-vertex product
     inner_graph = bei.corona(bei.complete_graph(2), bei.path_graph(3))[0]
     outer = bei.l_corona(
@@ -176,6 +177,7 @@ def test_cmdef_with_almost_cm_pendant_built_from_a_report():
     )[0]
     dim = bei.dimension_oracle(outer)
     rep = bei.depth_reg_corona_complete(3, 2, pend)
+    assert rep.cmdef == 2
     assert dim == rep.dim_q
     assert dim - rep.depth_q == 2
 
@@ -307,7 +309,7 @@ def test_classify_transfer_and_oracle_agreement():
     v2 = bei.classify(spec2, block(bei.path_graph(3)))
     assert v2["unmixed"].value is False and v2["cm"].value is False
     prod = bei.l_corona(spec2)[0]
-    assert not bei.is_unmixed(prod)
+    assert not bei.enumerate_cutsets(prod).is_unmixed
     # complete pendant on a complete base is Cohen-Macaulay
     spec3 = bei.CoronaSpec(bei.complete_graph(3), bei.complete_graph(3).full_mask, bei.complete_graph(2))
     v3 = bei.classify(spec3, bei.base_invariants_complete(2))
