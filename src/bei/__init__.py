@@ -48,6 +48,7 @@ from .cutsets import (
     is_accessible,
     is_cutset,
     iter_cutsets,
+    unmixed_report,
 )
 from .corona import (
     CoronaDecomposition,

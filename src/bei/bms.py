@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Iterator
 
 from .cas import emit_cas_script
 from .corona import gadget_d2, gadget_d3
-from .cutsets import enumerate_cutsets, enumeration_bound, is_accessible
+from .cutsets import enumeration_bound, is_accessible, unmixed_report
 from .graph import Graph, diameter, distances_from
 from .io import from_graph6, to_graph6
 
@@ -121,20 +121,20 @@ class ScanRecord:
         }
 
 
-def _analyze_graph6(payload: tuple[str, int | None]) -> tuple[str, int, int | None, bool, bool, int]:
+def _analyze_graph6(payload: tuple[str, int | None]) -> tuple[str, int, int | None, bool, bool, int | None]:
     """Worker: canonical graph6, n, diameter (None when disconnected),
-    unmixed, accessible, oracle dimension."""
+    unmixed, accessible, oracle dimension (None when not unmixed)."""
     g6, bound = payload
     g = from_graph6(g6)
     d = diameter(g)
-    report = enumerate_cutsets(g, bound=bound)
+    report = unmixed_report(g, bound=bound)
     return (
         to_graph6(g),
         g.n,
         None if d == math.inf else int(d),
-        report.is_unmixed,
-        report.is_accessible,
-        report.oracle_dimension,
+        report is not None,
+        report is not None and report.is_accessible,
+        None if report is None else report.oracle_dimension,
     )
 
 

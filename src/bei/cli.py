@@ -20,6 +20,7 @@ from .bms import ReductionCheck, bms_scan, verify_reduction_d2, verify_reduction
 from .cas import emit_cas_script
 from .corona import (
     CoronaSpec,
+    attach_mask,
     corona,
     corona_spec_from_json,
     gadget_d2,
@@ -32,6 +33,7 @@ from .cutsets import (
     enumerate_cutsets,
     is_cutset,
     iter_cutsets,
+    unmixed_report,
 )
 from .graph import Graph, complete_graph, cone, is_cm_closed, members, path_graph, vset
 from .invariants import (
@@ -139,10 +141,7 @@ def _cmd_construct(args) -> int:
         pend = _graph_arg(args.l_corona[1], args.format)
         if not args.attach:
             raise ValueError("--l-corona needs --attach with base vertex indices")
-        vertices = [int(tok) for tok in args.attach.split(",")]
-        if len(set(vertices)) != len(vertices):
-            raise ValueError(f"--attach repeats a vertex: {args.attach}")
-        attach = vset(vertices)
+        attach = attach_mask([int(tok) for tok in args.attach.split(",")], "--attach")
         g = l_corona(CoronaSpec(base, attach, pend))[0]
     elif args.cone:
         g = cone(_graph_arg(args.cone, args.format))
@@ -181,9 +180,9 @@ def _cmd_check(args) -> int:
             result["witness_components"] = w
             result["expected_components"] = mask.bit_count() + report.base_components
     elif args.accessible:
-        report = enumerate_cutsets(g, bound=args.bound)
-        result = {"check": "accessible", "value": report.is_accessible}
-        if not report.is_unmixed:
+        report = unmixed_report(g, bound=args.bound)
+        result = {"check": "accessible", "value": report is not None and report.is_accessible}
+        if report is None:
             result["reason"] = "not-unmixed"
         elif not report.is_accessible_system:
             result["reason"] = "no-removable-vertex"
@@ -246,15 +245,17 @@ def _cmd_invariants(args) -> int:
     else:
         report = depth_reg_corona_path(args.n, base, pendant_graph, args.bound)
         graph = path_graph(args.n)
-    product = None
+    # the spec is validated even without --emit-cas, so a bad product is an
+    # error either way; only the script needs the product itself
+    spec = None
     if pendant_graph is not None:
         if attach is None:
-            product = corona(graph, pendant_graph)[0]
+            spec = CoronaSpec(graph, graph.full_mask, pendant_graph, relaxed=True)
         else:
-            product = l_corona(CoronaSpec(graph, attach, pendant_graph))[0]
+            spec = CoronaSpec(graph, attach, pendant_graph)
 
     if args.emit_cas:
-        if product is None:
+        if spec is None:
             raise ValueError("--emit-cas needs a pendant graph (--pendant-block-graph or --pendant-graph)")
         expected = {"family": report.family}
         for key, value in (
@@ -269,7 +270,7 @@ def _cmd_invariants(args) -> int:
         for key, verdict in report.verdicts.items():
             if verdict.value is not None:
                 expected[key] = verdict.value
-        script = emit_cas_script(product, dialect=args.dialect, expected=expected)
+        script = emit_cas_script(l_corona(spec)[0], dialect=args.dialect, expected=expected)
         Path(args.emit_cas).write_text(script.text)
 
     _write_out(json.dumps(report.to_json(), indent=2) + "\n", args.output)

@@ -257,12 +257,25 @@ def corona_spec_to_json(spec: CoronaSpec) -> dict:
     }
 
 
+def attach_mask(vertices: list[int], field: str) -> VertexSet:
+    """Attach set from a list of base vertices; a negative or repeated
+    vertex is a ValueError that names ``field``."""
+    shown = ",".join(map(str, vertices))
+    if any(v < 0 for v in vertices):
+        raise ValueError(f"{field} holds a negative vertex: {shown}")
+    if len(set(vertices)) != len(vertices):
+        raise ValueError(f"{field} repeats a vertex: {shown}")
+    return vset(vertices)
+
+
 def corona_spec_from_json(obj: dict) -> CoronaSpec:
     """Spec from ``{"base": graph6, "L": [vertex, ...], "pendant": graph6}``;
-    a field of the wrong type is a ValueError."""
+    a field of the wrong type, or a negative or repeated ``L`` entry, is a
+    ValueError."""
     base, attach, pend = obj["base"], obj["L"], obj["pendant"]
     if not isinstance(base, str) or not isinstance(pend, str):
         raise ValueError("corona spec fields 'base' and 'pendant' must be graph6 strings")
     if not isinstance(attach, list) or not all(map(_is_json_int, attach)):
         raise ValueError("corona spec field 'L' must be a list of base vertex indices")
-    return CoronaSpec(from_graph6(base), vset(attach), from_graph6(pend))
+    mask = attach_mask(attach, "corona spec field 'L'")
+    return CoronaSpec(from_graph6(base), mask, from_graph6(pend))

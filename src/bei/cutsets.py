@@ -20,9 +20,19 @@ and the two-component test.
 Quotient-ring facts read off the cutset family: the Krull dimension of the
 quotient by the binomial edge ideal is ``n + max(components - |T|)`` over
 cutsets, and (for connected graphs) unmixedness says every cutset satisfies
-``components == |T| + 1``.  ``enumerate_cutsets`` is where the verdicts are
-decided: its report carries the first unmixedness violation and the first
-stuck cutset, and the unmixed and accessible verdicts are read off them.
+``components == |T| + 1``.  A ``CutsetReport`` carries the first
+unmixedness violation and the first stuck cutset, and the unmixed and
+accessible verdicts are read off them.  Two entry points build it:
+
+- ``enumerate_cutsets`` lists the whole family.  Callers that print the
+  family, a witness in report order or the dimension use it: ``bei
+  cutsets``, ``check --unmixed`` and ``--accessible-system``, ``export
+  --oracle-expected`` and the block-graph pendant invariants.
+- ``unmixed_report`` returns the same report for an unmixed graph and None
+  at the first violation, since an accessible graph must be unmixed and one
+  bad cutset settles both verdicts as false.  Callers that need only the
+  verdicts use it: the scan worker, ``is_accessible`` (and through it
+  ``gadget --verify``) and ``check --accessible``.
 """
 
 from __future__ import annotations
@@ -198,6 +208,14 @@ def enumerate_cutsets(
     for mask, w in iter_cutsets(g, bound):
         if size_cap is None or mask.bit_count() <= size_cap:
             found.append((mask, w))
+    return _report(g, found, size_cap)
+
+
+def _report(
+    g: Graph, found: list[tuple[VertexSet, int]], size_cap: int | None
+) -> CutsetReport:
+    """Sort ``(mask, components)`` pairs by size, then by ascending member
+    lists, and read the witnesses and the dimension off them."""
     found.sort(key=lambda mw: (mw[0].bit_count(), members(mw[0])))
     masks = tuple(m for m, _ in found)
     w0 = found[0][1]  # empty cutset sorts first
@@ -221,10 +239,28 @@ def enumerate_cutsets(
     )
 
 
+def unmixed_report(g: Graph, bound: int | None = None) -> CutsetReport | None:
+    """``enumerate_cutsets(g)`` when the graph is unmixed, else None.
+
+    The enumeration stops at the first cutset whose component count breaks
+    ``components == |T| + components(G)``, so a graph that is not unmixed
+    costs only the cutsets up to that one.
+    """
+    cutsets = iter_cutsets(g, bound)
+    found = [next(cutsets)]  # the empty set, with the component count of G
+    w0 = found[0][1]
+    for mask, w in cutsets:
+        if w != mask.bit_count() + w0:
+            return None
+        found.append((mask, w))
+    return _report(g, found, None)
+
+
 def is_accessible(g: Graph, bound: int | None = None) -> bool:
-    """Unmixed with an accessible cutset system, both read off one
-    enumeration."""
-    return enumerate_cutsets(g, bound=bound).is_accessible
+    """Unmixed with an accessible cutset system.  Reads ``unmixed_report``,
+    so a graph that is not unmixed is rejected at its first violation."""
+    report = unmixed_report(g, bound)
+    return report is not None and report.is_accessible_system
 
 
 def dimension_oracle(g: Graph, bound: int | None = None) -> int:

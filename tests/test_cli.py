@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from bei import complete_graph, cycle_graph, path_graph, to_graph6
 from bei.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -87,6 +88,27 @@ def test_check_accessible_reports_the_stuck_cutset(tmp_path, capsys):
     code, out, _ = run(["check", "--accessible-system", "--input", str(path)], capsys)
     assert code == 0
     assert json.loads(out)["witness"] == ["3", "4"]
+
+
+def test_scan_jobs_agree_on_a_mixed_corpus(tmp_path, capsys, square_leaves_product):
+    # not unmixed (C4, the square-leaves product), accessible (K3, P4), and
+    # unmixed but not accessible (FFwc?)
+    graphs = [cycle_graph(4), square_leaves_product, complete_graph(3), path_graph(4)]
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text("".join(to_graph6(g) + "\n" for g in graphs) + "FFwc?\n")
+    runs = []
+    for jobs in ("1", "2"):
+        scripts = tmp_path / f"scripts-{jobs}"
+        argv = ["scan", "--input", str(corpus), "--jobs", jobs, "--scripts-dir", str(scripts)]
+        code, out, err = run(argv, capsys)
+        assert code == 0 and err == ""
+        files = {p.name: p.read_text() for p in scripts.iterdir()}
+        runs.append((out.replace(str(scripts), "<scripts>"), files))
+    assert runs[0] == runs[1]
+    out, files = runs[0]
+    verdicts = [(r["unmixed"], r["accessible"]) for r in map(json.loads, out.splitlines())]
+    assert verdicts == [(False, False), (False, False), (True, True), (True, True), (True, False)]
+    assert sorted(files) == ["000003.m2", "000004.m2"]
 
 
 def capture(argv):

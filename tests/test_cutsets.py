@@ -25,6 +25,18 @@ def assert_matches_naive(g):
     assert masks[0] == 0
     assert all(a < b for a, b in zip(masks, masks[1:]))
     assert got == [(m, naive_ncomp(g, set(members(m)))) for m in naive_cutsets(g)]
+    assert_early_stop_agrees(g)
+
+
+def assert_early_stop_agrees(g):
+    """``unmixed_report`` is None exactly when the graph is not unmixed, and
+    the full report otherwise."""
+    full = bei.enumerate_cutsets(g)
+    early = bei.unmixed_report(g)
+    if full.is_unmixed:
+        assert early == full
+    else:
+        assert early is None
 
 
 @st.composite
@@ -89,6 +101,20 @@ def test_enumerate_matches_naive_on_small_coronas():
         assert_matches_naive(g)
 
 
+def test_early_stop_agrees_on_the_whole_atlas():
+    import networkx as nx
+
+    graphs = [
+        bei.Graph(nxg.number_of_nodes(), list(nxg.edges()))
+        for nxg in nx.graph_atlas_g()
+    ]
+    assert graphs[0].n == 0
+    assert any(bei.unmixed_report(g) is None for g in graphs)
+    assert any(not bei.is_connected(g) and bei.unmixed_report(g) for g in graphs)
+    for g in graphs:
+        assert_early_stop_agrees(g)
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_graphs())
 def test_enumerate_matches_naive_on_random_graphs(g):
@@ -140,6 +166,8 @@ def test_unmixedness_examples(square_leaves_base, square_leaves_product):
     mask, w = rep.unmixed_violation
     assert members(mask) == [0, 2] and w == 4
     assert bei.enumerate_cutsets(square_leaves_base).unmixed_violation is None
+    assert bei.unmixed_report(square_leaves_product) is None
+    assert_early_stop_agrees(square_leaves_base)
 
 
 def test_unmixedness_matches_naive_on_corpus():
@@ -231,6 +259,10 @@ def test_enumeration_bound():
     assert bei.dimension_oracle(big, bound=30) == 30 + 30  # 30 isolated vertices
     with pytest.raises(bei.EnumerationBoundError):
         bei.enumerate_cutsets(bei.path_graph(5), bound=4)
+    with pytest.raises(bei.EnumerationBoundError):
+        bei.unmixed_report(bei.path_graph(5), bound=4)
+    with pytest.raises(bei.EnumerationBoundError):
+        bei.unmixed_report(big)
 
 
 def test_bound_env_var(monkeypatch):
