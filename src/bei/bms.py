@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -182,6 +181,9 @@ def bms_scan(
 
     payloads = [(g6, limit) for _, g6 in todo]
     if jobs > 1 and len(payloads) > 1:
+        # imported here, so that the calls that start no pool skip its import
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_analyze_graph6, payloads, chunksize=8))
     else:

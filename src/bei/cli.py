@@ -14,13 +14,13 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .bms import ReductionCheck, bms_scan, verify_reduction_d2, verify_reduction_d3
 from .cas import emit_cas_script
 from .corona import (
     CoronaSpec,
-    attach_mask,
     corona,
     corona_spec_from_json,
     gadget_d2,
@@ -30,12 +30,21 @@ from .corona import (
 from .cutsets import (
     EnumerationBoundError,
     accessibility_witness_chain,
+    check_bound,
     enumerate_cutsets,
     is_cutset,
     iter_cutsets,
     unmixed_report,
 )
-from .graph import Graph, complete_graph, cone, is_cm_closed, members, path_graph, vset
+from .graph import (
+    Graph,
+    checked_vset,
+    complete_graph,
+    cone,
+    is_cm_closed,
+    members,
+    path_graph,
+)
 from .invariants import (
     BaseInvariants,
     base_invariants_block_graph,
@@ -73,8 +82,13 @@ def _sniff_format(source: str, text: str) -> str:
     return "graph6"
 
 
-def _graph_arg(token: str, fmt: str | None = None) -> Graph:
-    """Resolve a graph argument: inline name, file path, or '-' for stdin."""
+def _graph_arg(
+    token: str, fmt: str | None = None, check_n: Callable[[int], None] | None = None
+) -> Graph:
+    """Resolve a graph argument: inline name, file path, or '-' for stdin.
+    ``check_n`` sees the vertex count a JSON object (a corona spec's
+    product included) or an edge list of indices declares before a graph
+    of that size is built."""
     if fmt is None and is_graph_name(token):
         return graph_from_name(token)
     if token == "-":
@@ -93,15 +107,24 @@ def _graph_arg(token: str, fmt: str | None = None) -> Graph:
         line = next((ln for ln in text.splitlines() if ln.strip()), "")
         return from_graph6(line)
     if fmt == "edgelist":
-        return parse_edge_list(text)
+        return parse_edge_list(text, check_n)
     if fmt == "json":
         obj = json.loads(text)
         if not isinstance(obj, dict):
             raise ValueError(f"JSON graph input must be an object, got {type(obj).__name__}")
         if {"base", "L", "pendant"} <= obj.keys():
-            return l_corona(corona_spec_from_json(obj))[0]
-        return graph_from_json(obj)
+            spec = corona_spec_from_json(obj)
+            if check_n is not None:
+                check_n(spec.product_vertices)
+            return l_corona(spec)[0]
+        return graph_from_json(obj, check_n)
     raise ValueError(f"unknown input format {fmt!r}")
+
+
+def _enumerated_input(args) -> Graph:
+    """``--input`` of a call that enumerates its cutsets: a declared vertex
+    count above the bound is refused before the graph is built."""
+    return _graph_arg(args.input, args.format, lambda n: check_bound(n, args.bound))
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -141,7 +164,7 @@ def _cmd_construct(args) -> int:
         pend = _graph_arg(args.l_corona[1], args.format)
         if not args.attach:
             raise ValueError("--l-corona needs --attach with base vertex indices")
-        attach = attach_mask([int(tok) for tok in args.attach.split(",")], "--attach")
+        attach = checked_vset([int(tok) for tok in args.attach.split(",")], "--attach")
         g = l_corona(CoronaSpec(base, attach, pend))[0]
     elif args.cone:
         g = cone(_graph_arg(args.cone, args.format))
@@ -152,7 +175,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_cutsets(args) -> int:
-    g = _graph_arg(args.input, args.format)
+    g = _enumerated_input(args)
     if args.out == "jsonl":
         lines = []
         for mask, w in iter_cutsets(g, args.bound):
@@ -169,7 +192,10 @@ def _cmd_cutsets(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    g = _graph_arg(args.input, args.format)
+    if args.unmixed or args.accessible or args.accessible_system:
+        g = _enumerated_input(args)
+    else:
+        g = _graph_arg(args.input, args.format)
     result: dict
     if args.unmixed:
         report = enumerate_cutsets(g, bound=args.bound)
@@ -193,7 +219,9 @@ def _cmd_check(args) -> int:
         if not report.is_accessible_system:
             result["witness"] = _labels(g, report.stuck_cutset)
     elif args.cutset is not None:
-        mask = vset(int(tok) for tok in args.cutset.split(",") if tok != "")
+        mask = checked_vset(
+            [int(tok) for tok in args.cutset.split(",") if tok != ""], "--cutset"
+        )
         value = is_cutset(g, mask)
         result = {"check": "cutset", "set": _labels(g, mask), "value": value}
         if value and args.chain:
@@ -278,7 +306,7 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_gadget(args) -> int:
-    h = _graph_arg(args.input, args.format)
+    h = _enumerated_input(args) if args.verify else _graph_arg(args.input, args.format)
     build = gadget_d2 if args.kind == "d2" else gadget_d3
     if args.verify:
         verify = verify_reduction_d2 if args.kind == "d2" else verify_reduction_d3
@@ -326,7 +354,10 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    g = _graph_arg(args.input, args.format)
+    if args.out == "cas" and args.oracle_expected:
+        g = _enumerated_input(args)
+    else:
+        g = _graph_arg(args.input, args.format)
     if args.out == "cas":
         expected = None
         if args.oracle_expected:

@@ -16,13 +16,13 @@ from .cutsets import is_cutset
 from .graph import (
     Graph,
     VertexSet,
+    checked_vset,
     complete_graph,
     components,
     is_connected,
     iter_members,
     members,
     simplicial_vertices,
-    vset,
 )
 from .io import _is_json_int, from_graph6, to_graph6
 
@@ -257,17 +257,6 @@ def corona_spec_to_json(spec: CoronaSpec) -> dict:
     }
 
 
-def attach_mask(vertices: list[int], field: str) -> VertexSet:
-    """Attach set from a list of base vertices; a negative or repeated
-    vertex is a ValueError that names ``field``."""
-    shown = ",".join(map(str, vertices))
-    if any(v < 0 for v in vertices):
-        raise ValueError(f"{field} holds a negative vertex: {shown}")
-    if len(set(vertices)) != len(vertices):
-        raise ValueError(f"{field} repeats a vertex: {shown}")
-    return vset(vertices)
-
-
 def corona_spec_from_json(obj: dict) -> CoronaSpec:
     """Spec from ``{"base": graph6, "L": [vertex, ...], "pendant": graph6}``;
     a field of the wrong type, or a negative or repeated ``L`` entry, is a
@@ -277,5 +266,5 @@ def corona_spec_from_json(obj: dict) -> CoronaSpec:
         raise ValueError("corona spec fields 'base' and 'pendant' must be graph6 strings")
     if not isinstance(attach, list) or not all(map(_is_json_int, attach)):
         raise ValueError("corona spec field 'L' must be a list of base vertex indices")
-    mask = attach_mask(attach, "corona spec field 'L'")
+    mask = checked_vset(attach, "corona spec field 'L'")
     return CoronaSpec(from_graph6(base), mask, from_graph6(pend))

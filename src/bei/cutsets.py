@@ -17,6 +17,35 @@ surviving sets are closed under taking subsets, so every cutset is reached
 through surviving prefixes.  Each surviving set gets a bitmask flood fill
 and the two-component test.
 
+Cone pendants are factored out of that search.  A cone pendant of a vertex
+v (its apex) is a component C of G - v with C inside N(v); only a
+non-complete one matters, since the vertices of a complete one are
+simplicial.  The only neighbour C has outside itself is v, which touches
+every vertex of C, so for every cutset T, with T_C the part of T in C and
+T0 the part outside every pendant:
+
+- if v is not in T, T_C is empty: a vertex of T_C would reach only the one
+  component holding v and the rest of C;
+- if v is in T, C is cut off, its components in G - T are those of
+  G[C] - T_C, and a vertex of T_C touches only those, so T_C is a cutset
+  of G[C];
+- a member of T0 other than an apex touches the same components in G - T
+  as in G - T0 (pendants left in), so it passes the usual test there;
+- an apex touches each of its pendants in G - T0, and a pendant with a
+  nonempty part splits into at least two components in G - T; so an apex
+  whose only component in G - T0 is its one pendant needs T_C nonempty,
+  and any other apex passes;
+- c(G - T) = c(G - T0) + sum over the pendants of (c(G[C] - T_C) - 1).
+
+These are exact conditions in both directions, so the family is the core
+search's sets T0 (apexes exempt from the test) times each apex's pendant
+families.  In a corona G o H with H not complete, each copy of H is a
+pendant under its base vertex, so the search runs over the base alone, and
+each copy's family is listed once.  The clique prune stays exact on the core, since a non-apex
+member's outside neighbourhood does not change when pendant parts are
+added.  Graphs with at most ``_DIRECT_SEARCH_MAX`` non-simplicial vertices
+skip the detection and are searched directly.
+
 Quotient-ring facts read off the cutset family: the Krull dimension of the
 quotient by the binomial edge ideal is ``n + max(components - |T|)`` over
 cutsets, and (for connected graphs) unmixedness says every cutset satisfies
@@ -39,6 +68,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Iterator
 
 from .graph import (
@@ -52,6 +82,9 @@ from .graph import (
 )
 
 DEFAULT_BOUND = 24
+# graphs with at most this many non-simplicial vertices are searched
+# directly: at most 2^7 sets, about what pendant detection and expansion cost
+_DIRECT_SEARCH_MAX = 7
 
 
 class EnumerationBoundError(ValueError):
@@ -88,31 +121,168 @@ def is_cutset(g: Graph, t: VertexSet) -> bool:
     return True
 
 
+def check_bound(n: int, bound: int | None = None) -> None:
+    """Raise ``EnumerationBoundError`` when ``n`` vertices exceed the
+    enumeration bound (see ``enumeration_bound``)."""
+    limit = enumeration_bound(bound)
+    if n > limit:
+        raise EnumerationBoundError(
+            f"{n} vertices exceeds the enumeration bound {limit}"
+        )
+
+
 def iter_cutsets(g: Graph, bound: int | None = None) -> Iterator[tuple[VertexSet, int]]:
     """Yield ``(cutset, component_count)`` pairs, the empty set first, the
     rest in ascending mask order.
 
-    Depth-first set extension over the non-simplicial vertices: a set's
-    children add one candidate below its lowest member.  A child is dropped,
-    with every superset below it, when a member's neighbourhood outside the
-    child is a clique; adding ``u`` changes only the outside neighbourhoods
-    of ``u`` and of the members adjacent to ``u``, so only those are checked.
+    A graph without a non-complete cone pendant is searched directly.
+    Otherwise the search runs over the core (the vertices outside the
+    chosen pendants) with every apex exempt from the two-component test,
+    each pendant's family is enumerated once, recursively, and every
+    surviving core set T0 is expanded into its cutsets by the module's
+    pendant rule:
+
+    - a pendant under an apex outside T0 stays whole;
+    - a pendant under an apex in T0 contributes any cutset of itself;
+    - an apex whose only neighbours outside T0 lie in its one pendant
+      touches a single component of G - T0, so it needs a nonempty
+      pendant part;
+    - c(G - T) = c(G - T0) + sum of (c(G[C] - T_C) - 1) over the pendants.
+
+    The module docstring gives why these conditions are exact.  The
+    expanded family is put in ascending order before it is yielded.
     """
-    limit = enumeration_bound(bound)
-    if g.n > limit:
-        raise EnumerationBoundError(
-            f"{g.n} vertices exceeds the enumeration bound {limit}"
-        )
-    adj = g.adj
-    full = g.full_mask
-    cand = full & ~simplicial_vertices(g)
+    check_bound(g.n, bound)
+    yield from _cutsets(g.adj, g.full_mask, g.full_mask & ~simplicial_vertices(g))
+
+
+def _cutsets(
+    adj: tuple[VertexSet, ...], full: VertexSet, cand: VertexSet
+) -> Iterator[tuple[VertexSet, int]]:
+    """Cutsets of the graph induced on ``full``, whose adjacency rows
+    ``adj`` reach no vertex outside ``full``, with non-simplicial vertices
+    ``cand``; masks keep their indices."""
+    if cand.bit_count() > _DIRECT_SEARCH_MAX:
+        pendants = _cone_pendants(adj, cand)
+        if pendants:
+            return _expand(adj, full, cand, pendants)
+    return _search(adj, full, cand, 0)
+
+
+def _expand(
+    adj: tuple[VertexSet, ...],
+    full: VertexSet,
+    cand: VertexSet,
+    pendants: list[tuple[int, VertexSet]],
+) -> Iterator[tuple[VertexSet, int]]:
+    """Cutsets of a graph with cone pendants: the core search, each set
+    expanded by its apexes' pendant cutsets.  A cutset's mask is at least its
+    core part's, and core parts come out ascending, so a heap releases the
+    cutsets in ascending order as soon as the search has passed them."""
+    apexes = inside = 0
+    # apex -> its pendants, each with its own family as (mask, components - 1)
+    parts: dict[int, list[tuple[VertexSet, list[tuple[VertexSet, int]]]]] = {}
+    for v, c in pendants:
+        apexes |= 1 << v
+        inside |= c
+        sub = tuple(row & c for row in adj)
+        # a vertex of c has v and its neighbours in c as neighbours, and v
+        # is adjacent to all of c: it is simplicial in G[c] iff in G
+        family = [(m, w - 1) for m, w in _cutsets(sub, c, cand & c)]
+        parts.setdefault(v, []).append((c, family))
+    heap: list[tuple[VertexSet, int]] = []
+    for s, w in _search(adj, full, cand & ~inside, apexes):
+        while heap and heap[0][0] < s:
+            yield heappop(heap)
+        combos = [(s, w)]
+        t = s & apexes
+        while t:
+            b = t & -t
+            t ^= b
+            v = b.bit_length() - 1
+            pieces = parts[v]
+            for c, family in pieces:
+                if len(pieces) == 1 and adj[v] & ~s & ~c == 0:
+                    # v touches only this pendant: the empty part (listed
+                    # first) would leave v inside one component
+                    family = family[1:]
+                combos = [(m | pm, x + pw) for m, x in combos for pm, pw in family]
+        for item in combos:
+            heappush(heap, item)
+    while heap:
+        yield heappop(heap)
+
+
+def _cone_pendants(
+    adj: tuple[VertexSet, ...], cand: VertexSet
+) -> list[tuple[int, VertexSet]]:
+    """Disjoint non-complete cone pendants as ``(apex, pendant)`` pairs.
+
+    A cone pendant of v is a component C of G - v with C inside N(v).  Its
+    members' neighbourhoods stay inside N[v], so C is a component of the
+    graph induced on those neighbours that reaches no other neighbour of v.
+    Only a non-simplicial vertex can be the apex of a non-complete one.
+    Two cone pendants are disjoint, nested, or each holds the other's apex;
+    larger pendants are taken first, and a pendant that meets a taken
+    pendant or apex, or whose apex lies in a taken pendant, is left to the
+    search (a nested one is factored again inside its host).
+    """
+    found = []
+    for v in iter_members(cand):
+        row = adj[v]
+        outside = ~(row | (1 << v))
+        inner = 0
+        t = row
+        while t:
+            b = t & -t
+            t ^= b
+            if adj[b.bit_length() - 1] & outside == 0:
+                inner |= b
+        if _is_clique(adj, inner):
+            continue
+        for c in _components(adj, inner):
+            reach = 0
+            t = c
+            while t:
+                b = t & -t
+                t ^= b
+                reach |= adj[b.bit_length() - 1]
+            if reach & row & ~c == 0 and not _is_clique(adj, c):
+                found.append((v, c))
+    found.sort(key=lambda vc: (-vc[1].bit_count(), vc[0]))
+    chosen = []
+    apexes = inside = 0
+    for v, c in found:
+        if c & (apexes | inside) or inside >> v & 1:
+            continue
+        chosen.append((v, c))
+        apexes |= 1 << v
+        inside |= c
+    return chosen
+
+
+def _search(
+    adj: tuple[VertexSet, ...], full: VertexSet, cand: VertexSet, exempt: VertexSet
+) -> Iterator[tuple[VertexSet, int]]:
+    """Clique-pruned depth-first search over subsets of ``cand``: yield
+    ``(s, components of full - s)`` for each set whose members outside
+    ``exempt`` each touch two components, the empty set first, then in
+    ascending mask order.
+
+    A set's children add one candidate below its lowest member.  A child is
+    dropped, with every superset below it, when a member's neighbourhood
+    outside the child is a clique; adding ``u`` changes only the outside
+    neighbourhoods of ``u`` and of the members adjacent to ``u``, so only
+    those are checked.
+    """
+    tested = ~exempt
     # sets that passed the prune, popped lowest first; the empty set has no
     # member to test, so it is yielded with the component count of G
     stack = [0]
     while stack:
         s = stack.pop()
         comps = _components(adj, full & ~s)
-        t = s
+        t = s & tested
         while t:
             b = t & -t
             t ^= b

@@ -27,6 +27,17 @@ def vset(vertices: Iterable[int]) -> VertexSet:
     return s
 
 
+def checked_vset(vertices: list[int], field: str) -> VertexSet:
+    """``vset`` of a list given on input; a negative or repeated vertex is a
+    ValueError that names ``field``."""
+    shown = ",".join(map(str, vertices))
+    if any(v < 0 for v in vertices):
+        raise ValueError(f"{field} holds a negative vertex: {shown}")
+    if len(set(vertices)) != len(vertices):
+        raise ValueError(f"{field} repeats a vertex: {shown}")
+    return vset(vertices)
+
+
 def members(s: VertexSet) -> list[int]:
     """Vertex indices of ``s``, ascending."""
     out = []

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from typing import Callable
 
 from .graph import Graph, complete_graph, cycle_graph, path_graph
 
@@ -104,12 +105,13 @@ def from_graph6(text: str) -> Graph:
 # edge lists
 
 
-def parse_edge_list(text: str) -> Graph:
+def parse_edge_list(text: str, check_n: Callable[[int], None] | None = None) -> Graph:
     """Parse ``u v`` lines into a graph.
 
     If every token is an integer, tokens are vertex indices and the vertex
-    count is ``max+1``.  Otherwise tokens are symbolic names, indexed by
-    first appearance and kept as labels.  ``#`` starts a comment.
+    count is ``max+1``; ``check_n``, when given, sees that count before a
+    graph of that size is built.  Otherwise tokens are symbolic names,
+    indexed by first appearance and kept as labels.  ``#`` starts a comment.
     """
     pairs: list[tuple[str, str, int]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -132,6 +134,8 @@ def parse_edge_list(text: str) -> Graph:
         if any(u < 0 or v < 0 for u, v in edges):
             raise ValueError("negative vertex index in edge list")
         n = max((max(u, v) for u, v in edges), default=-1) + 1
+        if check_n is not None:
+            check_n(n)
         return Graph(n, edges)
 
     index: dict[str, int] = {}
@@ -209,9 +213,10 @@ def _is_json_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def graph_from_json(obj: dict) -> Graph:
+def graph_from_json(obj: dict, check_n: Callable[[int], None] | None = None) -> Graph:
     """Graph from ``{"n": int, "edges": [[u, v], ...], "labels": [...]}``;
-    a field of the wrong type is a ValueError."""
+    a field of the wrong type is a ValueError.  ``check_n``, when given,
+    sees the declared vertex count before a graph of that size is built."""
     n, edges, labels = obj["n"], obj.get("edges", []), obj.get("labels")
     if not _is_json_int(n):
         raise ValueError(f"JSON graph field 'n' must be an integer, got {n!r}")
@@ -221,4 +226,6 @@ def graph_from_json(obj: dict) -> Graph:
         raise ValueError("JSON graph field 'edges' must be a list of [u, v] integer pairs")
     if labels is not None and not isinstance(labels, list):
         raise ValueError("JSON graph field 'labels' must be a list")
+    if check_n is not None:
+        check_n(n)
     return Graph(n, edges, labels=labels)

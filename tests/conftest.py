@@ -1,5 +1,6 @@
-"""Shared fixtures: an independent brute-force cutset oracle, the worked
-unmixedness counterexample, and the small-graph corpus."""
+"""Shared fixtures: an independent brute-force cutset oracle and the checks
+built on it, the worked unmixedness counterexample, and the small-graph
+corpus."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ from functools import lru_cache
 import pytest
 
 import bei
+from bei import cutsets, members
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +81,58 @@ def naive_is_accessible_system(g: bei.Graph) -> bool:
         ):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# enumerator checks
+
+
+def assert_matches_naive(g: bei.Graph) -> None:
+    """The enumerator yields exactly the oracle's cutsets with their
+    component counts, the empty set first and then in strictly ascending
+    mask order (the order ``bei cutsets --out jsonl`` prints)."""
+    got = list(bei.iter_cutsets(g))
+    masks = [m for m, _ in got]
+    assert masks[0] == 0
+    assert all(a < b for a, b in zip(masks, masks[1:]))
+    assert got == [(m, naive_ncomp(g, set(members(m)))) for m in naive_cutsets(g)]
+    assert_early_stop_agrees(g)
+
+
+def assert_early_stop_agrees(g: bei.Graph) -> None:
+    """``unmixed_report`` is None exactly when the graph is not unmixed, and
+    the full report otherwise."""
+    full = bei.enumerate_cutsets(g)
+    early = bei.unmixed_report(g)
+    if full.is_unmixed:
+        assert early == full
+    else:
+        assert early is None
+
+
+def factors_pendants(g: bei.Graph) -> bool:
+    """True when the enumerator splits ``g`` at cone pendants instead of
+    searching it directly."""
+    cand = g.full_mask & ~bei.simplicial_vertices(g)
+    return cand.bit_count() > cutsets._DIRECT_SEARCH_MAX and bool(
+        cutsets._cone_pendants(g.adj, cand)
+    )
+
+
+def assert_matches_direct_search(g: bei.Graph) -> None:
+    """For graphs too large for the naive oracle: the enumerator yields what
+    the direct search (no pendant factoring, itself checked against the
+    naive oracle) yields, and every listed set is a cutset by the
+    definition, with the oracle's component count."""
+    got = list(bei.iter_cutsets(g))
+    cand = g.full_mask & ~bei.simplicial_vertices(g)
+    assert got == list(cutsets._search(g.adj, g.full_mask, cand, 0))
+    adj = _naive_adjacency(g)
+    for mask, w in got:
+        removed = set(members(mask))
+        assert w == _naive_count(adj, removed)
+        assert all(_naive_count(adj, removed - {v}) < w for v in removed)
+    assert_early_stop_agrees(g)
 
 
 # ---------------------------------------------------------------------------

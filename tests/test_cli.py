@@ -12,10 +12,13 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import bei
 from bei import complete_graph, cycle_graph, path_graph, to_graph6
 from bei.cli import main
 
@@ -109,6 +112,63 @@ def test_scan_jobs_agree_on_a_mixed_corpus(tmp_path, capsys, square_leaves_produ
     verdicts = [(r["unmixed"], r["accessible"]) for r in map(json.loads, out.splitlines())]
     assert verdicts == [(False, False), (False, False), (True, True), (True, True), (True, False)]
     assert sorted(files) == ["000003.m2", "000004.m2"]
+
+
+def run_python(args, **kwargs):
+    """A fresh interpreter that imports ``bei`` from the tree under test."""
+    env = dict(os.environ)
+    env.pop("BEI_BOUND", None)
+    src = str(Path(bei.__file__).parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, **kwargs
+    )
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    code = (
+        "import sys, bei.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+    )
+    proc = run_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def _limit_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+# K_300 with a copy of K_300 at every vertex: 90,300 vertices and about
+# 13.5 million edges from a spec of about 17 kB
+K300 = to_graph6(complete_graph(300))
+BIG_SPEC = json.dumps({"base": K300, "L": list(range(300)), "pendant": K300})
+
+
+@pytest.mark.parametrize(
+    "name, text, n",
+    [
+        ("big.json", '{"n": 1000000000}', 1000000000),
+        ("big.txt", "0 999999999\n", 1000000000),
+        ("spec.json", BIG_SPEC, 90300),
+    ],
+)
+def test_declared_size_is_checked_before_the_graph_is_built(tmp_path, name, text, n):
+    # each graph would need gigabytes; the process may use 1 GiB
+    path = tmp_path / name
+    path.write_text(text)
+    proc = run_python(
+        ["-m", "bei.cli", "cutsets", "--input", str(path)],
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert json.loads(proc.stderr) == {
+        "error": f"{n} vertices exceeds the enumeration bound 24",
+        "kind": "bound-exceeded",
+    }
 
 
 def capture(argv):

@@ -8,7 +8,13 @@ import pytest
 import bei
 from bei import members, vset
 
-from conftest import naive_ncomp, random_connected_graph, to_nx
+from conftest import (
+    assert_matches_naive,
+    factors_pendants,
+    naive_ncomp,
+    random_connected_graph,
+    to_nx,
+)
 
 
 def test_corona_tiny_cases():
@@ -208,6 +214,50 @@ def test_gadget_d3():
         assert bei.diameter(gg) == 3
     with pytest.raises(ValueError):
         bei.gadget_d3(bei.Graph(2))
+
+
+def test_cutsets_of_nested_coronas_match_naive():
+    c4 = bei.cycle_graph(4)
+    inner = bei.corona(bei.complete_graph(2), c4)[0]
+    graphs = [
+        # the pendant is itself factored again
+        bei.corona(bei.complete_graph(1), inner)[0],
+        # two apexes, each inside the other's pendant
+        bei.cone(bei.cone(inner)),
+        bei.corona(bei.complete_graph(2), bei.corona(bei.complete_graph(1), c4)[0])[0],
+    ]
+    for g in graphs:
+        assert factors_pendants(g)
+        assert_matches_naive(g)
+
+
+def test_cutsets_of_gadgets_match_naive():
+    graphs = [
+        bei.gadget_d2(bei.cycle_graph(7)),
+        bei.gadget_d2(bei.corona(bei.complete_graph(2), bei.cycle_graph(4))[0]),
+        bei.gadget_d3(bei.cycle_graph(4)),
+        bei.gadget_d3(bei.cycle_graph(5)),
+    ]
+    for g in graphs:
+        assert factors_pendants(g)
+        assert_matches_naive(g)
+
+
+def test_cutsets_of_a_cone_over_a_disconnected_graph_match_naive():
+    # the apex carries several pendants, one of them complete, so it always
+    # touches two components
+    def union(*parts):
+        edges, start = [], 0
+        for h in parts:
+            edges += [(u + start, v + start) for u, v in h.edges()]
+            start += h.n
+        return bei.Graph(start, edges)
+
+    c4, c5 = bei.cycle_graph(4), bei.cycle_graph(5)
+    for h in (union(c4, c4), union(c5, c4, bei.complete_graph(2))):
+        g = bei.cone(h)
+        assert factors_pendants(g)
+        assert_matches_naive(g)
 
 
 def test_spec_json_roundtrip(square_leaves_spec):

@@ -8,35 +8,14 @@ import bei
 from bei import members, vset
 
 from conftest import (
+    assert_early_stop_agrees,
+    assert_matches_direct_search,
+    assert_matches_naive,
     connected_atlas,
-    naive_cutsets,
+    factors_pendants,
     naive_is_accessible_system,
     naive_is_unmixed,
-    naive_ncomp,
 )
-
-
-def assert_matches_naive(g):
-    """The enumerator yields exactly the oracle's cutsets with their
-    component counts, the empty set first and then in strictly ascending
-    mask order (the order ``bei cutsets --out jsonl`` prints)."""
-    got = list(bei.iter_cutsets(g))
-    masks = [m for m, _ in got]
-    assert masks[0] == 0
-    assert all(a < b for a, b in zip(masks, masks[1:]))
-    assert got == [(m, naive_ncomp(g, set(members(m)))) for m in naive_cutsets(g)]
-    assert_early_stop_agrees(g)
-
-
-def assert_early_stop_agrees(g):
-    """``unmixed_report`` is None exactly when the graph is not unmixed, and
-    the full report otherwise."""
-    full = bei.enumerate_cutsets(g)
-    early = bei.unmixed_report(g)
-    if full.is_unmixed:
-        assert early == full
-    else:
-        assert early is None
 
 
 @st.composite
@@ -99,6 +78,65 @@ def test_enumerate_matches_naive_on_small_coronas():
     for g in products:
         assert g.n <= 12
         assert_matches_naive(g)
+
+
+CLAW = bei.Graph(4, [(0, 1), (0, 2), (0, 3)])
+PENDANTS = (bei.path_graph(3), bei.path_graph(4), bei.cycle_graph(4), CLAW)
+BASES = (
+    [bei.complete_graph(n) for n in (1, 2, 3, 4)]
+    + [bei.path_graph(n) for n in (3, 4)]
+    + [bei.cycle_graph(4)]
+)
+
+
+def assert_matches_oracle(g):
+    if g.n <= 11:
+        assert_matches_naive(g)
+    else:
+        assert_matches_direct_search(g)
+
+
+def test_every_l_corona_of_small_bases_matches_the_oracle():
+    # K_n, P_n and C_n bases with n <= 4 (P_1, P_2 and C_3 are complete),
+    # the four pendants, every nonempty attach set
+    factored = 0
+    for base in BASES:
+        for pendant in PENDANTS:
+            for attach in range(1, base.full_mask + 1):
+                g = bei.l_corona(bei.CoronaSpec(base, attach, pendant))[0]
+                factored += factors_pendants(g)
+                assert_matches_oracle(g)
+    assert factored >= 70
+
+
+@st.composite
+def connected_graphs(draw, min_n, max_n):
+    """A random spanning tree plus any extra edges."""
+    n = draw(st.integers(min_n, max_n))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges.update(p for p, k in zip(pairs, keep) if k)
+    return bei.Graph(n, sorted(edges))
+
+
+@st.composite
+def corona_specs(draw, max_vertices=16):
+    """An L-corona of connected graphs with at most ``max_vertices``
+    vertices in the product."""
+    base = draw(connected_graphs(1, 4))
+    pendant = draw(connected_graphs(1, 5))
+    most = min(base.n, (max_vertices - base.n) // pendant.n)
+    attach = draw(
+        st.lists(st.integers(0, base.n - 1), min_size=1, max_size=most, unique=True)
+    )
+    return bei.CoronaSpec(base, vset(attach), pendant)
+
+
+@settings(max_examples=60, deadline=None)
+@given(corona_specs())
+def test_enumerate_matches_the_oracle_on_random_corona_specs(spec):
+    assert_matches_oracle(bei.l_corona(spec)[0])
 
 
 def test_early_stop_agrees_on_the_whole_atlas():
