@@ -22,7 +22,6 @@ from .graph import (
     is_simplicial,
     iter_members,
     members,
-    ncomponents,
     path_graph,
     simplicial_vertices,
     vset,
@@ -51,13 +50,9 @@ from .cutsets import (
     unmixed_report,
 )
 from .corona import (
-    CoronaDecomposition,
     CoronaSpec,
-    check_cutset_structure,
     corona,
     corona_spec_from_json,
-    corona_spec_to_json,
-    decompose_cutset,
     gadget_d2,
     gadget_d3,
     l_corona,
@@ -67,8 +62,6 @@ from .invariants import (
     InvariantReport,
     Verdict,
     base_invariants_block_graph,
-    base_invariants_complete,
-    classify,
     depth_reg_corona_cm_closed,
     depth_reg_corona_complete,
     depth_reg_corona_path,

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .cas import emit_cas_script
 from .corona import gadget_d2, gadget_d3
@@ -24,8 +23,7 @@ from .graph import Graph, diameter, distances_from
 from .io import from_graph6, to_graph6
 
 
-@dataclass(frozen=True)
-class ReductionCheck:
+class ReductionCheck(NamedTuple):
     diameter_ok: bool
     accessible_transfer_ok: bool
     distance_cases_ok: bool | None = None
@@ -100,8 +98,7 @@ def verify_reduction_d3(h: Graph, bound: int | None = None) -> ReductionCheck:
 # corpus scanning
 
 
-@dataclass(frozen=True)
-class ScanRecord:
+class ScanRecord(NamedTuple):
     graph6: str
     n: int
     diameter: int | None

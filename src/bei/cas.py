@@ -8,8 +8,7 @@ Emission is byte-stable: identical inputs yield identical output bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .graph import Graph
 from .io import to_graph6
@@ -29,8 +28,7 @@ _EXPECTED_KEY_ORDER = (
 )
 
 
-@dataclass(frozen=True)
-class CasScript:
+class CasScript(NamedTuple):
     text: str
     dialect: str
 

@@ -67,9 +67,8 @@ accessible verdicts are read off them.  Two entry points build it:
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .graph import (
     Graph,
@@ -318,8 +317,7 @@ def _search(
                 stack.append(child)
 
 
-@dataclass(frozen=True)
-class CutsetReport:
+class CutsetReport(NamedTuple):
     """Full cutset family of one graph plus the verdicts derived from it.
 
     ``unmixed_violation`` is the first cutset, in report order, whose

@@ -13,8 +13,7 @@ graphs may be shared freely across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 VertexSet = int
 
@@ -199,10 +198,6 @@ def components(g: Graph, removed: VertexSet = 0) -> list[VertexSet]:
     return _components(g.adj, g.full_mask & ~removed)
 
 
-def ncomponents(g: Graph, removed: VertexSet = 0) -> int:
-    return len(components(g, removed))
-
-
 def is_connected(g: Graph) -> bool:
     return g.n == 0 or len(_components(g.adj, g.full_mask)) == 1
 
@@ -304,17 +299,16 @@ def is_complete(g: Graph) -> bool:
 # block structure
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
+class BlockDecomposition(NamedTuple):
     """Biconnected components (as vertex masks), the cut vertices, and
     whether the blocks form a clique path: every block a clique, every cut
-    vertex in exactly two blocks, and the blocks linearly ordered so that
-    consecutive blocks share exactly one vertex and the rest are disjoint."""
+    vertex in exactly two blocks, and every block holding at most two cut
+    vertices, so that the blocks line up with consecutive blocks sharing
+    exactly one vertex."""
 
     blocks: tuple[VertexSet, ...]
     cut_vertices: VertexSet
     is_clique_path: bool
-    block_order: tuple[int, ...] | None
 
 
 def block_decomposition(g: Graph) -> BlockDecomposition:
@@ -322,7 +316,7 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     if g.n == 0 or not is_connected(g):
         raise ValueError("block decomposition needs a connected graph")
     if g.n == 1:
-        return BlockDecomposition((1,), 0, True, (0,))
+        return BlockDecomposition((1,), 0, True)
 
     n = g.n
     disc = [-1] * n
@@ -373,30 +367,7 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     if clique_path:
         clique_path = all((b & cut).bit_count() <= 2 for b in blocks)
 
-    order: tuple[int, ...] | None = None
-    if clique_path:
-        k = len(blocks)
-        if k == 1:
-            order = (0,)
-        else:
-            # walk the block path from the lowest-indexed end block
-            by_cut: dict[int, list[int]] = {}
-            for i, b in enumerate(blocks):
-                for c in iter_members(b & cut):
-                    by_cut.setdefault(c, []).append(i)
-            ends = [i for i, b in enumerate(blocks) if (b & cut).bit_count() == 1]
-            walk = [min(ends)]
-            used_cuts = 0
-            while len(walk) < k:
-                cur = blocks[walk[-1]]
-                link = cur & cut & ~used_cuts
-                c = link.bit_length() - 1
-                used_cuts |= 1 << c
-                i, j = by_cut[c]
-                walk.append(j if i == walk[-1] else i)
-            order = tuple(walk)
-
-    return BlockDecomposition(blocks, cut, clique_path, order)
+    return BlockDecomposition(blocks, cut, clique_path)
 
 
 def is_block_graph(g: Graph) -> bool:

@@ -17,10 +17,9 @@ depth and regularity rules.  All reports are assembled in one place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .corona import CoronaSpec, corona
+from .corona import corona
 from .cutsets import dimension_oracle, enumerate_cutsets, enumeration_bound
 from .graph import (
     Graph,
@@ -44,18 +43,7 @@ class Verdict(NamedTuple):
     rule: str
 
 
-@dataclass(frozen=True)
-class BaseInvariants:
-    """Per-graph algebraic inputs consumed by the formula engine.
-
-    ``h`` is the vertex count; ``dim_q``/``depth_q``/``reg_q``/``pd`` are
-    the quotient-ring invariants; ``r_extremal`` the column offset of the
-    extremal Betti entry in homological degree ``pd`` (>= 2, only defined
-    for non-complete graphs).  For the single-vertex pendant the record
-    carries the internal-vertex closed form ``reg_q = 1``; no consuming
-    formula reads ``reg_q`` of a complete pendant.
-    """
-
+class _BaseInvariantsFields(NamedTuple):
     h: int
     dim_q: int
     depth_q: int
@@ -68,7 +56,23 @@ class BaseInvariants:
     r_extremal: int | None = None
     provenance: str = "user-supplied"
 
-    def __post_init__(self):
+
+class BaseInvariants(_BaseInvariantsFields):
+    """Per-graph algebraic inputs consumed by the formula engine, checked
+    on construction.
+
+    ``h`` is the vertex count; ``dim_q``/``depth_q``/``reg_q``/``pd`` are
+    the quotient-ring invariants; ``r_extremal`` the column offset of the
+    extremal Betti entry in homological degree ``pd`` (>= 2, only defined
+    for non-complete graphs).  For the single-vertex pendant the record
+    carries the internal-vertex closed form ``reg_q = 1``; no consuming
+    formula reads ``reg_q`` of a complete pendant.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.h < 1:
             raise ValueError("pendant must have at least one vertex")
         if self.pd + self.depth_q != 2 * self.h:
@@ -85,6 +89,7 @@ class BaseInvariants:
             raise ValueError("complete pendant must carry reg 1 and dim = depth = h+1")
         if self.r_extremal is not None and self.r_extremal < 2:
             raise ValueError("extremal offset must be >= 2")
+        return self
 
     @property
     def cmdef(self) -> int:
@@ -152,33 +157,11 @@ def base_invariants_block_graph(g: Graph, bound: int | None = None) -> BaseInvar
     )
 
 
-def base_invariants_complete(h: int) -> BaseInvariants:
-    """Closed-form record for a complete pendant on ``h`` vertices."""
-    if h < 1:
-        raise ValueError("pendant must have at least one vertex")
-    return BaseInvariants(
-        h=h,
-        dim_q=h + 1,
-        depth_q=h + 1,
-        reg_q=1,
-        pd=h - 1,
-        is_complete=True,
-        is_unmixed=True,
-        is_cm=True,
-        is_accessible=True,
-        r_extremal=None,
-        provenance="closed-form",
-    )
-
-
 # ---------------------------------------------------------------------------
 # reports
 
 
-@dataclass(frozen=True)
-class InvariantReport:
-    """Exact invariant values for one product, with per-number provenance."""
-
+class _InvariantReportFields(NamedTuple):
     family: str
     base: BaseInvariants
     product_vertices: int
@@ -195,7 +178,15 @@ class InvariantReport:
     b: int | None = None
     notes: tuple[str, ...] = ()
 
-    def __post_init__(self):
+
+class InvariantReport(_InvariantReportFields):
+    """Exact invariant values for one product, with per-number provenance,
+    checked on construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.pd + self.depth_q != 2 * self.product_vertices:
             raise ValueError("pd + depth must equal twice the product vertex count")
         if self.dim_q is not None:
@@ -203,6 +194,7 @@ class InvariantReport:
                 raise ValueError("cmdef must equal dim - depth")
             if self.cmdef < 0:
                 raise ValueError("negative Cohen-Macaulay defect")
+        return self
 
     def to_json(self) -> dict:
         def num(value, key):
@@ -229,34 +221,6 @@ class InvariantReport:
             "notes": list(self.notes),
         }
 
-    def to_base_invariants(self) -> BaseInvariants:
-        """Reuse this product as the pendant of a further product.  Needs a
-        known dimension."""
-        if self.dim_q is None:
-            raise ValueError("cannot build pendant data without a dimension")
-        comp = self.family == FULL_CORONA and self.n == 1 and self.base.is_complete
-        if comp:
-            r = None
-        elif self.cmdef == 0:
-            r = self.reg_q
-        elif self.extremal_position is not None:
-            r = self.extremal_position[1] - self.extremal_position[0]
-        else:
-            r = None
-        return BaseInvariants(
-            h=self.product_vertices,
-            dim_q=self.dim_q,
-            depth_q=self.depth_q,
-            reg_q=1 if comp else self.reg_q,
-            pd=self.pd,
-            is_complete=comp,
-            is_unmixed=self.verdicts["unmixed"].value,
-            is_cm=self.verdicts["cm"].value,
-            is_accessible=self.verdicts["accessible"].value,
-            r_extremal=r,
-            provenance="closed-form",
-        )
-
 
 def _check_params(n: int, ell: int) -> None:
     if n < 1:
@@ -267,25 +231,34 @@ def _check_params(n: int, ell: int) -> None:
 
 def dim_l_corona(n: int, ell: int, base: BaseInvariants | int) -> int:
     """Krull dimension of the quotient for a complete base on ``n`` vertices
-    with ``ell`` pendant copies: ``n - ell + 1 + ell * dim(pendant)``.
+    with ``ell`` pendant copies: ``n - ell + 1 + ell * dim(pendant)`` for
+    ``ell < n``, where the bare base vertices add one component.  With a
+    copy at every vertex it is ``n * dim(pendant)``, plus one when the
+    pendant's dimension is ``h + 1`` (the empty set is then the best cutset
+    of the product); otherwise the best cutset holds the whole base and a
+    best cutset of every copy.
 
-    ``base`` may be the pendant record or just its quotient dimension."""
+    ``base`` is the pendant record; for ``ell < n`` its quotient dimension
+    alone also serves."""
     _check_params(n, ell)
-    dim_q = base if isinstance(base, int) else base.dim_q
-    return n - ell + 1 + ell * dim_q
+    if isinstance(base, int):
+        if ell == n:
+            raise ValueError("the full-corona dimension needs the pendant record")
+        return n - ell + 1 + ell * base
+    if ell == n:
+        return n * base.dim_q + (base.dim_q == base.h + 1)
+    return n - ell + 1 + ell * base.dim_q
 
 
 def _verdicts(n: int, ell: int, base: BaseInvariants, base_complete: bool) -> dict[str, Verdict]:
     keys = ("unmixed", "accessible", "cm")
-    if ell < n:
-        if base_complete:
-            rule = "transfer-from-pendant"
-            return {
-                "unmixed": Verdict(base.is_unmixed, rule),
-                "accessible": Verdict(base.is_accessible, rule),
-                "cm": Verdict(base.is_cm, rule),
-            }
-        return {k: Verdict(None, "outside-proved-families") for k in keys}
+    if ell < n:  # over a complete base
+        rule = "transfer-from-pendant"
+        return {
+            "unmixed": Verdict(base.is_unmixed, rule),
+            "accessible": Verdict(base.is_accessible, rule),
+            "cm": Verdict(base.is_cm, rule),
+        }
     if n >= 2:
         both = base_complete and base.is_complete
         rule = "full-corona-needs-both-factors-complete"
@@ -544,12 +517,3 @@ def extremal_betti_position(
         p = 2 * size + size * p_h
         j = size * r_h + 1
     return p, p + j
-
-
-def classify(spec: CoronaSpec, base: BaseInvariants) -> dict[str, Verdict]:
-    """Unmixed / accessible / Cohen-Macaulay verdicts for the product of
-    ``spec``, from the proved transfer statements; anything outside them is
-    reported unknown rather than guessed."""
-    if base.h != spec.pendant.n:
-        raise ValueError("pendant invariants disagree with the pendant graph")
-    return _verdicts(spec.base.n, spec.ell, base, base_complete=is_complete(spec.base))

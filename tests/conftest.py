@@ -1,16 +1,17 @@
 """Shared fixtures: an independent brute-force cutset oracle and the checks
-built on it, the worked unmixedness counterexample, and the small-graph
-corpus."""
+built on it, the paper's structure of corona cutsets, the worked
+unmixedness counterexample, and the small-graph corpus."""
 
 from __future__ import annotations
 
 import random
 from functools import lru_cache
+from typing import NamedTuple
 
 import pytest
 
 import bei
-from bei import cutsets, members
+from bei import components, cutsets, is_cutset, iter_members, members
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +134,122 @@ def assert_matches_direct_search(g: bei.Graph) -> None:
         assert w == _naive_count(adj, removed)
         assert all(_naive_count(adj, removed - {v}) < w for v in removed)
     assert_early_stop_agrees(g)
+
+
+# ---------------------------------------------------------------------------
+# the structure of corona cutsets: a test oracle for the enumerator on corona
+# products, written from the paper's seven facts rather than from the search
+
+
+class CoronaDecomposition(NamedTuple):
+    """Split of a product vertex subset along the corona layout.
+
+    ``tv`` lists ``(attach vertex, subset of pendant indices)`` for every
+    attach vertex; ``nonempty_set`` masks the attach vertices whose part is
+    nonempty.  ``predicted_components`` is the component count of the
+    product minus the subset, computed from base and pendant counts alone:
+    components of base minus t0, plus the pendant components stranded under
+    each removed attach vertex.  On cutsets this agrees with the identity
+
+        w(base - t0) + sum over nonempty parts of w(copy - part)
+            + |t0 & L| - |nonempty|
+
+    which check_cutset_structure evaluates verbatim as assertion (5).
+    """
+
+    t0: int
+    tv: tuple[tuple[int, int], ...]
+    nonempty_set: int
+    predicted_components: int
+
+    def tv_map(self) -> dict[int, int]:
+        return dict(self.tv)
+
+    def reassemble(self, spec: bei.CoronaSpec) -> int:
+        t = self.t0
+        for v, part in self.tv:
+            t |= part << spec.copy_start(v)
+        return t
+
+
+def decompose_cutset(spec: bei.CoronaSpec, t: int) -> CoronaDecomposition:
+    """Split any product vertex subset (cutset or not) along the layout and
+    predict the component count of the product minus ``t``."""
+    total_mask = (1 << spec.product_vertices) - 1
+    if t & ~total_mask:
+        raise ValueError("subset out of range for the product")
+    base = spec.base
+    h_mask = spec.pendant.full_mask
+    t0 = t & base.full_mask
+    tv: list[tuple[int, int]] = []
+    nonempty = 0
+    predicted = len(components(base, t0))
+    for v in spec.attach_vertices():
+        part = (t >> spec.copy_start(v)) & h_mask
+        tv.append((v, part))
+        if part:
+            nonempty |= 1 << v
+        if (t0 >> v) & 1:
+            # the copy is stranded: its own surviving components all count
+            predicted += len(components(spec.pendant, part))
+    return CoronaDecomposition(t0, tuple(tv), nonempty, predicted)
+
+
+def check_cutset_structure(
+    spec: bei.CoronaSpec, t: int, product: bei.Graph | None = None
+) -> list[bool]:
+    """Evaluate the seven structural facts holding for every nonempty cutset
+    of a corona product; returns one verdict per assertion.
+
+    (1) the base part is nonempty (and proper, when the attach set is a
+        proper subset of the base);
+    (2) attach vertices outside the base part carry empty pendant parts;
+    (3) nonempty pendant parts under removed attach vertices are cutsets of
+        the pendant graph;
+    (4) a removed attach vertex whose base neighbourhood is fully removed
+        must have a nonempty pendant part;
+    (5) the displayed component-count identity;
+    (6) simplicial base vertices in the base part lie in the attach set;
+    (7) if the base part avoids the attach set, the whole cutset equals the
+        base part, it is a cutset of the base graph, and it contains no
+        simplicial base vertex.
+
+    Raises ValueError when ``t`` is not a nonempty cutset of the product.
+    """
+    if product is None:
+        product, _ = bei.l_corona(spec)
+    if t == 0 or not is_cutset(product, t):
+        raise ValueError("t must be a nonempty cutset of the product")
+    base, pend, attach = spec.base, spec.pendant, spec.attach_set
+    dec = decompose_cutset(spec, t)
+    t0 = dec.t0
+    tvm = dec.tv_map()
+    proper = attach != base.full_mask
+
+    a1 = t0 != 0 and (not proper or t0 != base.full_mask)
+    a2 = all(tvm[v] == 0 for v in iter_members(attach & ~t0))
+    a3 = all(
+        tvm[v] == 0 or is_cutset(pend, tvm[v]) for v in iter_members(attach & t0)
+    )
+    a4 = all(
+        tvm[v] != 0
+        for v in iter_members(attach & t0)
+        if base.adj[v] & ~t0 == 0
+    )
+    stated = (
+        len(components(base, t0))
+        + sum(len(components(pend, tvm[v])) for v in iter_members(dec.nonempty_set))
+        + (t0 & attach).bit_count()
+        - dec.nonempty_set.bit_count()
+    )
+    a5 = stated == len(components(product, t))
+    sim = bei.simplicial_vertices(base)
+    a6 = t0 & sim & ~attach == 0
+    if t0 & attach == 0:
+        a7 = t == t0 and is_cutset(base, t0) and t0 & sim == 0
+    else:
+        a7 = True
+    return [a1, a2, a3, a4, a5, a6, a7]
 
 
 # ---------------------------------------------------------------------------

@@ -126,10 +126,11 @@ def run_python(args, **kwargs):
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():
+    # nor dataclasses, whose import pulls in inspect, ast, dis and tokenize
     code = (
         "import sys, bei.cli; "
-        "print(sorted(m for m in sys.modules "
-        "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+        "('concurrent', 'multiprocessing', 'dataclasses', 'inspect')))"
     )
     proc = run_python(["-c", code])
     assert proc.returncode == 0, proc.stderr

@@ -10,6 +10,8 @@ from bei import members, vset
 
 from conftest import (
     assert_matches_naive,
+    check_cutset_structure,
+    decompose_cutset,
     factors_pendants,
     naive_ncomp,
     random_connected_graph,
@@ -94,6 +96,8 @@ def test_spec_validation():
         bei.CoronaSpec(bei.Graph(3, [(0, 1)]), 1, bei.complete_graph(1))
     with pytest.raises(ValueError):
         bei.CoronaSpec(bei.path_graph(2), 1, bei.Graph(2))
+    with pytest.raises(ValueError):
+        bei.CoronaSpec(base=bei.path_graph(2), attach_set=1, pendant=bei.Graph(2))
     # relaxed mode allows disconnected parts
     spec = bei.CoronaSpec(bei.Graph(3, [(0, 1)]), 1, bei.Graph(2), relaxed=True)
     assert bei.l_corona(spec)[0].n == 5
@@ -102,16 +106,17 @@ def test_spec_validation():
 
 
 def test_decompose_worked_example(square_leaves_spec, square_leaves_product):
-    dec = bei.decompose_cutset(square_leaves_spec, vset([0, 2]))
+    dec = decompose_cutset(square_leaves_spec, vset([0, 2]))
     assert dec.t0 == vset([0, 2])
     assert all(part == 0 for _, part in dec.tv)
     assert dec.nonempty_set == 0
     assert dec.predicted_components == 4
-    assert dec.predicted_components == bei.ncomponents(square_leaves_product, vset([0, 2]))
+    want = len(bei.components(square_leaves_product, vset([0, 2])))
+    assert dec.predicted_components == want
 
 
 def test_decompose_empty_subset(square_leaves_spec):
-    assert bei.decompose_cutset(square_leaves_spec, 0).predicted_components == 1
+    assert decompose_cutset(square_leaves_spec, 0).predicted_components == 1
 
 
 def test_decompose_attach_vertex_plus_pendant_cutset():
@@ -121,11 +126,11 @@ def test_decompose_attach_vertex_plus_pendant_cutset():
     pend = bei.path_graph(3)
     spec = bei.CoronaSpec(base, vset([0]), pend)
     t = vset([0]) | (vset([1]) << spec.copy_start(0))  # {v} + middle of the copy
-    dec = bei.decompose_cutset(spec, t)
-    want = bei.ncomponents(base, vset([0])) + bei.ncomponents(pend, vset([1]))
+    dec = decompose_cutset(spec, t)
+    want = len(bei.components(base, vset([0]))) + len(bei.components(pend, vset([1])))
     assert dec.predicted_components == want
     prod = bei.l_corona(spec)[0]
-    assert dec.predicted_components == bei.ncomponents(prod, t)
+    assert dec.predicted_components == len(bei.components(prod, t))
 
 
 def test_decompose_matches_bfs_on_arbitrary_subsets():
@@ -138,7 +143,7 @@ def test_decompose_matches_bfs_on_arbitrary_subsets():
         prod = bei.l_corona(spec)[0]
         for _ in range(30):
             t = rng.randrange(1 << prod.n)
-            dec = bei.decompose_cutset(spec, t)
+            dec = decompose_cutset(spec, t)
             removed = set(members(t))
             assert dec.predicted_components == naive_ncomp(prod, removed)
             assert dec.reassemble(spec) == t
@@ -146,19 +151,19 @@ def test_decompose_matches_bfs_on_arbitrary_subsets():
 
 def test_decompose_rejects_out_of_range(square_leaves_spec):
     with pytest.raises(ValueError):
-        bei.decompose_cutset(square_leaves_spec, 1 << 10)
+        decompose_cutset(square_leaves_spec, 1 << 10)
 
 
 def test_check_cutset_structure_worked_example(square_leaves_spec, square_leaves_product):
-    verdicts = bei.check_cutset_structure(
+    verdicts = check_cutset_structure(
         square_leaves_spec, vset([0, 2]), square_leaves_product
     )
     assert verdicts == [True] * 7
     # {u} avoids the attach set entirely, so fact (7) applies with force:
     # it is a cutset of the base containing no simplicial base vertex
     t_u = vset([0])
-    assert bei.check_cutset_structure(square_leaves_spec, t_u, square_leaves_product) == [True] * 7
-    dec = bei.decompose_cutset(square_leaves_spec, t_u)
+    assert check_cutset_structure(square_leaves_spec, t_u, square_leaves_product) == [True] * 7
+    dec = decompose_cutset(square_leaves_spec, t_u)
     assert dec.t0 & square_leaves_spec.attach_set == 0
     assert bei.is_cutset(square_leaves_spec.base, dec.t0)
     assert dec.t0 & bei.simplicial_vertices(square_leaves_spec.base) == 0
@@ -169,7 +174,7 @@ def test_check_cutset_structure_attach_vertex_case():
     # neighbourhood is not contained in t0, so fact (4) holds vacuously
     spec = bei.CoronaSpec(bei.complete_graph(3), vset([0, 1]), bei.complete_graph(1))
     t = vset([0])
-    assert bei.check_cutset_structure(spec, t) == [True] * 7
+    assert check_cutset_structure(spec, t) == [True] * 7
 
 
 def test_check_cutset_structure_all_cutsets_random():
@@ -182,14 +187,14 @@ def test_check_cutset_structure_all_cutsets_random():
         prod = bei.l_corona(spec)[0]
         for mask, _ in bei.iter_cutsets(prod):
             if mask:
-                assert bei.check_cutset_structure(spec, mask, prod) == [True] * 7
+                assert check_cutset_structure(spec, mask, prod) == [True] * 7
 
 
 def test_check_cutset_structure_rejects_non_cutsets(square_leaves_spec):
     with pytest.raises(ValueError):
-        bei.check_cutset_structure(square_leaves_spec, 0)
+        check_cutset_structure(square_leaves_spec, 0)
     with pytest.raises(ValueError):
-        bei.check_cutset_structure(square_leaves_spec, vset([4]))  # a leaf
+        check_cutset_structure(square_leaves_spec, vset([4]))  # a leaf
 
 
 def test_gadget_d2():
@@ -261,8 +266,11 @@ def test_cutsets_of_a_cone_over_a_disconnected_graph_match_naive():
 
 
 def test_spec_json_roundtrip(square_leaves_spec):
-    obj = bei.corona_spec_to_json(square_leaves_spec)
-    assert set(obj) == {"base", "L", "pendant"}
+    obj = {
+        "base": bei.to_graph6(square_leaves_spec.base),
+        "L": members(square_leaves_spec.attach_set),
+        "pendant": bei.to_graph6(square_leaves_spec.pendant),
+    }
     assert obj["L"] == [1, 2]
     back = bei.corona_spec_from_json(obj)
     assert back.base == square_leaves_spec.base

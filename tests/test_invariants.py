@@ -1,11 +1,14 @@
 """The closed-form engine: pendant records, dimension/depth/regularity
-formulas, Cohen-Macaulay defect, extremal Betti positions, classification."""
+formulas, Cohen-Macaulay defect, extremal Betti positions, classification,
+and the dimension formula against the cutset oracle."""
 
 import pytest
 
 import bei
 from bei import vset
 from bei.invariants import CM_CLOSED, FULL_CORONA, L_CORONA, PATH
+
+from conftest import connected_atlas
 
 
 def block(g):
@@ -64,11 +67,6 @@ def test_block_graph_constructor_rejects_non_block_graphs():
         block(bei.Graph(3, [(0, 1)]))
 
 
-def test_base_invariants_complete_matches_block_constructor():
-    for h in (1, 2, 4):
-        assert bei.base_invariants_complete(h) == block(bei.complete_graph(h))
-
-
 def test_dim_l_corona_examples():
     k1 = block(bei.complete_graph(1))
     assert bei.dim_l_corona(1, 1, k1) == 3  # the product is a single edge
@@ -78,8 +76,15 @@ def test_dim_l_corona_examples():
     for n in (1, 2, 3):
         for rec in (block(bei.complete_graph(3)), p3):
             assert bei.dim_l_corona(n, n, rec) == n + n * rec.h + 1
-    # a bare dimension value works too
+    # the claw has dim 6 = h + 2: the full corona loses the "+1"
+    claw = block(bei.Graph(4, [(0, 1), (0, 2), (0, 3)]))
+    assert bei.dim_l_corona(2, 2, claw) == 12
+    assert bei.dim_l_corona(2, 1, claw) == 8
+    # a bare dimension value works too, except with a copy at every vertex,
+    # where the formula also needs the pendant's vertex count
     assert bei.dim_l_corona(2, 1, 4) == 6
+    with pytest.raises(ValueError, match="pendant record"):
+        bei.dim_l_corona(2, 2, 4)
     with pytest.raises(ValueError):
         bei.dim_l_corona(2, 3, p3)
     with pytest.raises(ValueError):
@@ -151,11 +156,12 @@ def test_cmdef_report():
     star = block(bei.Graph(4, [(0, 1), (0, 2), (0, 3)]))
     assert star.cmdef == 1
     # the piecewise closed form, row n lists ell = 1..n: ell * cmdef(H) for
-    # ell < n; at ell = n, 0 for a complete pendant, else 1 + n * cmdef(H)
+    # ell < n; at ell = n, 0 for a complete pendant, else n * cmdef(H), plus
+    # 1 when dim H = h + 1 (P3, not the star)
     expected = (
         (p3, [[1], [0, 1], [0, 0, 1], [0, 0, 0, 1]]),  # (2, 2): almost CM
         (k2, [[0], [0, 0], [0, 0, 0], [0, 0, 0, 0]]),
-        (star, [[2], [1, 3], [1, 2, 4], [1, 2, 3, 5]]),
+        (star, [[1], [1, 2], [1, 2, 3], [1, 2, 3, 4]]),
     )
     for rec, rows in expected:
         for n, row in enumerate(rows, 1):
@@ -168,8 +174,15 @@ def test_cmdef_with_almost_cm_pendant_built_from_a_report():
     # build an almost-CM pendant as a 2-copy product, reuse it as pendant data
     p3 = block(bei.path_graph(3))
     inner = bei.depth_reg_corona_complete(2, 2, p3)
-    pend = inner.to_base_invariants()
-    assert pend.h == 8 and pend.cmdef == 1 and pend.is_cm is False
+    pend = bei.BaseInvariants(
+        h=inner.product_vertices,
+        dim_q=inner.dim_q,
+        depth_q=inner.depth_q,
+        reg_q=inner.reg_q,
+        pd=inner.pd,
+        is_complete=False,
+    )
+    assert pend.h == 8 and pend.cmdef == 1
     # oracle cross-check at desk scale: dim of the 19-vertex product
     inner_graph = bei.corona(bei.complete_graph(2), bei.path_graph(3))[0]
     outer = bei.l_corona(
@@ -277,7 +290,7 @@ def test_extremal_positions_golden():
 
 
 def test_extremal_position_errors():
-    complete = bei.base_invariants_complete(3)
+    complete = block(bei.complete_graph(3))
     noncomplete = bei.BaseInvariants(
         h=4, dim_q=6, depth_q=4, reg_q=3, pd=4, is_complete=False
     )
@@ -299,47 +312,65 @@ def test_extremal_position_errors():
 def test_classify_transfer_and_oracle_agreement():
     # complete base, partial attach: verdicts copy the pendant's
     p4 = block(bei.path_graph(4))
-    spec = bei.CoronaSpec(bei.complete_graph(3), vset([0, 1]), bei.path_graph(4))
-    verdicts = bei.classify(spec, p4)
+    verdicts = bei.depth_reg_corona_complete(3, 2, p4).verdicts
     assert verdicts["cm"].value is True
     assert verdicts["unmixed"].value is True
     assert verdicts["accessible"].value is True
     # full corona with a non-complete pendant fails, and the oracle agrees
-    spec2 = bei.CoronaSpec(bei.complete_graph(2), vset([0, 1]), bei.path_graph(3))
-    v2 = bei.classify(spec2, block(bei.path_graph(3)))
+    v2 = bei.depth_reg_corona_complete(2, 2, block(bei.path_graph(3))).verdicts
     assert v2["unmixed"].value is False and v2["cm"].value is False
-    prod = bei.l_corona(spec2)[0]
+    prod = bei.corona(bei.complete_graph(2), bei.path_graph(3))[0]
     assert not bei.enumerate_cutsets(prod).is_unmixed
     # complete pendant on a complete base is Cohen-Macaulay
-    spec3 = bei.CoronaSpec(bei.complete_graph(3), bei.complete_graph(3).full_mask, bei.complete_graph(2))
-    v3 = bei.classify(spec3, bei.base_invariants_complete(2))
+    v3 = bei.depth_reg_corona_complete(3, 3, block(bei.complete_graph(2))).verdicts
     assert all(v.value is True for v in v3.values())
-
-
-def test_classify_outside_proved_families():
-    base = bei.path_graph(3)  # not complete
-    spec = bei.CoronaSpec(base, vset([0]), bei.complete_graph(2))
-    verdicts = bei.classify(spec, bei.base_invariants_complete(2))
-    assert all(v.value is None for v in verdicts.values())
-    assert all(v.rule == "outside-proved-families" for v in verdicts.values())
+    # a clique path that is not complete gives no verdict but false
+    v4 = bei.depth_reg_corona_path(3, block(bei.complete_graph(2))).verdicts
+    assert all(v.value is False for v in v4.values())
 
 
 def test_classify_cone_case():
-    spec = bei.CoronaSpec(bei.complete_graph(1), 1, bei.path_graph(3))
-    verdicts = bei.classify(spec, block(bei.path_graph(3)))
+    verdicts = bei.depth_reg_corona_complete(1, 1, block(bei.path_graph(3))).verdicts
     assert verdicts["cm"].value is False  # positive defect
     assert verdicts["unmixed"].value is None
-    speck = bei.CoronaSpec(bei.complete_graph(1), 1, bei.complete_graph(3))
-    vk = bei.classify(speck, bei.base_invariants_complete(3))
+    vk = bei.depth_reg_corona_complete(1, 1, block(bei.complete_graph(3))).verdicts
     assert all(v.value is True for v in vk.values())
 
 
 def test_classify_validates_pendant_size():
-    with pytest.raises(ValueError):
-        bei.classify(
-            bei.CoronaSpec(bei.complete_graph(2), 1, bei.path_graph(3)),
-            bei.base_invariants_complete(2),
+    # a pendant graph that disagrees with its record is refused wherever
+    # the product is built for the dimension oracle
+    k2 = block(bei.complete_graph(2))
+    with pytest.raises(ValueError, match="disagrees"):
+        bei.depth_reg_corona_path(3, k2, pendant=bei.path_graph(3))
+    with pytest.raises(ValueError, match="disagrees"):
+        bei.depth_reg_corona_cm_closed(bei.path_graph(3), k2, pendant=bei.path_graph(3))
+
+
+def test_dimension_formula_matches_the_oracle_on_small_coronas():
+    # every L-corona and full corona of K_n (n <= 3) over a connected atlas
+    # pendant on at most 6 vertices, with at most 20 product vertices; the
+    # formula reads only h and dim H, so the record's depth is a placeholder
+    products = 0
+    for h_graph in connected_atlas(6):
+        h = h_graph.n
+        rec = bei.BaseInvariants(
+            h=h,
+            dim_q=bei.dimension_oracle(h_graph),
+            depth_q=h + 1,
+            reg_q=1,
+            pd=h - 1,
+            is_complete=bei.is_complete(h_graph),
         )
+        for n in (1, 2, 3):
+            for ell in range(1, n + 1):
+                if n + ell * h > 20:
+                    continue
+                spec = bei.CoronaSpec(bei.complete_graph(n), (1 << ell) - 1, h_graph)
+                want = bei.dimension_oracle(bei.l_corona(spec)[0])
+                assert bei.dim_l_corona(n, ell, rec) == want, (bei.to_graph6(h_graph), n, ell)
+                products += 1
+    assert products == 746
 
 
 def test_report_json_shape():
@@ -371,3 +402,36 @@ def test_report_internal_consistency_guard():
             verdicts=rep.verdicts,
             provenances=rep.provenances,
         )
+
+
+@pytest.mark.parametrize("keywords", [True, False], ids=["keywords", "positional"])
+def test_report_rejects_a_wrong_defect(keywords):
+    p3 = block(bei.path_graph(3))
+    rep = bei.depth_reg_corona_complete(3, 2, p3)
+    fields = {
+        "family": rep.family,
+        "base": p3,
+        "product_vertices": rep.product_vertices,
+        "depth_q": rep.depth_q,
+        "reg_q": rep.reg_q,
+        "pd": rep.pd,
+        "dim_q": rep.dim_q,
+        "cmdef": rep.cmdef,
+        "extremal_position": None,
+        "verdicts": rep.verdicts,
+        "provenances": rep.provenances,
+    }
+
+    def build(**changes):
+        values = {**fields, **changes}
+        if keywords:
+            return bei.InvariantReport(**values)
+        return bei.InvariantReport(*values.values())
+
+    assert build().cmdef == rep.cmdef
+    with pytest.raises(ValueError, match="pd \\+ depth"):
+        build(pd=rep.pd - 1)
+    with pytest.raises(ValueError, match="cmdef must equal"):
+        build(cmdef=rep.cmdef + 1)
+    with pytest.raises(ValueError, match="negative"):
+        build(dim_q=rep.depth_q - 1, cmdef=-1)
