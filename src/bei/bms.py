@@ -8,12 +8,24 @@ scanner classifies graph6 corpora by diameter and the combinatorial
 verdicts, optionally emitting a verification script per accessible graph.
 Cohen-Macaulayness is never claimed by the scanner: records carry only
 what the cutset combinatorics decides, the scripts cover the rest.
+
+A scan works in-process first, even when it may use a process pool: the
+pool costs about 0.1 s to import and start, more than a corpus of a few
+hundred graphs on up to 16 vertices takes to analyse in-process, and on
+two cores it wins only once about 0.5 s of analysis is left.  The cost of a
+graph cannot be read off beforehand (2^(candidates) overstates it by far,
+because the verdicts stop at the first unmixedness violation), so the scan
+measures the time it has spent and hands the rest of the corpus to the pool
+only once that time passes a measured threshold.  Time spent does not tell
+the work left, so the threshold bounds what a pool started too late can
+lose rather than promising a gain.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import time
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .cas import emit_cas_script
@@ -117,21 +129,48 @@ class ScanRecord(NamedTuple):
         }
 
 
-def _analyze_graph6(payload: tuple[str, int | None]) -> tuple[str, int, int | None, bool, bool, int | None]:
-    """Worker: canonical graph6, n, diameter (None when disconnected),
-    unmixed, accessible, oracle dimension (None when not unmixed)."""
-    g6, bound = payload
-    g = from_graph6(g6)
+# In-process analysis time after which a scan with jobs > 1 hands the rest
+# of its corpus to a process pool.  Median wall seconds of five
+# `scan --jobs 2` runs on a 2-core Xeon, over the 200 random-scan graphs of
+# seed 1 (12-16 vertices, about 0.06 s of analysis) repeated k times:
+#
+#     k   in-process   pool after the first graph   this threshold
+#     4      0.48              0.58                   0.44 (no pool)
+#     8      0.74              0.98                   0.87
+#    16      1.31              1.02                   1.14
+#    32      2.71              1.92                   2.20
+#
+# The pool pays only once about 0.5 s of analysis is left, and one started
+# for a small remainder costs about 0.1 s; waiting for 0.5 s of in-process
+# work bounds that loss to about a fifth of the run.  On graphs of at most
+# 7 vertices (the atlas corpus repeated up to 16 times) the pool never won.
+_POOL_AFTER_S = 0.5
+
+
+def _analyze(g: Graph, bound: int) -> tuple[int | None, bool, bool, int | None]:
+    """Diameter (None when disconnected), unmixed, accessible, and the
+    oracle dimension (None when not unmixed)."""
     d = diameter(g)
     report = unmixed_report(g, bound=bound)
     return (
-        to_graph6(g),
-        g.n,
         None if d == math.inf else int(d),
         report is not None,
         report is not None and report.is_accessible,
         None if report is None else report.oracle_dimension,
     )
+
+
+def _analyze_graph6(payload: tuple[str, int]) -> tuple[int | None, bool, bool, int | None]:
+    """Pool worker: ``_analyze`` of a graph sent as graph6."""
+    g6, bound = payload
+    return _analyze(from_graph6(g6), bound)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
 
 
 def bms_scan(
@@ -150,54 +189,77 @@ def bms_scan(
     their 1-based line number and skipped; the scan continues.  Graphs above
     ``max_n`` are filtered silently.  When ``script_dir`` is set, each
     accessible graph gets a verification script named after its line number.
+
+    Each line is parsed once and its graph analysed in-process.  ``jobs`` is
+    an upper bound on the worker processes: only once the in-process
+    analysis has taken ``_POOL_AFTER_S`` seconds, and only if at least two
+    workers would run (no more than ``jobs``, the usable CPUs or the graphs
+    left), does the rest of the corpus go to a pool.  A pooled graph keeps
+    only its graph6 and is parsed again by its worker, and once more for its
+    script.  Records and scripts are the same at every ``jobs``.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     limit = enumeration_bound(bound)
 
-    def report_error(lineno: int, message: str) -> None:
-        if on_error is not None:
-            on_error(lineno, message)
+    def parsed() -> Iterator[tuple[int, Graph, str]]:
+        for lineno, raw in enumerate(lines, 1):
+            text = raw.strip()
+            if not text:
+                continue
+            try:
+                g = from_graph6(text)
+            except ValueError as exc:
+                if on_error is not None:
+                    on_error(lineno, str(exc))
+                continue
+            if max_n is not None and g.n > max_n:
+                continue
+            if g.n > limit:
+                if on_error is not None:
+                    on_error(lineno, f"{g.n} vertices exceeds the enumeration bound {limit}")
+                continue
+            yield lineno, g, to_graph6(g)
 
-    todo: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(lines, 1):
-        text = raw.strip()
-        if not text:
-            continue
-        try:
-            g = from_graph6(text)
-        except ValueError as exc:
-            report_error(lineno, str(exc))
-            continue
-        if max_n is not None and g.n > max_n:
-            continue
-        if g.n > limit:
-            report_error(lineno, f"{g.n} vertices exceeds the enumeration bound {limit}")
-            continue
-        todo.append((lineno, to_graph6(g)))
-
-    payloads = [(g6, limit) for _, g6 in todo]
-    if jobs > 1 and len(payloads) > 1:
-        # imported here, so that the calls that start no pool skip its import
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_analyze_graph6, payloads, chunksize=8))
-    else:
-        results = [_analyze_graph6(p) for p in payloads]
-
-    for (lineno, _), (g6, n, diam, unmixed, accessible, dim) in zip(todo, results):
+    def record(lineno: int, g6: str, n: int, result: tuple, g: Graph | None = None) -> ScanRecord | None:
+        diam, unmixed, accessible, dim = result
         if diameters is not None and (diam is None or diam not in diameters):
-            continue
+            return None
         script_path = None
         if accessible and script_dir is not None:
             ext = "m2" if dialect == "m2" else "sing"
             script_path = os.path.join(script_dir, f"{lineno:06d}.{ext}")
             expected = {"dim": dim, "unmixed": unmixed, "accessible": accessible}
-            script = emit_cas_script(
-                from_graph6(g6), dialect=dialect, expected=expected, name=f"scan line {lineno}"
-            )
+            if g is None:  # a pooled graph: the scan kept only its graph6
+                g = from_graph6(g6)
+            script = emit_cas_script(g, dialect=dialect, expected=expected, name=f"scan line {lineno}")
             os.makedirs(script_dir, exist_ok=True)
             with open(script_path, "w", encoding="ascii") as fh:
                 fh.write(script.text)
-        yield ScanRecord(g6, n, diam, unmixed, accessible, script_path)
+        return ScanRecord(g6, n, diam, unmixed, accessible, script_path)
+
+    workers = min(jobs, _usable_cpus())
+    graphs = parsed()
+    spent = 0.0
+    for lineno, g, g6 in graphs:
+        if workers > 1 and spent > _POOL_AFTER_S:
+            # the pool needs only graph6 and size of the graphs left
+            rest = [(lineno, g6, g.n), *((i, s, h.n) for i, h, s in graphs)]
+            if len(rest) > 1:  # a single graph left is not worth a worker
+                # imported here, so that the scans that start no pool skip its import
+                from concurrent.futures import ProcessPoolExecutor
+
+                with ProcessPoolExecutor(max_workers=min(workers, len(rest))) as pool:
+                    payloads = [(s, limit) for _, s, _ in rest]
+                    results = pool.map(_analyze_graph6, payloads, chunksize=8)
+                    for (lineno, g6, n), result in zip(rest, results):
+                        rec = record(lineno, g6, n, result)
+                        if rec is not None:
+                            yield rec
+                return
+        started = time.perf_counter()
+        result = _analyze(g, limit)
+        spent += time.perf_counter() - started
+        rec = record(lineno, g6, g.n, result, g)
+        if rec is not None:
+            yield rec

@@ -243,11 +243,17 @@ def _base_record(args) -> tuple[BaseInvariants, Graph | None]:
         g = _graph_arg(args.pendant_block_graph, args.format)
         if pendant_graph is None:
             pendant_graph = g
-        return base_invariants_block_graph(g, bound=args.bound), pendant_graph
-    if args.pendant_base_json:
+        base = base_invariants_block_graph(g, bound=args.bound)
+    elif args.pendant_base_json:
         obj = json.loads(Path(args.pendant_base_json).read_text())
-        return BaseInvariants.from_json(obj), pendant_graph
-    raise ValueError("supply pendant data: --pendant-block-graph or --pendant-base-json")
+        base = BaseInvariants.from_json(obj)
+    else:
+        raise ValueError("supply pendant data: --pendant-block-graph or --pendant-base-json")
+    # the complete-base families take every number from the record, so
+    # nothing later compares the pendant graph with it
+    if pendant_graph is not None and pendant_graph.n != base.h:
+        raise ValueError("pendant graph disagrees with the pendant invariants")
+    return base, pendant_graph
 
 
 def _cmd_invariants(args) -> int:
@@ -444,7 +450,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int)
     p.add_argument("--scripts-dir", help="emit a verification script per accessible graph")
     p.add_argument("--dialect", choices=("m2", "singular"), default="m2")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="upper bound on worker processes, used only once the in-process "
+        "work passes a fixed threshold (default: 1)",
+    )
     _add_common(p)
     p.set_defaults(func=_cmd_scan)
 

@@ -1,10 +1,12 @@
 """Diameter wrappers, their verification records, and corpus scanning."""
 
+import concurrent.futures
 import json
 
 import pytest
 
 import bei
+from bei import bms
 from bei.bms import _expected_d3_distance
 
 from conftest import connected_atlas
@@ -121,11 +123,77 @@ def test_scan_deterministic_and_order_preserving():
     assert [json.loads(line)["graph6"] for line in a] == corpus
 
 
-def test_scan_parallel_matches_serial():
-    corpus = scan_lines(connected_atlas(5))
-    serial = [r.to_json() for r in bei.bms_scan(corpus)]
-    parallel = [r.to_json() for r in bei.bms_scan(corpus, jobs=2)]
-    assert serial == parallel
+def test_scan_parallel_matches_serial(monkeypatch):
+    # with no in-process allowance the first graph runs in-process and a real
+    # pool takes the rest; a malformed and an over-bound line sit on each side
+    monkeypatch.setattr(bms, "_POOL_AFTER_S", 0)
+    monkeypatch.setattr(bms, "_usable_cpus", lambda: 2)
+    started = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    graphs = scan_lines(connected_atlas(5))
+    big = bei.to_graph6(bei.Graph(30))
+    corpus = ["!!bad!!", big, graphs[0], "!!bad!!", big, *graphs[1:]]
+    runs = []
+    for jobs in (1, 2):
+        errors = []
+        records = [
+            r.to_json()
+            for r in bei.bms_scan(corpus, jobs=jobs, on_error=lambda *e: errors.append(e))
+        ]
+        runs.append((records, errors))
+    assert started == [2]
+    assert runs[0] == runs[1]
+    records, errors = runs[0]
+    assert [r["graph6"] for r in records] == graphs
+    assert [lineno for lineno, _ in errors] == [1, 2, 4, 5]
+    assert "bound" in errors[1][1] and "bound" in errors[3][1]
+
+
+class FakePool:
+    """Stands in for the process pool: records its size, starts nothing."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, payloads, chunksize=1):
+        return map(fn, payloads)
+
+
+@pytest.mark.parametrize(
+    "jobs, cpus, ngraphs, expected",
+    [
+        (100000, 2, 10, [2]),  # capped by the usable CPUs
+        (2, 8, 10, [2]),  # by jobs
+        (100000, 64, 4, [3]),  # by the graphs left after the first
+        (1, 8, 10, []),  # a serial scan starts no pool
+        (4, 1, 10, []),  # nor does a scan with one usable CPU
+        (4, 8, 2, []),  # nor one graph left after the first
+        (4, 8, 1, []),  # nor a corpus done in-process
+    ],
+)
+def test_scan_caps_the_pool_workers(monkeypatch, jobs, cpus, ngraphs, expected):
+    monkeypatch.setattr(bms, "_POOL_AFTER_S", 0)
+    monkeypatch.setattr(bms, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(FakePool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    corpus = scan_lines(connected_atlas(5))[:ngraphs]
+    records = list(bei.bms_scan(corpus, jobs=jobs))
+    assert [r.graph6 for r in records] == corpus
+    assert FakePool.sizes == expected
 
 
 def test_scan_emits_scripts_for_accessible_graphs(tmp_path):

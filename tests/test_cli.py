@@ -93,25 +93,42 @@ def test_check_accessible_reports_the_stuck_cutset(tmp_path, capsys):
     assert json.loads(out)["witness"] == ["3", "4"]
 
 
-def test_scan_jobs_agree_on_a_mixed_corpus(tmp_path, capsys, square_leaves_product):
-    # not unmixed (C4, the square-leaves product), accessible (K3, P4), and
-    # unmixed but not accessible (FFwc?)
-    graphs = [cycle_graph(4), square_leaves_product, complete_graph(3), path_graph(4)]
+def test_scan_jobs_agree_on_a_mixed_corpus(tmp_path, capsys, monkeypatch, square_leaves_product):
+    # with no in-process allowance, --jobs 2 scans the first graph in-process
+    # and a real pool takes the rest; a malformed and an over-bound line sit on
+    # each side of the switch.  The graphs are not unmixed (C4, the
+    # square-leaves product), accessible (K3, P4), and unmixed but not
+    # accessible (FFwc?)
+    monkeypatch.setattr(bei.bms, "_POOL_AFTER_S", 0)
+    monkeypatch.setattr(bei.bms, "_usable_cpus", lambda: 2)
+    big = to_graph6(bei.Graph(30))
+    lines = [
+        "!!bad!!",
+        big,
+        to_graph6(cycle_graph(4)),
+        "!!bad!!",
+        big,
+        *(to_graph6(g) for g in (square_leaves_product, complete_graph(3), path_graph(4))),
+        "FFwc?",
+    ]
     corpus = tmp_path / "corpus.g6"
-    corpus.write_text("".join(to_graph6(g) + "\n" for g in graphs) + "FFwc?\n")
+    corpus.write_text("".join(line + "\n" for line in lines))
     runs = []
     for jobs in ("1", "2"):
         scripts = tmp_path / f"scripts-{jobs}"
         argv = ["scan", "--input", str(corpus), "--jobs", jobs, "--scripts-dir", str(scripts)]
         code, out, err = run(argv, capsys)
-        assert code == 0 and err == ""
+        assert code == 0
         files = {p.name: p.read_text() for p in scripts.iterdir()}
-        runs.append((out.replace(str(scripts), "<scripts>"), files))
+        runs.append((out.replace(str(scripts), "<scripts>"), err, files))
     assert runs[0] == runs[1]
-    out, files = runs[0]
-    verdicts = [(r["unmixed"], r["accessible"]) for r in map(json.loads, out.splitlines())]
+    out, err, files = runs[0]
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [r["graph6"] for r in records] == [lines[i] for i in (2, 5, 6, 7, 8)]
+    verdicts = [(r["unmixed"], r["accessible"]) for r in records]
     assert verdicts == [(False, False), (False, False), (True, True), (True, True), (True, False)]
-    assert sorted(files) == ["000003.m2", "000004.m2"]
+    assert [json.loads(line)["line"] for line in err.splitlines()] == [1, 2, 4, 5]
+    assert sorted(files) == ["000007.m2", "000008.m2"]
 
 
 def run_python(args, **kwargs):
@@ -135,6 +152,23 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     proc = run_python(["-c", code])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_small_parallel_scan_starts_no_pool(tmp_path):
+    # the in-process work stays below the pool's threshold
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text("Bw\nCr\nC~\n")
+    code = (
+        "import sys; from bei.cli import main; "
+        f"code = main(['scan', '--input', {str(corpus)!r}, '--jobs', '2', "
+        f"'--output', {str(tmp_path / 'out.jsonl')!r}]); "
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] in "
+        "('concurrent', 'multiprocessing')))"
+    )
+    proc = run_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 []"
+    assert len((tmp_path / "out.jsonl").read_text().splitlines()) == 3
 
 
 def _limit_address_space():
