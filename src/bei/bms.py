@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .cas import emit_cas_script
 from .corona import gadget_d2, gadget_d3
-from .cutsets import enumeration_bound, is_accessible, unmixed_report
+from .cutsets import check_bound, enumeration_bound, is_accessible, unmixed_report
 from .graph import Graph, diameter, distances_from
 from .io import from_graph6, to_graph6
 
@@ -166,6 +166,11 @@ def _analyze_graph6(payload: tuple[str, int]) -> tuple[int | None, bool, bool, i
     return _analyze(from_graph6(g6), bound)
 
 
+class _AboveMaxN(Exception):
+    """A graph6 line above a scan's ``max_n``: skipped without a record or
+    an error, before its body is decoded."""
+
+
 def _usable_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -202,22 +207,23 @@ def bms_scan(
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     limit = enumeration_bound(bound)
 
+    def check_n(n: int) -> None:
+        if max_n is not None and n > max_n:
+            raise _AboveMaxN
+        check_bound(n, limit)
+
     def parsed() -> Iterator[tuple[int, Graph, str]]:
         for lineno, raw in enumerate(lines, 1):
             text = raw.strip()
             if not text:
                 continue
             try:
-                g = from_graph6(text)
+                g = from_graph6(text, check_n)
+            except _AboveMaxN:
+                continue
             except ValueError as exc:
                 if on_error is not None:
                     on_error(lineno, str(exc))
-                continue
-            if max_n is not None and g.n > max_n:
-                continue
-            if g.n > limit:
-                if on_error is not None:
-                    on_error(lineno, f"{g.n} vertices exceeds the enumeration bound {limit}")
                 continue
             yield lineno, g, to_graph6(g)
 

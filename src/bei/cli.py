@@ -86,9 +86,9 @@ def _graph_arg(
     token: str, fmt: str | None = None, check_n: Callable[[int], None] | None = None
 ) -> Graph:
     """Resolve a graph argument: inline name, file path, or '-' for stdin.
-    ``check_n`` sees the vertex count a JSON object (a corona spec's
-    product included) or an edge list of indices declares before a graph
-    of that size is built."""
+    ``check_n`` sees the vertex count a graph6 line, a JSON object (a
+    corona spec's product included) or an edge list of indices declares
+    before a graph of that size is built."""
     if fmt is None and is_graph_name(token):
         return graph_from_name(token)
     if token == "-":
@@ -105,7 +105,7 @@ def _graph_arg(
     fmt = fmt or _sniff_format(source, text)
     if fmt == "graph6":
         line = next((ln for ln in text.splitlines() if ln.strip()), "")
-        return from_graph6(line)
+        return from_graph6(line, check_n)
     if fmt == "edgelist":
         return parse_edge_list(text, check_n)
     if fmt == "json":
@@ -236,22 +236,23 @@ def _cmd_check(args) -> int:
 
 
 def _base_record(args) -> tuple[BaseInvariants, Graph | None]:
-    pendant_graph = None
+    pendant_graph = block_graph = None
     if args.pendant_graph:
         pendant_graph = _graph_arg(args.pendant_graph, args.format)
     if args.pendant_block_graph:
-        g = _graph_arg(args.pendant_block_graph, args.format)
-        if pendant_graph is None:
-            pendant_graph = g
-        base = base_invariants_block_graph(g, bound=args.bound)
+        block_graph = _graph_arg(args.pendant_block_graph, args.format)
+        base = base_invariants_block_graph(block_graph, bound=args.bound)
     elif args.pendant_base_json:
         obj = json.loads(Path(args.pendant_base_json).read_text())
         base = BaseInvariants.from_json(obj)
     else:
         raise ValueError("supply pendant data: --pendant-block-graph or --pendant-base-json")
     # the complete-base families take every number from the record, so
-    # nothing later compares the pendant graph with it
-    if pendant_graph is not None and pendant_graph.n != base.h:
+    # nothing later compares the pendant graph with it: a block graph must
+    # be the pendant graph itself, a JSON record must match its size
+    if pendant_graph is None:
+        pendant_graph = block_graph
+    elif pendant_graph.n != base.h or block_graph not in (None, pendant_graph):
         raise ValueError("pendant graph disagrees with the pendant invariants")
     return base, pendant_graph
 

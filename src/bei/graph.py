@@ -228,16 +228,26 @@ def distances_from(g: Graph, source: int) -> list[int | float]:
 
 
 def diameter(g: Graph) -> int | float:
-    """Largest BFS distance over all vertex pairs; ``math.inf`` if disconnected."""
-    if g.n <= 1:
-        return 0
-    best = 0
+    """Largest eccentricity over all vertices; ``math.inf`` if disconnected.
+    Each source's bitset BFS counts levels until every vertex is reached; a
+    level that adds no vertex before that means ``g`` is disconnected."""
+    adj, full, best = g.adj, g.full_mask, 0
     for v in range(g.n):
-        far = max(distances_from(g, v))
-        if far == math.inf:
-            return math.inf
-        if far > best:
-            best = far
+        seen = frontier = 1 << v
+        d = 0
+        while seen != full:
+            acc = 0
+            while frontier:
+                b = frontier & -frontier
+                frontier ^= b
+                acc |= adj[b.bit_length() - 1]
+            frontier = acc & ~seen
+            if not frontier:
+                return math.inf
+            seen |= frontier
+            d += 1
+        if d > best:
+            best = d
     return best
 
 

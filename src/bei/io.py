@@ -8,6 +8,7 @@ from typing import Callable
 from .graph import Graph, complete_graph, cycle_graph, path_graph
 
 _G6_HEADER = ">>graph6<<"
+_G6_CHARS = "".join(map(chr, range(63, 127)))
 
 
 def _g6_encode_n(n: int) -> str:
@@ -47,58 +48,57 @@ def to_graph6(g: Graph, header: bool = False) -> str:
     return _G6_HEADER + s if header else s
 
 
-def from_graph6(text: str) -> Graph:
-    """Parse a single graph6 value (optional ``>>graph6<<`` header allowed)."""
+def from_graph6(text: str, check_n: Callable[[int], None] | None = None) -> Graph:
+    """Parse a single graph6 value (optional ``>>graph6<<`` header allowed).
+
+    Every check on the text runs before the body is decoded; ``check_n``,
+    when given, then sees the vertex count before a graph of that size is
+    built.  The body is read one character, six vertex pairs, at a time
+    straight into the adjacency rows."""
     s = text.strip()
     if s.startswith(_G6_HEADER):
         s = s[len(_G6_HEADER) :]
     if not s:
         raise ValueError("empty graph6 string")
-    vals = []
-    for c in s:
-        v = ord(c) - 63
-        if not 0 <= v <= 63:
-            raise ValueError(f"invalid graph6 character {c!r}")
-        vals.append(v)
+    bad = s.lstrip(_G6_CHARS)
+    if bad:
+        raise ValueError(f"invalid graph6 character {bad[0]!r}")
 
-    if vals[0] != 63:
-        n = vals[0]
-        i = 1
-    elif len(vals) >= 2 and vals[1] == 63:
-        if len(vals) < 8:
-            raise ValueError("truncated graph6 vertex count")
-        n = 0
-        for v in vals[2:8]:
-            n = n << 6 | v
-        i = 8
+    if s[0] != "~":
+        n, i = ord(s[0]) - 63, 1
     else:
-        if len(vals) < 4:
+        # '~' then 3 digits of 6 bits, or '~~' then 6
+        start, i = (2, 8) if s[1:2] == "~" else (1, 4)
+        if len(s) < i:
             raise ValueError("truncated graph6 vertex count")
         n = 0
-        for v in vals[1:4]:
-            n = n << 6 | v
-        i = 4
+        for c in s[start:i]:
+            n = n << 6 | (ord(c) - 63)
 
     nbits = n * (n - 1) // 2
     nchars = (nbits + 5) // 6
-    if len(vals) - i != nchars:
+    if len(s) - i != nchars:
         raise ValueError(
-            f"graph6 body has {len(vals) - i} characters, expected {nchars} for n={n}"
+            f"graph6 body has {len(s) - i} characters, expected {nchars} for n={n}"
         )
-    edges = []
-    k = 0
-    for j in range(1, n):
-        for u in range(j):
-            v = vals[i + k // 6]
-            if v >> (5 - k % 6) & 1:
-                edges.append((u, j))
-            k += 1
     # padding bits must be zero for a bit-exact value
-    if nbits % 6:
-        pad = vals[i + nchars - 1] & ((1 << (6 - nbits % 6)) - 1)
-        if pad:
-            raise ValueError("nonzero padding bits in graph6 body")
-    return Graph(n, edges)
+    if nbits % 6 and (ord(s[-1]) - 63) & ((1 << (6 - nbits % 6)) - 1):
+        raise ValueError("nonzero padding bits in graph6 body")
+    if check_n is not None:
+        check_n(n)
+    # pairs (u, j), u < j, in column-major order; zero padding sets no bit
+    adj = [0] * n
+    u, j = 0, 1
+    for c in s[i:]:
+        v = ord(c) - 63
+        for bit in (32, 16, 8, 4, 2, 1):
+            if v & bit:
+                adj[u] |= 1 << j
+                adj[j] |= 1 << u
+            u += 1
+            if u == j:
+                u, j = 0, j + 1
+    return Graph._from_adj(adj)
 
 
 # ---------------------------------------------------------------------------

@@ -314,3 +314,26 @@ def random_connected_graph(rng: random.Random, n: int) -> bei.Graph:
             if rng.random() < 0.3:
                 edges.append((i, j))
     return bei.Graph(n, sorted(set(edges)))
+
+
+def mixed_graphs() -> list[bei.Graph]:
+    """Connected atlas graphs on at most 7 vertices, seeded random graphs on
+    12-16 vertices (connected ones, and sparse ones that mostly are not),
+    disjoint unions, and n = 0, 1 and 2."""
+    rng = random.Random(8)
+    sparse = [
+        bei.Graph(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < 0.12])
+        for n in range(12, 17)
+        for _ in range(6)
+    ]
+    return [
+        *connected_atlas(7),
+        *(random_connected_graph(rng, n) for n in range(12, 17) for _ in range(6)),
+        *sparse,
+        bei.Graph(7, [(0, 1), (1, 2), (3, 4), (5, 6)]),
+        bei.Graph(4, [(1, 2), (2, 3)]),
+        bei.Graph(0),
+        bei.Graph(1),
+        bei.Graph(2),
+        bei.complete_graph(2),
+    ]

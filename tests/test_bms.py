@@ -104,15 +104,18 @@ def test_scan_respects_filters():
 
 
 def test_scan_bound_errors_reported():
+    lines = [bei.to_graph6(bei.Graph(30))]
     errors = []
-    records = list(
-        bei.bms_scan(
-            [bei.to_graph6(bei.Graph(30))],
-            bound=24,
-            on_error=lambda lineno, msg: errors.append((lineno, msg)),
-        )
-    )
-    assert records == [] and errors and "bound" in errors[0][1]
+
+    def on_error(lineno, msg):
+        errors.append((lineno, msg))
+
+    assert list(bei.bms_scan(lines, bound=24, on_error=on_error)) == []
+    assert errors == [(1, "30 vertices exceeds the enumeration bound 24")]
+    # the silent max_n filter comes before the bound
+    errors.clear()
+    assert list(bei.bms_scan(lines, max_n=29, bound=24, on_error=on_error)) == []
+    assert errors == []
 
 
 def test_scan_deterministic_and_order_preserving():

@@ -183,13 +183,20 @@ K300 = to_graph6(complete_graph(300))
 BIG_SPEC = json.dumps({"base": K300, "L": list(range(300)), "pendant": K300})
 
 
+# K_5000: the header '~' plus 5000 in three digits, 12,497,500 one-bits
+# (2,082,916 characters of six) and a last character holding four
+K5000_G6 = "~@MG" + "~" * 2082916 + chr(63 + 0b111100)
+
+
 @pytest.mark.parametrize(
     "name, text, n",
     [
         ("big.json", '{"n": 1000000000}', 1000000000),
         ("big.txt", "0 999999999\n", 1000000000),
         ("spec.json", BIG_SPEC, 90300),
+        ("big.g6", K5000_G6, 5000),
     ],
+    ids=["json-object", "edge-list", "corona-spec", "graph6"],
 )
 def test_declared_size_is_checked_before_the_graph_is_built(tmp_path, name, text, n):
     # each graph would need gigabytes; the process may use 1 GiB

@@ -9,7 +9,7 @@ import pytest
 import bei
 from bei import members, vset
 
-from conftest import to_nx
+from conftest import mixed_graphs, to_nx
 
 
 def test_graph_construction_and_queries():
@@ -77,6 +77,14 @@ def test_diameter():
     assert bei.diameter(bei.path_graph(5)) == 4
     assert bei.diameter(bei.Graph(3, [(0, 1)])) == math.inf
     assert bei.diameter(bei.Graph(0)) == 0
+
+
+def test_diameter_is_the_largest_bfs_distance():
+    cases = mixed_graphs()
+    assert sum(not bei.is_connected(g) for g in cases) > 30
+    for g in cases:
+        far = max((max(bei.distances_from(g, v)) for v in range(g.n)), default=0)
+        assert bei.diameter(g) == far, bei.to_graph6(g)
 
 
 def test_distances_from():

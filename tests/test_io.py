@@ -8,6 +8,8 @@ import pytest
 import bei
 from bei.io import graph_from_json, graph_to_json, is_graph_name
 
+from conftest import mixed_graphs, to_nx
+
 
 def test_graph6_known_values():
     # single edge on two vertices, and the 4-cycle, in standard encoding
@@ -50,18 +52,65 @@ def test_graph6_three_byte_vertex_count():
     assert bei.from_graph6(s) == g
 
 
+def edge_list_reference(s: str, n: int) -> bei.Graph:
+    """The body of ``s`` (its last ceil(C(n, 2) / 6) characters) read bit by
+    bit into an edge list, pairs (u, j) with u < j in column-major order."""
+    nbits = n * (n - 1) // 2
+    body = s[len(s) - (nbits + 5) // 6 :]
+    bits = "".join(format(ord(c) - 63, "06b") for c in body)
+    pairs = [(u, j) for j in range(1, n) for u in range(j)]
+    return bei.Graph(n, [p for p, b in zip(pairs, bits) if b == "1"])
+
+
+def test_graph6_decodes_like_an_edge_list():
+    rng = random.Random(6)
+    dense = [
+        bei.Graph(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < 0.5])
+        for n in (63, 64, 100)
+    ]
+    for g in [*mixed_graphs(), *dense]:
+        s = bei.to_graph6(g)
+        h = bei.from_graph6(s)
+        ref = edge_list_reference(s, g.n)
+        assert h.adj == ref.adj == g.adj and h.labels is None, s
+
+
+def test_graph6_long_vertex_counts():
+    # each n in the 4-character form ('~' + 3 digits) and in the 8-character
+    # form ('~~' + 6 digits), canonical or not, read as networkx reads it
+    rng = random.Random(7)
+    for n in (0, 1, 5, 62, 63, 70):
+        g = bei.Graph(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < 0.3])
+        s = bei.to_graph6(g)
+        body = s[len(s) - (n * (n - 1) // 2 + 5) // 6 :]
+        heads = [
+            "~" + "".join(chr(63 + (n >> k & 63)) for k in (12, 6, 0)),
+            "~~" + "".join(chr(63 + (n >> k & 63)) for k in (30, 24, 18, 12, 6, 0)),
+        ]
+        for text in (head + body for head in heads):
+            h = bei.from_graph6(text)
+            assert h == g and h.labels is None
+            assert nx.utils.graphs_equal(nx.from_graph6_bytes(text.encode()), to_nx(g))
+
+
 def test_graph6_rejects_malformed():
-    with pytest.raises(ValueError):
-        bei.from_graph6("")
-    with pytest.raises(ValueError):
-        bei.from_graph6("C~!")  # '!' is below the value range
-    with pytest.raises(ValueError):
-        bei.from_graph6("C")  # truncated body
-    with pytest.raises(ValueError):
-        bei.from_graph6("C~~")  # excess body
-    # nonzero padding bits: K2 is 'A_' (0b10 padded); 'A' + chr(63+0b011111)
-    with pytest.raises(ValueError):
-        bei.from_graph6("A" + chr(63 + 0b011111))
+    cases = [
+        ("", "empty graph6 string"),
+        ("C~!", "invalid graph6 character '!'"),  # below the value range
+        ("\u00e9", "invalid graph6 character '\u00e9'"),
+        ("C", "graph6 body has 0 characters, expected 1 for n=4"),  # truncated body
+        ("C~~", "graph6 body has 2 characters, expected 1 for n=4"),  # excess body
+        ("~?", "truncated graph6 vertex count"),
+        ("~~???", "truncated graph6 vertex count"),
+        ("~??~", "graph6 body has 0 characters, expected 326 for n=63"),
+        ("~~?????~", "graph6 body has 0 characters, expected 326 for n=63"),
+        # K2 is 'A_' (0b10 padded); 'A' + chr(63+0b011111) sets padding bits
+        ("A" + chr(63 + 0b011111), "nonzero padding bits in graph6 body"),
+    ]
+    for text, message in cases:
+        with pytest.raises(ValueError) as err:
+            bei.from_graph6(text)
+        assert str(err.value) == message
 
 
 def test_edge_list_integer_mode():
