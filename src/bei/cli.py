@@ -31,6 +31,7 @@ from .cutsets import (
     EnumerationBoundError,
     accessibility_witness_chain,
     check_bound,
+    check_size_cap,
     enumerate_cutsets,
     is_cutset,
     iter_cutsets,
@@ -113,10 +114,7 @@ def _graph_arg(
         if not isinstance(obj, dict):
             raise ValueError(f"JSON graph input must be an object, got {type(obj).__name__}")
         if {"base", "L", "pendant"} <= obj.keys():
-            spec = corona_spec_from_json(obj)
-            if check_n is not None:
-                check_n(spec.product_vertices)
-            return l_corona(spec)[0]
+            return l_corona(corona_spec_from_json(obj, check_n))[0]
         return graph_from_json(obj, check_n)
     raise ValueError(f"unknown input format {fmt!r}")
 
@@ -144,6 +142,32 @@ def _render_graph(g: Graph, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(graph_to_json(g), indent=2) + "\n"
     raise ValueError(f"unknown output format {fmt!r}")
+
+
+def _json_rows(items: list, pad: str) -> str:
+    """``json.dumps(items, indent=2)`` for a list of ints or of int lists
+    nested ``pad`` deep: one ``join`` of ``str`` values per row, where the
+    indent encoder takes one generator step per token."""
+    if not items:
+        return "[]"
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(items[0], list):
+        body = sep.join([_json_rows(row, inner) for row in items])
+    else:
+        body = sep.join(map(str, items))
+    return f"[\n{inner}{body}\n{pad}]"
+
+
+def _render_report(obj: dict) -> str:
+    """``json.dumps(obj, indent=2) + "\n"`` for a nonempty dict whose values
+    are scalars, int lists or lists of int lists (``CutsetReport.to_json``)."""
+    fields = [
+        f"  {json.dumps(key)}: "
+        + (_json_rows(value, "  ") if isinstance(value, list) else json.dumps(value))
+        for key, value in obj.items()
+    ]
+    return "{\n" + ",\n".join(fields) + "\n}\n"
 
 
 def _labels(g: Graph, mask: int) -> list[str]:
@@ -175,6 +199,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_cutsets(args) -> int:
+    check_size_cap(args.size_cap)
     g = _enumerated_input(args)
     if args.out == "jsonl":
         lines = []
@@ -187,7 +212,7 @@ def _cmd_cutsets(args) -> int:
         _write_out("".join(lines), args.output)
         return 0
     report = enumerate_cutsets(g, size_cap=args.size_cap, bound=args.bound)
-    _write_out(json.dumps(report.to_json(), indent=2) + "\n", args.output)
+    _write_out(_render_report(report.to_json()), args.output)
     return 0
 
 

@@ -10,10 +10,10 @@ occupies ``base.n + r*h .. base.n + (r+1)*h - 1``.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .graph import Graph, VertexSet, checked_vset, complete_graph, is_connected, members
-from .io import _is_json_int, from_graph6
+from .io import _graph6_checked, _graph6_decode, _is_json_int
 
 VertexTag = tuple
 
@@ -132,14 +132,24 @@ def gadget_d3(h: Graph) -> Graph:
 # wire format
 
 
-def corona_spec_from_json(obj: dict) -> CoronaSpec:
+def corona_spec_from_json(
+    obj: dict, check_n: Callable[[int], None] | None = None
+) -> CoronaSpec:
     """Spec from ``{"base": graph6, "L": [vertex, ...], "pendant": graph6}``;
     a field of the wrong type, or a negative or repeated ``L`` entry, is a
-    ValueError."""
+    ValueError.  Both graph6 strings are checked, and ``check_n``, when
+    given, sees the product's declared vertex count, before either graph is
+    decoded."""
     base, attach, pend = obj["base"], obj["L"], obj["pendant"]
     if not isinstance(base, str) or not isinstance(pend, str):
         raise ValueError("corona spec fields 'base' and 'pendant' must be graph6 strings")
     if not isinstance(attach, list) or not all(map(_is_json_int, attach)):
         raise ValueError("corona spec field 'L' must be a list of base vertex indices")
     mask = checked_vset(attach, "corona spec field 'L'")
-    return CoronaSpec(from_graph6(base), mask, from_graph6(pend))
+    n_base, base_body = _graph6_checked(base)
+    n_pend, pend_body = _graph6_checked(pend)
+    if check_n is not None:
+        check_n(n_base + mask.bit_count() * n_pend)
+    return CoronaSpec(
+        _graph6_decode(n_base, base_body), mask, _graph6_decode(n_pend, pend_body)
+    )

@@ -130,6 +130,12 @@ def check_bound(n: int, bound: int | None = None) -> None:
         )
 
 
+def check_size_cap(size_cap: int | None) -> None:
+    """Raise ``ValueError`` for a size cap below 0; None means no cap."""
+    if size_cap is not None and size_cap < 0:
+        raise ValueError(f"size cap must be at least 0, got {size_cap}")
+
+
 def iter_cutsets(g: Graph, bound: int | None = None) -> Iterator[tuple[VertexSet, int]]:
     """Yield ``(cutset, component_count)`` pairs, the empty set first, the
     rest in ascending mask order.
@@ -371,7 +377,9 @@ def enumerate_cutsets(
     g: Graph, size_cap: int | None = None, bound: int | None = None
 ) -> CutsetReport:
     """All cutsets (optionally capped by size), sorted by size then by
-    ascending member lists, with the derived witnesses and verdicts."""
+    ascending member lists, with the derived witnesses and verdicts.  A
+    ``size_cap`` below 0 is a ``ValueError``."""
+    check_size_cap(size_cap)
     found = []
     for mask, w in iter_cutsets(g, bound):
         if size_cap is None or mask.bit_count() <= size_cap:

@@ -55,6 +55,15 @@ def from_graph6(text: str, check_n: Callable[[int], None] | None = None) -> Grap
     when given, then sees the vertex count before a graph of that size is
     built.  The body is read one character, six vertex pairs, at a time
     straight into the adjacency rows."""
+    n, body = _graph6_checked(text)
+    if check_n is not None:
+        check_n(n)
+    return _graph6_decode(n, body)
+
+
+def _graph6_checked(text: str) -> tuple[int, str]:
+    """Every check on a graph6 value's text; returns its declared vertex
+    count and its body."""
     s = text.strip()
     if s.startswith(_G6_HEADER):
         s = s[len(_G6_HEADER) :]
@@ -84,12 +93,15 @@ def from_graph6(text: str, check_n: Callable[[int], None] | None = None) -> Grap
     # padding bits must be zero for a bit-exact value
     if nbits % 6 and (ord(s[-1]) - 63) & ((1 << (6 - nbits % 6)) - 1):
         raise ValueError("nonzero padding bits in graph6 body")
-    if check_n is not None:
-        check_n(n)
+    return n, s[i:]
+
+
+def _graph6_decode(n: int, body: str) -> Graph:
+    """The graph on ``n`` vertices whose checked graph6 body is ``body``."""
     # pairs (u, j), u < j, in column-major order; zero padding sets no bit
     adj = [0] * n
     u, j = 0, 1
-    for c in s[i:]:
+    for c in body:
         v = ord(c) - 63
         for bit in (32, 16, 8, 4, 2, 1):
             if v & bit:

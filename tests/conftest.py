@@ -281,19 +281,22 @@ def square_leaves_product(square_leaves_spec) -> bei.Graph:
 
 
 @lru_cache(maxsize=None)
+def atlas() -> tuple[bei.Graph, ...]:
+    """Every graph on 0..7 vertices, one per isomorphism class, in the order
+    of the networkx atlas (by vertex count first); loaded once per session."""
+    import networkx as nx
+
+    return tuple(
+        bei.Graph(nxg.number_of_nodes(), list(nxg.edges())) for nxg in nx.graph_atlas_g()
+    )
+
+
+@lru_cache(maxsize=None)
 def connected_atlas(max_n: int) -> tuple[bei.Graph, ...]:
     """All connected graphs on 1..max_n vertices (max_n <= 7), one per
     isomorphism class."""
-    import networkx as nx
-
     assert max_n <= 7
-    out = []
-    for nxg in nx.graph_atlas_g():
-        n = nxg.number_of_nodes()
-        if n == 0 or n > max_n or not nx.is_connected(nxg):
-            continue
-        out.append(bei.Graph(n, list(nxg.edges())))
-    return tuple(out)
+    return tuple(g for g in atlas() if 0 < g.n <= max_n and naive_ncomp(g, set()) == 1)
 
 
 def to_nx(g: bei.Graph):

@@ -19,8 +19,10 @@ from pathlib import Path
 import pytest
 
 import bei
-from bei import complete_graph, cycle_graph, path_graph, to_graph6
-from bei.cli import main
+from bei import complete_graph, cycle_graph, enumerate_cutsets, path_graph, to_graph6
+from bei.cli import _render_report, main
+
+from conftest import atlas
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -91,6 +93,48 @@ def test_check_accessible_reports_the_stuck_cutset(tmp_path, capsys):
     code, out, _ = run(["check", "--accessible-system", "--input", str(path)], capsys)
     assert code == 0
     assert json.loads(out)["witness"] == ["3", "4"]
+
+
+# the corona-cutsets benchmark products: work-bound, then output-dense
+BENCH_PRODUCTS = [
+    ("K4", "C4"), ("K3", "C5"), ("K2", "C8"), ("C12", "K1"), ("P12", "K1"), ("C8", "K2")
+]
+
+
+def test_cutsets_json_is_the_indented_report(tmp_path, capsys, monkeypatch):
+    # the report renderer against json's indent encoder, with no size cap,
+    # cap 0 and cap 2: through the CLI on the benchmark's corona products,
+    # and on every atlas graph on at most 6 vertices (n = 0 and disconnected
+    # graphs included), where a CLI call per graph would cost seconds
+    def indented(report):
+        return json.dumps(report.to_json(), indent=2) + "\n"
+
+    caps = (None, 0, 2)
+    for g in atlas():
+        if g.n > 6:
+            break
+        for cap in caps:
+            report = enumerate_cutsets(g, size_cap=cap)
+            assert _render_report(report.to_json()) == indented(report)
+
+    reports = []
+
+    def recording(g, **kwargs):
+        reports.append(enumerate_cutsets(g, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(bei.cli, "enumerate_cutsets", recording)
+    for base, pendant in BENCH_PRODUCTS:
+        path = tmp_path / f"{base}o{pendant}.g6"
+        product = bei.corona(bei.graph_from_name(base), bei.graph_from_name(pendant))[0]
+        path.write_text(to_graph6(product) + "\n")
+        for cap in caps:
+            argv = ["cutsets", "--input", str(path)]
+            if cap is not None:
+                argv += ["--size-cap", str(cap)]
+            code, out, _ = run(argv, capsys)
+            assert code == 0 and len(reports) == 1
+            assert out == indented(reports.pop())
 
 
 def test_scan_jobs_agree_on_a_mixed_corpus(tmp_path, capsys, monkeypatch, square_leaves_product):
@@ -195,8 +239,11 @@ K5000_G6 = "~@MG" + "~" * 2082916 + chr(63 + 0b111100)
         ("big.txt", "0 999999999\n", 1000000000),
         ("spec.json", BIG_SPEC, 90300),
         ("big.g6", K5000_G6, 5000),
+        # decoding K_5000 takes seconds but only about 25 MB, so only the
+        # timeout shows whether the spec's graph6 was decoded
+        ("spec.json", json.dumps({"base": K5000_G6, "L": [0], "pendant": "@"}), 5001),
     ],
-    ids=["json-object", "edge-list", "corona-spec", "graph6"],
+    ids=["json-object", "edge-list", "corona-spec", "graph6", "corona-spec-graph6"],
 )
 def test_declared_size_is_checked_before_the_graph_is_built(tmp_path, name, text, n):
     # each graph would need gigabytes; the process may use 1 GiB
@@ -205,6 +252,7 @@ def test_declared_size_is_checked_before_the_graph_is_built(tmp_path, name, text
     proc = run_python(
         ["-m", "bei.cli", "cutsets", "--input", str(path)],
         preexec_fn=_limit_address_space,
+        timeout=1.5,
     )
     assert proc.returncode == 1 and proc.stdout == ""
     assert json.loads(proc.stderr) == {

@@ -11,6 +11,7 @@ from conftest import (
     assert_early_stop_agrees,
     assert_matches_direct_search,
     assert_matches_naive,
+    atlas,
     connected_atlas,
     factors_pendants,
     naive_is_accessible_system,
@@ -140,12 +141,7 @@ def test_enumerate_matches_the_oracle_on_random_corona_specs(spec):
 
 
 def test_early_stop_agrees_on_the_whole_atlas():
-    import networkx as nx
-
-    graphs = [
-        bei.Graph(nxg.number_of_nodes(), list(nxg.edges()))
-        for nxg in nx.graph_atlas_g()
-    ]
+    graphs = atlas()
     assert graphs[0].n == 0
     assert any(bei.unmixed_report(g) is None for g in graphs)
     assert any(not bei.is_connected(g) and bei.unmixed_report(g) for g in graphs)
@@ -179,6 +175,8 @@ def test_report_size_cap():
     capped = bei.enumerate_cutsets(g, size_cap=1)
     assert capped.cutsets == tuple(m for m in full.cutsets if m.bit_count() <= 1)
     assert capped.size_cap == 1
+    with pytest.raises(ValueError, match="size cap must be at least 0, got -1"):
+        bei.enumerate_cutsets(g, size_cap=-1)
 
 
 def test_sorted_by_size_then_lex():
