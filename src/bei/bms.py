@@ -238,7 +238,9 @@ def bms_scan(
             expected = {"dim": dim, "unmixed": unmixed, "accessible": accessible}
             if g is None:  # a pooled graph: the scan kept only its graph6
                 g = from_graph6(g6)
-            script = emit_cas_script(g, dialect=dialect, expected=expected, name=f"scan line {lineno}")
+            script = emit_cas_script(
+                g, dialect=dialect, expected=expected, name=f"scan line {lineno}", graph6=g6
+            )
             os.makedirs(script_dir, exist_ok=True)
             with open(script_path, "w", encoding="ascii") as fh:
                 fh.write(script.text)

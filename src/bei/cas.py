@@ -54,16 +54,19 @@ def emit_cas_script(
     dialect: str = "m2",
     expected: Mapping[str, object] | None = None,
     name: str | None = None,
+    graph6: str | None = None,
 ) -> CasScript:
     """Build a standalone verification script for the binomial edge ideal of
-    ``g`` in the chosen dialect (``m2`` or ``singular``)."""
+    ``g`` in the chosen dialect (``m2`` or ``singular``).  A caller that
+    holds the graph6 of ``g`` passes it as ``graph6`` to skip encoding it
+    again."""
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
     if dialect not in DIALECTS:
         raise ValueError(f"unknown dialect {dialect!r} (choose from {DIALECTS})")
     header = [
         f"binomial edge ideal of {name or 'a graph'} on {g.n} vertices, {g.m} edges",
-        f"graph6: {to_graph6(g)}",
+        f"graph6: {graph6 or to_graph6(g)}",
     ]
     if expected:
         header += _fmt_expected(expected)

@@ -11,6 +11,7 @@ errors exit nonzero with a machine-readable JSON object on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -369,8 +370,7 @@ def _cmd_scan(args) -> int:
     def on_error(lineno: int, message: str) -> None:
         sys.stderr.write(json.dumps({"line": lineno, "error": message}) + "\n")
 
-    out_lines = []
-    for record in bms_scan(
+    records = bms_scan(
         lines,
         diameters=diameters,
         max_n=args.max_n,
@@ -379,9 +379,15 @@ def _cmd_scan(args) -> int:
         dialect=args.dialect,
         jobs=args.jobs,
         on_error=on_error,
-    ):
-        out_lines.append(json.dumps(record.to_json()) + "\n")
-    _write_out("".join(out_lines), args.output)
+    )
+    # each record is written as the scan yields it; the first is taken
+    # before an output file is opened, so a refused --jobs leaves none behind
+    record = next(records, None)
+    to_stdout = args.output is None or args.output == "-"
+    with contextlib.nullcontext(sys.stdout) if to_stdout else open(args.output, "w") as out:
+        while record is not None:
+            out.write(json.dumps(record.to_json()) + "\n")
+            record = next(records, None)
     return 0
 
 

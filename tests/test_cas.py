@@ -60,6 +60,8 @@ def test_emission_is_deterministic(square_leaves_product):
     a = bei.emit_cas_script(square_leaves_product, **kw)
     b = bei.emit_cas_script(square_leaves_product, **kw)
     assert a.text == b.text and a == b
+    g6 = bei.to_graph6(square_leaves_product)
+    assert bei.emit_cas_script(square_leaves_product, graph6=g6, **kw) == a
 
 
 def test_rejects_bad_inputs():

@@ -67,6 +67,11 @@ def test_scan_rejects_jobs_below_one(tmp_path, capsys, jobs):
     code, out, err = run(["scan", "--input", str(corpus), "--jobs", jobs], capsys)
     assert out == ""
     assert_invalid_input(code, err)
+    output = tmp_path / "out.jsonl"
+    argv = ["scan", "--input", str(corpus), "--jobs", jobs, "--output", str(output)]
+    code, out, err = run(argv, capsys)
+    assert_invalid_input(code, err)
+    assert not output.exists()
 
 
 def test_construct_rejects_repeated_attach_vertex(capsys):
@@ -173,6 +178,25 @@ def test_scan_jobs_agree_on_a_mixed_corpus(tmp_path, capsys, monkeypatch, square
     assert verdicts == [(False, False), (False, False), (True, True), (True, True), (True, False)]
     assert [json.loads(line)["line"] for line in err.splitlines()] == [1, 2, 4, 5]
     assert sorted(files) == ["000007.m2", "000008.m2"]
+
+
+def test_scan_writes_each_record_as_it_is_found(tmp_path, monkeypatch):
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text("Bw\nCr\nC~\n")
+    out = io.StringIO()
+    seen = []
+    real = bei.bms._analyze
+
+    def analyze(g, bound):
+        seen.append(out.getvalue())
+        return real(g, bound)
+
+    monkeypatch.setattr(bei.bms, "_analyze", analyze)
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["scan", "--input", str(corpus)]) == 0
+    # when the last graph is analysed, the first two records are out
+    assert len(seen) == 3
+    assert seen[2].count("\n") == 2 and out.getvalue().startswith(seen[2])
 
 
 def run_python(args, **kwargs):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bei
-from bei import members, vset
+from bei import cutsets, members, vset
 
 from conftest import (
     assert_early_stop_agrees,
@@ -14,8 +14,10 @@ from conftest import (
     atlas,
     connected_atlas,
     factors_pendants,
+    mixed_graphs,
     naive_is_accessible_system,
     naive_is_unmixed,
+    naive_ncomp,
 )
 
 
@@ -153,6 +155,54 @@ def test_early_stop_agrees_on_the_whole_atlas():
 @given(small_graphs())
 def test_enumerate_matches_naive_on_random_graphs(g):
     assert_matches_naive(g)
+
+
+def probe_witness(g: bei.Graph) -> tuple[int, int] | None:
+    """The neighbourhood probe's violation, checked against the definition:
+    an open neighbourhood that is a cutset whose component count breaks
+    ``|T| + c(G)``."""
+    w0 = naive_ncomp(g, set())
+    witness = cutsets._neighbourhood_violation(g.adj, g.full_mask, w0)
+    if witness is not None:
+        mask, w = witness
+        assert mask in g.adj
+        assert bei.is_cutset(g, mask)
+        assert w == naive_ncomp(g, set(members(mask))) != mask.bit_count() + w0
+    return witness
+
+
+def test_probe_witnesses_are_violating_cutsets():
+    graphs = [*atlas(), *mixed_graphs()]
+    assert graphs[0].n == 0
+    settled = [g for g in graphs if probe_witness(g) is not None]
+    assert any(not bei.is_connected(g) for g in settled)
+    for g in settled:
+        assert bei.unmixed_report(g) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs())
+def test_probe_witnesses_are_violating_cutsets_on_random_graphs(g):
+    if probe_witness(g) is not None:
+        assert not naive_is_unmixed(g) and bei.unmixed_report(g) is None
+
+
+def test_unmixed_report_enumerates_once_per_graph(monkeypatch):
+    calls = []
+    real = cutsets.iter_cutsets
+
+    def counting(g, bound=None):
+        calls.append(g)
+        return real(g, bound)
+
+    monkeypatch.setattr(cutsets, "iter_cutsets", counting)
+    settled = 0
+    for g in [*connected_atlas(7), *mixed_graphs()]:
+        calls.clear()
+        bei.unmixed_report(g)
+        assert len(calls) == 1 and calls[0] is g
+        settled += probe_witness(g) is not None
+    assert settled > 0
 
 
 def test_report_fields(square_leaves_base):
@@ -299,6 +349,12 @@ def test_enumeration_bound():
         bei.unmixed_report(bei.path_graph(5), bound=4)
     with pytest.raises(bei.EnumerationBoundError):
         bei.unmixed_report(big)
+    # not unmixed, and settled by the neighbourhood probe within the bound:
+    # the bound is still checked first
+    claw = bei.Graph(4, [(0, 1), (0, 2), (0, 3)])
+    assert bei.unmixed_report(claw) is None
+    with pytest.raises(bei.EnumerationBoundError):
+        bei.unmixed_report(claw, bound=3)
 
 
 def test_bound_env_var(monkeypatch):
