@@ -4,10 +4,8 @@ corona-type graph products."""
 __version__ = "0.1.0"
 
 from .graph import (
-    BlockDecomposition,
     Graph,
     VertexSet,
-    block_decomposition,
     complete_graph,
     components,
     cone,

@@ -88,11 +88,11 @@ def _graph_arg(
     token: str, fmt: str | None = None, check_n: Callable[[int], None] | None = None
 ) -> Graph:
     """Resolve a graph argument: inline name, file path, or '-' for stdin.
-    ``check_n`` sees the vertex count a graph6 line, a JSON object (a
-    corona spec's product included) or an edge list of indices declares
-    before a graph of that size is built."""
+    ``check_n`` sees the vertex count a graph name, a graph6 line, a JSON
+    object (a corona spec's product included) or an edge list of indices
+    declares before a graph of that size is built."""
     if fmt is None and is_graph_name(token):
-        return graph_from_name(token)
+        return graph_from_name(token, check_n)
     if token == "-":
         text = sys.stdin.read()
         source = "<stdin>"
@@ -100,7 +100,7 @@ def _graph_arg(
         path = Path(token)
         if not path.exists():
             if is_graph_name(token):
-                return graph_from_name(token)
+                return graph_from_name(token, check_n)
             raise ValueError(f"no such file or graph name: {token}")
         text = path.read_text()
         source = token
@@ -115,7 +115,7 @@ def _graph_arg(
         if not isinstance(obj, dict):
             raise ValueError(f"JSON graph input must be an object, got {type(obj).__name__}")
         if {"base", "L", "pendant"} <= obj.keys():
-            return l_corona(corona_spec_from_json(obj, check_n))[0]
+            return l_corona(corona_spec_from_json(obj, check_n))
         return graph_from_json(obj, check_n)
     raise ValueError(f"unknown input format {fmt!r}")
 
@@ -183,14 +183,14 @@ def _cmd_construct(args) -> int:
     if args.corona:
         base = _graph_arg(args.corona[0], args.format)
         pend = _graph_arg(args.corona[1], args.format)
-        g = corona(base, pend)[0]
+        g = corona(base, pend)
     elif args.l_corona:
         base = _graph_arg(args.l_corona[0], args.format)
         pend = _graph_arg(args.l_corona[1], args.format)
         if not args.attach:
             raise ValueError("--l-corona needs --attach with base vertex indices")
         attach = checked_vset([int(tok) for tok in args.attach.split(",")], "--attach")
-        g = l_corona(CoronaSpec(base, attach, pend))[0]
+        g = l_corona(CoronaSpec(base, attach, pend))
     elif args.cone:
         g = cone(_graph_arg(args.cone, args.format))
     else:
@@ -310,10 +310,7 @@ def _cmd_invariants(args) -> int:
     # error either way; only the script needs the product itself
     spec = None
     if pendant_graph is not None:
-        if attach is None:
-            spec = CoronaSpec(graph, graph.full_mask, pendant_graph, relaxed=True)
-        else:
-            spec = CoronaSpec(graph, attach, pendant_graph)
+        spec = CoronaSpec(graph, graph.full_mask if attach is None else attach, pendant_graph)
 
     if args.emit_cas:
         if spec is None:
@@ -331,7 +328,7 @@ def _cmd_invariants(args) -> int:
         for key, verdict in report.verdicts.items():
             if verdict.value is not None:
                 expected[key] = verdict.value
-        script = emit_cas_script(l_corona(spec)[0], dialect=args.dialect, expected=expected)
+        script = emit_cas_script(l_corona(spec), dialect=args.dialect, expected=expected)
         Path(args.emit_cas).write_text(script.text)
 
     _write_out(json.dumps(report.to_json(), indent=2) + "\n", args.output)

@@ -15,24 +15,17 @@ from typing import Callable, NamedTuple
 from .graph import Graph, VertexSet, checked_vset, complete_graph, is_connected, members
 from .io import _graph6_checked, _graph6_decode, _is_json_int
 
-VertexTag = tuple
-
 
 class _CoronaSpecFields(NamedTuple):
     base: Graph
     attach_set: VertexSet
     pendant: Graph
-    relaxed: bool = False
 
 
 class CoronaSpec(_CoronaSpecFields):
     """Base graph, attach set (mask over base vertices) and pendant graph,
-    checked on construction.
-
-    ``relaxed=True`` skips the connectivity requirements; products over
-    disconnected parts are constructible for oracle experiments but are not
-    part of the analyzed families.
-    """
+    checked on construction: both graphs nonempty and connected, the attach
+    set nonempty and inside the base."""
 
     __slots__ = ()
 
@@ -46,11 +39,10 @@ class CoronaSpec(_CoronaSpecFields):
             raise ValueError("attach set must be nonempty")
         if self.attach_set & ~self.base.full_mask:
             raise ValueError("attach set out of range for the base graph")
-        if not self.relaxed:
-            if not is_connected(self.base):
-                raise ValueError("base graph must be connected (relaxed=True to allow)")
-            if not is_connected(self.pendant):
-                raise ValueError("pendant graph must be connected (relaxed=True to allow)")
+        if not is_connected(self.base):
+            raise ValueError("base graph must be connected")
+        if not is_connected(self.pendant):
+            raise ValueError("pendant graph must be connected")
         return self
 
     @property
@@ -72,23 +64,17 @@ class CoronaSpec(_CoronaSpecFields):
         return self.base.n + rank * self.pendant.n
 
 
-def l_corona(spec: CoronaSpec) -> tuple[Graph, tuple[VertexTag, ...]]:
-    """Construct the product for ``spec``.
-
-    Returns the graph and a per-vertex tag: ``("base", v)`` for base
-    vertices, ``("pendant", v, j)`` for vertex ``j`` of the copy at ``v``.
-    """
+def l_corona(spec: CoronaSpec) -> Graph:
+    """Construct the product for ``spec`` in the layout above."""
     base, pend = spec.base, spec.pendant
     h = pend.n
     edges = list(base.edges())
-    tags: list[VertexTag] = [("base", v) for v in range(base.n)]
     for v in spec.attach_vertices():
         start = spec.copy_start(v)
         for a, b in pend.edges():
             edges.append((start + a, start + b))
         for j in range(h):
             edges.append((v, start + j))
-            tags.append(("pendant", v, j))
     labels = None
     if base.labels is not None or pend.labels is not None:
         lab = [base.label(v) for v in range(base.n)]
@@ -96,14 +82,12 @@ def l_corona(spec: CoronaSpec) -> tuple[Graph, tuple[VertexTag, ...]]:
             for j in range(h):
                 lab.append(f"{pend.label(j)}@{base.label(v)}")
         labels = lab
-    return Graph(spec.product_vertices, edges, labels), tuple(tags)
+    return Graph(spec.product_vertices, edges, labels)
 
 
-def corona(g: Graph, h: Graph) -> tuple[Graph, tuple[VertexTag, ...]]:
+def corona(g: Graph, h: Graph) -> Graph:
     """Plain corona: one pendant copy at every base vertex."""
-    if g.n < 1:
-        raise ValueError("base graph must have at least one vertex")
-    return l_corona(CoronaSpec(g, g.full_mask, h, relaxed=True))
+    return l_corona(CoronaSpec(g, g.full_mask, h))
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +109,7 @@ def gadget_d3(h: Graph) -> Graph:
     diameter-3 wrapper.  Base triangle at 0,1,2 with copies at 0 and 1."""
     if h.n < 1 or not is_connected(h):
         raise ValueError("pendant graph must be connected and nonempty")
-    return l_corona(CoronaSpec(complete_graph(3), 0b011, h))[0]
+    return l_corona(CoronaSpec(complete_graph(3), 0b011, h))
 
 
 # ---------------------------------------------------------------------------

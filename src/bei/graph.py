@@ -13,7 +13,7 @@ graphs may be shared freely across threads.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 VertexSet = int
 
@@ -121,9 +121,6 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
-
-    def neighbors(self, v: int) -> list[int]:
-        return members(self.adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
@@ -307,85 +304,67 @@ def is_complete(g: Graph) -> bool:
 
 # ---------------------------------------------------------------------------
 # block structure
+#
+# A block graph is a connected graph whose blocks (maximal 2-connected
+# subgraphs, and bridges) are all cliques, and a clique path is one whose
+# blocks line up.  Both are recognised from the common closed neighbourhoods
+# of edges, without a depth-first search (``_blocks``).
 
 
-class BlockDecomposition(NamedTuple):
-    """Biconnected components (as vertex masks), the cut vertices, and
-    whether the blocks form a clique path: every block a clique, every cut
-    vertex in exactly two blocks, and every block holding at most two cut
-    vertices, so that the blocks line up with consecutive blocks sharing
-    exactly one vertex."""
+def _blocks(g: Graph) -> list[VertexSet] | None:
+    """The blocks of ``g`` when it is a block graph, else None; an empty or
+    disconnected graph is a ValueError.
 
-    blocks: tuple[VertexSet, ...]
-    cut_vertices: VertexSet
-    is_clique_path: bool
-
-
-def block_decomposition(g: Graph) -> BlockDecomposition:
-    """Hopcroft-Tarjan biconnected components of a connected graph."""
+    Each edge uv not inside a block found so far gets the candidate
+    N[u] & N[v].  In a block graph that is the block of uv: a common
+    neighbour outside it would close a triangle through u and v, and a
+    triangle lies in one block.  So every candidate must be a clique.  The
+    cliques found cover every edge, so their vertex-clique incidence graph
+    is connected, with n + k nodes and sum(|B|) edges for k cliques: it is a
+    tree exactly when sum(|B| - 1) = n - 1, and a tree of cliques is a block
+    graph with those cliques as its blocks.  Connectivity keeps the sum at
+    n - 1 or above, so the search stops once the sum passes n - 1."""
     if g.n == 0 or not is_connected(g):
         raise ValueError("block decomposition needs a connected graph")
-    if g.n == 1:
-        return BlockDecomposition((1,), 0, True)
-
-    n = g.n
-    disc = [-1] * n
-    low = [0] * n
-    parent = [-1] * n
-    stack: list[tuple[int, int]] = []
-    raw_blocks: list[VertexSet] = []
-    cut = 0
-    timer = 0
-
-    def dfs(u: int) -> None:
-        nonlocal timer, cut
-        disc[u] = low[u] = timer
-        timer += 1
-        children = 0
-        for v in g.neighbors(u):
-            if disc[v] == -1:
-                parent[v] = u
-                children += 1
-                stack.append((u, v))
-                dfs(v)
-                low[u] = min(low[u], low[v])
-                if (parent[u] == -1 and children > 1) or (
-                    parent[u] != -1 and low[v] >= disc[u]
-                ):
-                    cut |= 1 << u
-                if low[v] >= disc[u]:
-                    blk = 0
-                    while True:
-                        e = stack.pop()
-                        blk |= (1 << e[0]) | (1 << e[1])
-                        if e == (u, v):
-                            break
-                    raw_blocks.append(blk)
-            elif v != parent[u] and disc[v] < disc[u]:
-                stack.append((u, v))
-                low[u] = min(low[u], disc[v])
-
-    dfs(0)
-    blocks = tuple(sorted(raw_blocks, key=members))
-
-    clique_path = all(_is_clique(g.adj, b) for b in blocks)
-    if clique_path:
-        for c in iter_members(cut):
-            if sum(1 for b in blocks if b >> c & 1) != 2:
-                clique_path = False
-                break
-    if clique_path:
-        clique_path = all((b & cut).bit_count() <= 2 for b in blocks)
-
-    return BlockDecomposition(blocks, cut, clique_path)
+    adj = g.adj
+    closed = [row | 1 << v for v, row in enumerate(adj)]
+    covered = [0] * g.n  # union of the found blocks through each vertex
+    blocks: list[VertexSet] = []
+    budget = g.n - 1
+    for u in range(g.n):
+        rest = adj[u] & ~covered[u]
+        while rest:
+            v = (rest & -rest).bit_length() - 1
+            blk = closed[u] & closed[v]
+            budget -= blk.bit_count() - 1
+            if budget < 0 or not _is_clique(adj, blk):
+                return None
+            blocks.append(blk)
+            for w in iter_members(blk):
+                covered[w] |= blk
+            rest &= ~blk
+    return blocks
 
 
 def is_block_graph(g: Graph) -> bool:
-    """Connected graph whose biconnected components are all cliques."""
-    return all(_is_clique(g.adj, b) for b in block_decomposition(g).blocks)
+    """Connected graph whose blocks are all cliques: every edge's common
+    closed neighbourhood is a clique, and these cliques meet in a tree
+    (``_blocks``).  An empty or disconnected graph is a ValueError."""
+    return _blocks(g) is not None
 
 
 def is_cm_closed(g: Graph) -> bool:
-    """True when the blocks of ``g`` form a clique path (complete blocks in a
-    line, consecutive ones sharing exactly one vertex)."""
-    return block_decomposition(g).is_clique_path
+    """True when ``g`` is a clique path: a block graph whose blocks line up,
+    consecutive ones sharing exactly one vertex.  That is, no vertex lies in
+    three blocks and no block holds three vertices that each lie in two
+    blocks.  An empty or disconnected graph is a ValueError."""
+    blocks = _blocks(g)
+    if blocks is None:
+        return False
+    seen = shared = 0
+    for blk in blocks:
+        if blk & shared:  # a vertex already in two blocks is in a third
+            return False
+        shared |= blk & seen
+        seen |= blk
+    return all((blk & shared).bit_count() <= 2 for blk in blocks)

@@ -229,22 +229,15 @@ def _check_params(n: int, ell: int) -> None:
         raise ValueError("attach count must satisfy 1 <= ell <= n")
 
 
-def dim_l_corona(n: int, ell: int, base: BaseInvariants | int) -> int:
+def dim_l_corona(n: int, ell: int, base: BaseInvariants) -> int:
     """Krull dimension of the quotient for a complete base on ``n`` vertices
     with ``ell`` pendant copies: ``n - ell + 1 + ell * dim(pendant)`` for
     ``ell < n``, where the bare base vertices add one component.  With a
     copy at every vertex it is ``n * dim(pendant)``, plus one when the
     pendant's dimension is ``h + 1`` (the empty set is then the best cutset
     of the product); otherwise the best cutset holds the whole base and a
-    best cutset of every copy.
-
-    ``base`` is the pendant record; for ``ell < n`` its quotient dimension
-    alone also serves."""
+    best cutset of every copy.  ``base`` is the pendant record."""
     _check_params(n, ell)
-    if isinstance(base, int):
-        if ell == n:
-            raise ValueError("the full-corona dimension needs the pendant record")
-        return n - ell + 1 + ell * base
     if ell == n:
         return n * base.dim_q + (base.dim_q == base.h + 1)
     return n - ell + 1 + ell * base.dim_q
@@ -428,7 +421,7 @@ def _oracle_dim_for(
         return None, "oracle-unavailable"
     if pendant.n != base.h:
         raise ValueError("pendant graph disagrees with the pendant invariants")
-    product = corona(b_graph, pendant)[0]
+    product = corona(b_graph, pendant)
     if product.n > enumeration_bound(bound):
         return None, "oracle-unavailable"
     return dimension_oracle(product, bound), "oracle:cutset-enumeration"

@@ -191,12 +191,15 @@ def to_dot(g: Graph, name: str = "G") -> str:
 _NAME_RE = re.compile(r"^([KPCkpc])(\d+)$")
 
 
-def graph_from_name(token: str) -> Graph:
-    """Build K<n>, P<n> or C<n> from its name (e.g. ``K4``, ``P3``, ``C5``)."""
+def graph_from_name(token: str, check_n: Callable[[int], None] | None = None) -> Graph:
+    """Build K<n>, P<n> or C<n> from its name (e.g. ``K4``, ``P3``, ``C5``).
+    ``check_n``, when given, sees the vertex count before the graph is built."""
     m = _NAME_RE.match(token.strip())
     if not m:
         raise ValueError(f"unknown graph name {token!r} (expected K<n>, P<n> or C<n>)")
     kind, num = m.group(1).upper(), int(m.group(2))
+    if check_n is not None:
+        check_n(num)
     if kind == "K":
         return complete_graph(num)
     if kind == "P":

@@ -217,7 +217,7 @@ def check_cutset_structure(
     Raises ValueError when ``t`` is not a nonempty cutset of the product.
     """
     if product is None:
-        product, _ = bei.l_corona(spec)
+        product = bei.l_corona(spec)
     if t == 0 or not is_cutset(product, t):
         raise ValueError("t must be a nonempty cutset of the product")
     base, pend, attach = spec.base, spec.pendant, spec.attach_set
@@ -273,7 +273,7 @@ def square_leaves_spec(square_leaves_base) -> bei.CoronaSpec:
 
 @pytest.fixture
 def square_leaves_product(square_leaves_spec) -> bei.Graph:
-    return bei.l_corona(square_leaves_spec)[0]
+    return bei.l_corona(square_leaves_spec)
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,21 @@ def test_check_accessible_reports_the_stuck_cutset(tmp_path, capsys):
     assert json.loads(out)["witness"] == ["3", "4"]
 
 
+# P_1500 runs deeper than the recursion limit of a depth-first search
+def test_check_cm_closed_decides_a_long_path(capsys):
+    code, out, _ = run(["check", "--cm-closed", "-i", "P1500"], capsys)
+    assert code == 0
+    assert json.loads(out) == {"check": "cm-closed", "value": True}
+
+
+def test_invariants_take_a_long_clique_path_base(capsys):
+    argv = ["invariants", "--family", "cm-closed", "--b-graph", "P1500", "--pendant-block-graph", "P3"]
+    code, out, err = run(argv, capsys)
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["b"] == 1500 and report["product_vertices"] == 6000
+
+
 # the corona-cutsets benchmark products: work-bound, then output-dense
 BENCH_PRODUCTS = [
     ("K4", "C4"), ("K3", "C5"), ("K2", "C8"), ("C12", "K1"), ("P12", "K1"), ("C8", "K2")
@@ -131,7 +146,7 @@ def test_cutsets_json_is_the_indented_report(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(bei.cli, "enumerate_cutsets", recording)
     for base, pendant in BENCH_PRODUCTS:
         path = tmp_path / f"{base}o{pendant}.g6"
-        product = bei.corona(bei.graph_from_name(base), bei.graph_from_name(pendant))[0]
+        product = bei.corona(bei.graph_from_name(base), bei.graph_from_name(pendant))
         path.write_text(to_graph6(product) + "\n")
         for cap in caps:
             argv = ["cutsets", "--input", str(path)]
@@ -266,15 +281,19 @@ K5000_G6 = "~@MG" + "~" * 2082916 + chr(63 + 0b111100)
         # decoding K_5000 takes seconds but only about 25 MB, so only the
         # timeout shows whether the spec's graph6 was decoded
         ("spec.json", json.dumps({"base": K5000_G6, "L": [0], "pendant": "@"}), 5001),
+        # a graph name, given inline: there is no file to write
+        ("P200000", None, 200000),
     ],
-    ids=["json-object", "edge-list", "corona-spec", "graph6", "corona-spec-graph6"],
+    ids=["json-object", "edge-list", "corona-spec", "graph6", "corona-spec-graph6", "name"],
 )
 def test_declared_size_is_checked_before_the_graph_is_built(tmp_path, name, text, n):
     # each graph would need gigabytes; the process may use 1 GiB
-    path = tmp_path / name
-    path.write_text(text)
+    source = name
+    if text is not None:
+        source = tmp_path / name
+        source.write_text(text)
     proc = run_python(
-        ["-m", "bei.cli", "cutsets", "--input", str(path)],
+        ["-m", "bei.cli", "cutsets", "--input", str(source)],
         preexec_fn=_limit_address_space,
         timeout=1.5,
     )

@@ -2,6 +2,8 @@
 structure."""
 
 import math
+import random
+from itertools import combinations
 
 import networkx as nx
 import pytest
@@ -9,7 +11,7 @@ import pytest
 import bei
 from bei import members, vset
 
-from conftest import mixed_graphs, to_nx
+from conftest import atlas, mixed_graphs, to_nx
 
 
 def test_graph_construction_and_queries():
@@ -18,7 +20,7 @@ def test_graph_construction_and_queries():
     assert g.m == 3
     assert g.edges() == [(0, 1), (1, 2), (2, 3)]
     assert g.degree(1) == 2
-    assert g.neighbors(2) == [1, 3]
+    assert members(g.adj[2]) == [1, 3]
     assert g.has_edge(0, 1) and not g.has_edge(0, 2)
 
 
@@ -105,7 +107,7 @@ def test_union_cone_join():
         bei.complete_graph(n - 1).edges() + [(u + n - 1, v + n - 1) for u, v in h.edges()],
     )
     via_cone = bei.cone(union)
-    via_corona = bei.l_corona(bei.CoronaSpec(bei.complete_graph(n), 1, h))[0]
+    via_corona = bei.l_corona(bei.CoronaSpec(bei.complete_graph(n), 1, h))
     assert nx.is_isomorphic(to_nx(via_cone), to_nx(via_corona))
 
 
@@ -121,7 +123,7 @@ def test_simplicial_vertices_and_iv():
     # in K_n with complete copies everywhere, exactly the base is internal
     for n in (2, 3):
         for h in (1, 2, 3):
-            g = bei.corona(bei.complete_graph(n), bei.complete_graph(h))[0]
+            g = bei.corona(bei.complete_graph(n), bei.complete_graph(h))
             assert bei.internal_vertex_count(g) == n
     assert bei.simplicial_vertices(bei.path_graph(3)) == vset([0, 2])
 
@@ -132,45 +134,105 @@ def test_is_complete():
     assert not bei.is_complete(bei.path_graph(3))
 
 
-def test_block_decomposition_path():
-    for n in range(2, 7):
-        dec = bei.block_decomposition(bei.path_graph(n))
-        assert len(dec.blocks) == n - 1
-        assert dec.is_clique_path
-        # the blocks of a path come out in path order
-        for a, b in zip(dec.blocks, dec.blocks[1:]):
-            assert (a & b).bit_count() == 1
-        assert dec.cut_vertices == vset(range(1, n - 1))
+def block_structure(g):
+    """(is a block graph, is a clique path) from networkx's biconnected
+    components and articulation points."""
+    nxg = to_nx(g)
+    blocks = [set(b) for b in nx.biconnected_components(nxg)]
+    cuts = set(nx.articulation_points(nxg))
+    block_graph = all(nxg.has_edge(u, v) for b in blocks for u, v in combinations(b, 2))
+    clique_path = (
+        block_graph
+        and all(sum(c in b for b in blocks) == 2 for c in cuts)
+        and all(len(b & cuts) <= 2 for b in blocks)
+    )
+    return block_graph, clique_path
 
 
-def test_block_decomposition_complete_and_single_vertex():
-    dec = bei.block_decomposition(bei.complete_graph(5))
-    assert dec.blocks == (bei.complete_graph(5).full_mask,)
-    assert dec.is_clique_path
-    dec1 = bei.block_decomposition(bei.complete_graph(1))
-    assert dec1.blocks == (1,) and dec1.is_clique_path
+def random_block_graph(rng):
+    """Cliques of 2-5 vertices glued along a random tree, relabelled; half
+    of them get one extra edge, which mostly breaks the block structure."""
+    edges, n = [], 1
+    for _ in range(rng.randrange(1, 9)):
+        clique = [rng.randrange(n), *range(n, n + rng.randrange(1, 5))]
+        n = clique[-1] + 1
+        edges += [(u, v) for i, u in enumerate(clique) for v in clique[i + 1 :]]
+    perm = rng.sample(range(n), n)
+    g = bei.Graph(n, [(perm[u], perm[v]) for u, v in edges])
+    missing = [(u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)]
+    if missing and rng.random() < 0.5:
+        g = bei.Graph(n, g.edges() + [rng.choice(missing)])
+    return g
 
 
-def test_block_decomposition_star_not_clique_path():
+def assert_block_predicates_match_networkx(g):
+    if g.n == 0 or not nx.is_connected(to_nx(g)):
+        for predicate in (bei.is_block_graph, bei.is_cm_closed):
+            with pytest.raises(ValueError, match="connected graph"):
+                predicate(g)
+        return
+    assert (bei.is_block_graph(g), bei.is_cm_closed(g)) == block_structure(g), g.edges()
+
+
+def test_block_predicates_match_networkx_on_the_atlas():
+    for g in atlas():
+        assert_block_predicates_match_networkx(g)
+
+
+def test_block_predicates_match_networkx_on_mixed_graphs():
+    for g in mixed_graphs():
+        assert_block_predicates_match_networkx(g)
+
+
+def test_block_predicates_match_networkx_on_random_block_graphs():
+    rng = random.Random(12)
+    graphs = [random_block_graph(rng) for _ in range(400)]
+    assert sum(map(bei.is_block_graph, graphs)) > 200
+    for g in graphs:
+        assert_block_predicates_match_networkx(g)
+
+
+def test_paths_are_clique_paths():
+    # P_3000 would exhaust the recursion limit of a depth-first search
+    for n in (1, 2, 3, 6, 3000):
+        assert bei.is_block_graph(bei.path_graph(n))
+        assert bei.is_cm_closed(bei.path_graph(n))
+
+
+def test_complete_graphs_are_clique_paths():
+    for n in range(1, 6):
+        assert bei.is_block_graph(bei.complete_graph(n))
+        assert bei.is_cm_closed(bei.complete_graph(n))
+
+
+def test_block_graphs_that_are_not_clique_paths():
+    # the claw's centre lies in three blocks
     star = bei.Graph(4, [(0, 1), (0, 2), (0, 3)])
-    dec = bei.block_decomposition(star)
-    assert len(dec.blocks) == 3
-    assert dec.cut_vertices == 1
-    assert not dec.is_clique_path
     assert bei.is_block_graph(star)
     assert not bei.is_cm_closed(star)
+    # the triangle holds three vertices that each lie in two blocks
+    net = bei.Graph(6, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4), (2, 5)])
+    assert bei.is_block_graph(net)
+    assert not bei.is_cm_closed(net)
 
 
-def test_block_decomposition_cycle():
-    dec = bei.block_decomposition(bei.cycle_graph(4))
-    assert dec.blocks == (bei.cycle_graph(4).full_mask,)
-    assert not dec.is_clique_path  # single block but not a clique
-    assert not bei.is_block_graph(bei.cycle_graph(4))
+def test_cycles_and_diamonds_are_not_block_graphs():
+    # every candidate of a cycle is an edge, and the n-th one passes n - 1
+    for g in (bei.cycle_graph(4), bei.cycle_graph(5), bei.cycle_graph(3000)):
+        assert not bei.is_block_graph(g) and not bei.is_cm_closed(g)
+    # a diamond whose first edge is its chord: the candidate is no clique
+    chord_first = bei.Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    # a diamond whose first edge is on its rim: two triangles, 2 + 2 > 3
+    rim_first = bei.Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+    for g in (chord_first, rim_first):
+        assert not bei.is_block_graph(g) and not bei.is_cm_closed(g)
 
 
-def test_block_decomposition_requires_connected():
-    with pytest.raises(ValueError):
-        bei.block_decomposition(bei.Graph(3, [(0, 1)]))
+def test_block_predicates_require_a_connected_graph():
+    for g in (bei.Graph(0), bei.Graph(3, [(0, 1)])):
+        for predicate in (bei.is_block_graph, bei.is_cm_closed):
+            with pytest.raises(ValueError, match="connected graph"):
+                predicate(g)
 
 
 def test_cm_closed_examples():

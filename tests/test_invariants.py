@@ -80,11 +80,6 @@ def test_dim_l_corona_examples():
     claw = block(bei.Graph(4, [(0, 1), (0, 2), (0, 3)]))
     assert bei.dim_l_corona(2, 2, claw) == 12
     assert bei.dim_l_corona(2, 1, claw) == 8
-    # a bare dimension value works too, except with a copy at every vertex,
-    # where the formula also needs the pendant's vertex count
-    assert bei.dim_l_corona(2, 1, 4) == 6
-    with pytest.raises(ValueError, match="pendant record"):
-        bei.dim_l_corona(2, 2, 4)
     with pytest.raises(ValueError):
         bei.dim_l_corona(2, 3, p3)
     with pytest.raises(ValueError):
@@ -144,7 +139,7 @@ def test_single_vertex_base_complete_pendant_is_complete_product():
     # the product of a point with a complete pendant is complete: reg 1
     for h in (1, 2, 3):
         rep = bei.depth_reg_corona_complete(1, 1, block(bei.complete_graph(h)))
-        prod = bei.corona(bei.complete_graph(1), bei.complete_graph(h))[0]
+        prod = bei.corona(bei.complete_graph(1), bei.complete_graph(h))
         assert bei.is_complete(prod)
         assert rep.reg_q == 1 == bei.internal_vertex_count(prod) + 1
         assert rep.depth_q == prod.n + 1
@@ -184,10 +179,10 @@ def test_cmdef_with_almost_cm_pendant_built_from_a_report():
     )
     assert pend.h == 8 and pend.cmdef == 1
     # oracle cross-check at desk scale: dim of the 19-vertex product
-    inner_graph = bei.corona(bei.complete_graph(2), bei.path_graph(3))[0]
+    inner_graph = bei.corona(bei.complete_graph(2), bei.path_graph(3))
     outer = bei.l_corona(
         bei.CoronaSpec(bei.complete_graph(3), vset([0, 1]), inner_graph)
-    )[0]
+    )
     dim = bei.dimension_oracle(outer)
     rep = bei.depth_reg_corona_complete(3, 2, pend)
     assert rep.cmdef == 2
@@ -204,7 +199,7 @@ def test_cm_closed_family():
     assert rep.depth_q == 1 + 3 * 3 == 10
     assert rep.reg_q == 4
     # the product is a block graph on 9 vertices: check the closed forms
-    prod = bei.corona(bei.path_graph(3), bei.complete_graph(2))[0]
+    prod = bei.corona(bei.path_graph(3), bei.complete_graph(2))
     assert bei.is_block_graph(prod)
     assert rep.depth_q == prod.n + 1
     assert rep.reg_q == bei.internal_vertex_count(prod) + 1
@@ -319,7 +314,7 @@ def test_classify_transfer_and_oracle_agreement():
     # full corona with a non-complete pendant fails, and the oracle agrees
     v2 = bei.depth_reg_corona_complete(2, 2, block(bei.path_graph(3))).verdicts
     assert v2["unmixed"].value is False and v2["cm"].value is False
-    prod = bei.corona(bei.complete_graph(2), bei.path_graph(3))[0]
+    prod = bei.corona(bei.complete_graph(2), bei.path_graph(3))
     assert not bei.enumerate_cutsets(prod).is_unmixed
     # complete pendant on a complete base is Cohen-Macaulay
     v3 = bei.depth_reg_corona_complete(3, 3, block(bei.complete_graph(2))).verdicts
@@ -367,7 +362,7 @@ def test_dimension_formula_matches_the_oracle_on_small_coronas():
                 if n + ell * h > 20:
                     continue
                 spec = bei.CoronaSpec(bei.complete_graph(n), (1 << ell) - 1, h_graph)
-                want = bei.dimension_oracle(bei.l_corona(spec)[0])
+                want = bei.dimension_oracle(bei.l_corona(spec))
                 assert bei.dim_l_corona(n, ell, rec) == want, (bei.to_graph6(h_graph), n, ell)
                 products += 1
     assert products == 746

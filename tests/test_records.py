@@ -24,7 +24,6 @@ def one_of_each():
         (spec, "base"),
         (decompose_cutset(spec, vset([0])), "t0"),
         (bei.enumerate_cutsets(p3), "cutsets"),
-        (bei.block_decomposition(p3), "blocks"),
         (block(p3), "h"),
         (bei.depth_reg_corona_complete(2, 1, block(p3)), "dim_q"),
         (bei.Verdict(True, "rule"), "value"),
