@@ -7,7 +7,6 @@ from .graph import (
     Graph,
     VertexSet,
     complete_graph,
-    components,
     cone,
     cycle_graph,
     diameter,
@@ -17,7 +16,6 @@ from .graph import (
     is_cm_closed,
     is_complete,
     is_connected,
-    is_simplicial,
     iter_members,
     members,
     path_graph,
@@ -64,7 +62,6 @@ from .invariants import (
     depth_reg_corona_complete,
     depth_reg_corona_path,
     dim_l_corona,
-    extremal_betti_position,
 )
 from .bms import (
     ReductionCheck,
@@ -73,4 +70,4 @@ from .bms import (
     verify_reduction_d2,
     verify_reduction_d3,
 )
-from .cas import CasScript, emit_cas_script
+from .cas import emit_cas_script

@@ -10,11 +10,13 @@ Cohen-Macaulayness is never claimed by the scanner: records carry only
 what the cutset combinatorics decides, the scripts cover the rest.
 
 A scan works in-process first, even when it may use a process pool: the
-pool costs about 0.1 s to import and start, more than a corpus of a few
-hundred graphs on up to 16 vertices takes to analyse in-process, and on
-two cores it wins only once about 0.5 s of analysis is left.  The cost of a
-graph cannot be read off beforehand (2^(candidates) overstates it by far,
-because the verdicts stop at the first unmixedness violation), so the scan
+pool costs about 0.1 s to import and start, and most graphs that are not
+unmixed are settled before the cutset search, so a corpus of random graphs
+on up to 16 vertices was analysed faster in-process at every size measured.
+The pool pays on graphs that take about 0.1 s each, such as long paths,
+whose cutset search cannot stop early.  The cost of a graph cannot be read
+off beforehand (2^(candidates) overstates it by far, because the verdicts
+stop at the first unmixedness violation), so the scan
 measures the time it has spent and hands the rest of the corpus to the pool
 only once that time passes a measured threshold.  Time spent does not tell
 the work left, so the threshold bounds what a pool started too late can
@@ -23,6 +25,7 @@ lose rather than promising a gain.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import time
@@ -131,19 +134,20 @@ class ScanRecord(NamedTuple):
 
 # In-process analysis time after which a scan with jobs > 1 hands the rest
 # of its corpus to a process pool.  Median wall seconds of five
-# `scan --jobs 2` runs on a 2-core Xeon, over the 200 random-scan graphs of
-# seed 1 (12-16 vertices, about 0.06 s of analysis) repeated k times:
+# `scan --jobs 2` runs (`scan --jobs 1` for in-process) on a 2-core Xeon:
 #
-#     k   in-process   pool after the first graph   this threshold
-#     4      0.48              0.58                   0.44 (no pool)
-#     8      0.74              0.98                   0.87
-#    16      1.31              1.02                   1.14
-#    32      2.71              1.92                   2.20
+#     corpus                               in-process   pool after the   this
+#                                                       first graph      threshold
+#     random-scan seed 1 x4  (800 graphs)     0.23          0.31            0.22
+#                        x8  (1600)           0.33          0.46            0.35
+#                        x16 (3200)           0.54          0.63            0.52
+#                        x32 (6400)           1.00          1.36            1.16
+#     60 relabelled paths, 17-22 vertices     6.87          4.03            4.65
 #
-# The pool pays only once about 0.5 s of analysis is left, and one started
-# for a small remainder costs about 0.1 s; waiting for 0.5 s of in-process
-# work bounds that loss to about a fifth of the run.  On graphs of at most
-# 7 vertices (the atlas corpus repeated up to 16 times) the pool never won.
+# The random-scan graphs (12-16 vertices, density 0.25) take about 0.15 ms
+# each, and there the pool never won: started after 0.5 s it costs about a
+# sixth of the run.  On the paths, about 0.1 s each, it saves about 40%, and
+# waiting for 0.5 s of in-process work gives up a fifth of that.
 _POOL_AFTER_S = 0.5
 
 
@@ -158,12 +162,6 @@ def _analyze(g: Graph, bound: int) -> tuple[int | None, bool, bool, int | None]:
         report is not None and report.is_accessible,
         None if report is None else report.oracle_dimension,
     )
-
-
-def _analyze_graph6(payload: tuple[str, int]) -> tuple[int | None, bool, bool, int | None]:
-    """Pool worker: ``_analyze`` of a graph sent as graph6."""
-    g6, bound = payload
-    return _analyze(from_graph6(g6), bound)
 
 
 class _AboveMaxN(Exception):
@@ -199,9 +197,10 @@ def bms_scan(
     an upper bound on the worker processes: only once the in-process
     analysis has taken ``_POOL_AFTER_S`` seconds, and only if at least two
     workers would run (no more than ``jobs``, the usable CPUs or the graphs
-    left), does the rest of the corpus go to a pool.  A pooled graph keeps
-    only its graph6 and is parsed again by its worker, and once more for its
-    script.  Records and scripts are the same at every ``jobs``.
+    left), does the rest of the corpus go to a pool.  A pooled graph goes to
+    its worker as the parsed ``Graph``, which pickles through its adjacency
+    rows, so no line is parsed twice.  Records and scripts are the same at
+    every ``jobs``.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -227,7 +226,7 @@ def bms_scan(
                 continue
             yield lineno, g, to_graph6(g)
 
-    def record(lineno: int, g6: str, n: int, result: tuple, g: Graph | None = None) -> ScanRecord | None:
+    def record(lineno: int, g6: str, g: Graph, result: tuple) -> ScanRecord | None:
         diam, unmixed, accessible, dim = result
         if diameters is not None and (diam is None or diam not in diameters):
             return None
@@ -236,38 +235,35 @@ def bms_scan(
             ext = "m2" if dialect == "m2" else "sing"
             script_path = os.path.join(script_dir, f"{lineno:06d}.{ext}")
             expected = {"dim": dim, "unmixed": unmixed, "accessible": accessible}
-            if g is None:  # a pooled graph: the scan kept only its graph6
-                g = from_graph6(g6)
             script = emit_cas_script(
                 g, dialect=dialect, expected=expected, name=f"scan line {lineno}", graph6=g6
             )
             os.makedirs(script_dir, exist_ok=True)
             with open(script_path, "w", encoding="ascii") as fh:
-                fh.write(script.text)
-        return ScanRecord(g6, n, diam, unmixed, accessible, script_path)
+                fh.write(script)
+        return ScanRecord(g6, g.n, diam, unmixed, accessible, script_path)
 
     workers = min(jobs, _usable_cpus())
     graphs = parsed()
     spent = 0.0
     for lineno, g, g6 in graphs:
         if workers > 1 and spent > _POOL_AFTER_S:
-            # the pool needs only graph6 and size of the graphs left
-            rest = [(lineno, g6, g.n), *((i, s, h.n) for i, h, s in graphs)]
+            rest = [(lineno, g, g6), *graphs]
             if len(rest) > 1:  # a single graph left is not worth a worker
                 # imported here, so that the scans that start no pool skip its import
                 from concurrent.futures import ProcessPoolExecutor
 
                 with ProcessPoolExecutor(max_workers=min(workers, len(rest))) as pool:
-                    payloads = [(s, limit) for _, s, _ in rest]
-                    results = pool.map(_analyze_graph6, payloads, chunksize=8)
-                    for (lineno, g6, n), result in zip(rest, results):
-                        rec = record(lineno, g6, n, result)
+                    analyze = functools.partial(_analyze, bound=limit)
+                    results = pool.map(analyze, [h for _, h, _ in rest], chunksize=8)
+                    for (lineno, h, g6), result in zip(rest, results):
+                        rec = record(lineno, g6, h, result)
                         if rec is not None:
                             yield rec
                 return
         started = time.perf_counter()
         result = _analyze(g, limit)
         spent += time.perf_counter() - started
-        rec = record(lineno, g6, g.n, result, g)
+        rec = record(lineno, g6, g, result)
         if rec is not None:
             yield rec

@@ -3,12 +3,13 @@
 Each script declares the polynomial ring in ``x1..xn, y1..yn``, the binomial
 generators ``xi*yj - xj*yi`` (1-based, i < j, ascending edge order) of the
 edge ideal, and dimension / depth / regularity / Betti-table queries.
-Emission is byte-stable: identical inputs yield identical output bytes.
+``emit_cas_script`` returns the script as text, byte-stable: identical
+inputs yield identical output bytes.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 from .graph import Graph
 from .io import to_graph6
@@ -26,11 +27,6 @@ _EXPECTED_KEY_ORDER = (
     "cm",
     "family",
 )
-
-
-class CasScript(NamedTuple):
-    text: str
-    dialect: str
 
 
 def _fmt_expected(expected: Mapping[str, object]) -> list[str]:
@@ -55,11 +51,11 @@ def emit_cas_script(
     expected: Mapping[str, object] | None = None,
     name: str | None = None,
     graph6: str | None = None,
-) -> CasScript:
-    """Build a standalone verification script for the binomial edge ideal of
-    ``g`` in the chosen dialect (``m2`` or ``singular``).  A caller that
-    holds the graph6 of ``g`` passes it as ``graph6`` to skip encoding it
-    again."""
+) -> str:
+    """The text of a standalone verification script for the binomial edge
+    ideal of ``g`` in the chosen dialect (``m2`` or ``singular``).  A caller
+    that holds the graph6 of ``g`` passes it as ``graph6`` to skip encoding
+    it again."""
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
     if dialect not in DIALECTS:
@@ -74,10 +70,8 @@ def emit_cas_script(
     xs = ",".join(f"x{i + 1}" for i in range(g.n))
     ys = ",".join(f"y{i + 1}" for i in range(g.n))
     if dialect == "m2":
-        text = _emit_m2(header, xs, ys, gens)
-    else:
-        text = _emit_singular(header, xs, ys, gens, 2 * g.n)
-    return CasScript(text=text, dialect=dialect)
+        return _emit_m2(header, xs, ys, gens)
+    return _emit_singular(header, xs, ys, gens, 2 * g.n)
 
 
 def _emit_m2(header: list[str], xs: str, ys: str, gens: list[str]) -> str:

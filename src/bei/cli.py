@@ -329,7 +329,7 @@ def _cmd_invariants(args) -> int:
             if verdict.value is not None:
                 expected[key] = verdict.value
         script = emit_cas_script(l_corona(spec), dialect=args.dialect, expected=expected)
-        Path(args.emit_cas).write_text(script.text)
+        Path(args.emit_cas).write_text(script)
 
     _write_out(json.dumps(report.to_json(), indent=2) + "\n", args.output)
     return 0
@@ -402,8 +402,7 @@ def _cmd_export(args) -> int:
                 "unmixed": report.is_unmixed,
                 "accessible": report.is_accessible,
             }
-        script = emit_cas_script(g, dialect=args.dialect, expected=expected)
-        _write_out(script.text, args.output)
+        _write_out(emit_cas_script(g, dialect=args.dialect, expected=expected), args.output)
         return 0
     _write_out(_render_graph(g, args.out), args.output)
     return 0

@@ -489,15 +489,21 @@ def dimension_oracle(g: Graph, bound: int | None = None) -> int:
 
 def accessibility_witness_chain(g: Graph, t: VertexSet) -> list[int] | None:
     """Removal order emptying the cutset ``t`` through successive cutsets,
-    smallest removable vertex first; None when no such order exists."""
+    smallest removable vertex first; None when no such order exists.  A
+    subset is tried at most once (one that was tried and is met again led to
+    no chain), so the search makes at most 2^|t| cutset checks."""
     if not is_cutset(g, t):
         raise ValueError("t is not a cutset")
+    tried: set[VertexSet] = set()
 
     def extend(cur: VertexSet, acc: list[int]) -> list[int] | None:
         if cur == 0:
             return acc
         for v in iter_members(cur):
             nxt = cur ^ (1 << v)
+            if nxt in tried:
+                continue
+            tried.add(nxt)
             if is_cutset(g, nxt):
                 res = extend(nxt, acc + [v])
                 if res is not None:

@@ -119,9 +119,6 @@ class Graph:
                     out.append((u, v))
         return out
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 
@@ -185,14 +182,6 @@ def _components(adj: tuple[VertexSet, ...], alive: VertexSet) -> list[VertexSet]
         comps.append(comp)
         rem ^= comp
     return comps
-
-
-def components(g: Graph, removed: VertexSet = 0) -> list[VertexSet]:
-    """Partition of V minus ``removed`` into maximal connected sets,
-    ordered by ascending minimum vertex."""
-    if removed & ~g.full_mask:
-        raise ValueError("removed set out of range")
-    return _components(g.adj, g.full_mask & ~removed)
 
 
 def is_connected(g: Graph) -> bool:
@@ -279,15 +268,11 @@ def _is_clique(adj: tuple[VertexSet, ...], mask: VertexSet) -> bool:
     return True
 
 
-def is_simplicial(g: Graph, v: int) -> bool:
-    """True when the neighbourhood of ``v`` induces a clique."""
-    return _is_clique(g.adj, g.adj[v])
-
-
 def simplicial_vertices(g: Graph) -> VertexSet:
+    """The vertices whose neighbourhood induces a clique."""
     s = 0
     for v in range(g.n):
-        if is_simplicial(g, v):
+        if _is_clique(g.adj, g.adj[v]):
             s |= 1 << v
     return s
 

@@ -12,7 +12,10 @@ Every product with a pendant copy at every base vertex -- the full corona
 over K_n, the corona of a clique-path base and its path case -- comes from
 one computation on the base graph; the three families differ only in the
 labels their reports carry.  The L-corona with 1 <= ell < n has its own
-depth and regularity rules.  All reports are assembled in one place.
+depth and regularity rules.  Each builder states the extremal Betti
+position (the corner of the Betti table in the sense of Bayer, Charalambous
+and Popescu) beside its depth and regularity, one line per rule.  All
+reports are assembled in one place.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ L_CORONA = "l_corona_complete"
 FULL_CORONA = "full_corona_complete"
 CM_CLOSED = "corona_cm_closed"
 PATH = "corona_path"
-FAMILIES = (L_CORONA, FULL_CORONA, CM_CLOSED, PATH)
 
 
 class Verdict(NamedTuple):
@@ -90,10 +92,6 @@ class BaseInvariants(_BaseInvariantsFields):
         if self.r_extremal is not None and self.r_extremal < 2:
             raise ValueError("extremal offset must be >= 2")
         return self
-
-    @property
-    def cmdef(self) -> int:
-        return self.dim_q - self.depth_q
 
     def to_json(self) -> dict:
         return {
@@ -351,11 +349,12 @@ def _every_vertex_report(
         dim, dim_prov = _oracle_dim_for(b_graph, base, pendant, bound)
     extremal = None
     if b >= 2 and not base.is_complete and base.r_extremal is not None:
-        # (unstated for a single-vertex base)
-        if complete:
-            extremal = extremal_betti_position(FULL_CORONA, base, n=b)
-        else:
-            extremal = extremal_betti_position(CM_CLOSED, base, b=b)
+        # (unstated for a single-vertex base) p = 2b + b*pd_H; the column
+        # offset gains 1 from b = 3 on over a complete base, and always over
+        # any other clique path (the two statements are recorded, not
+        # reconciled)
+        p = 2 * b + b * base.pd
+        extremal = p, p + b * base.r_extremal + (b >= 3 if complete else 1)
     return _report(
         family,
         base,
@@ -397,7 +396,9 @@ def depth_reg_corona_complete(n: int, ell: int, base: BaseInvariants) -> Invaria
         reg = 1 + ell * base.reg_q
     extremal = None
     if not base.is_complete and base.r_extremal is not None:
-        extremal = extremal_betti_position(L_CORONA, base, n=n, ell=ell)
+        # p = n + ell - 1 + ell*pd_H; the column offset gains 1 from n = 3 on
+        p = n + ell - 1 + ell * base.pd
+        extremal = p, p + ell * base.r_extremal + (n >= 3)
     return _report(
         L_CORONA,
         base,
@@ -421,10 +422,9 @@ def _oracle_dim_for(
         return None, "oracle-unavailable"
     if pendant.n != base.h:
         raise ValueError("pendant graph disagrees with the pendant invariants")
-    product = corona(b_graph, pendant)
-    if product.n > enumeration_bound(bound):
+    if b_graph.n * (1 + base.h) > enumeration_bound(bound):
         return None, "oracle-unavailable"
-    return dimension_oracle(product, bound), "oracle:cutset-enumeration"
+    return dimension_oracle(corona(b_graph, pendant), bound), "oracle:cutset-enumeration"
 
 
 def depth_reg_corona_cm_closed(
@@ -464,49 +464,3 @@ def depth_reg_corona_path(
     return _every_vertex_report(
         PATH, path_graph(n), base, "formula:path-corona", pendant=pendant, bound=bound, n=n
     )
-
-
-def extremal_betti_position(
-    family: str,
-    base: BaseInvariants,
-    *,
-    n: int | None = None,
-    ell: int | None = None,
-    b: int | None = None,
-) -> tuple[int, int]:
-    """Position ``(p, p + j)`` of the extremal Betti entry for the four
-    product families, exactly as stated per family (the +1 column shift
-    applies for bases on >= 3 vertices, and always for clique-path bases;
-    the clique-path statement keeps its +1 even at b = 2 where the
-    complete-base statement has none -- the two are recorded, not
-    reconciled)."""
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    if base.is_complete:
-        raise ValueError("no extremal-position statement for a complete pendant")
-    if base.r_extremal is None:
-        raise ValueError("r_H required: set r_extremal on the pendant invariants")
-    p_h, r_h = base.pd, base.r_extremal
-    if family == L_CORONA:
-        if n is None or ell is None:
-            raise ValueError("l_corona_complete needs n and ell")
-        if not (n >= 2 and 1 <= ell < n):
-            raise ValueError("l_corona_complete needs n >= 2 and 1 <= ell < n")
-        p = n + ell - 1 + ell * p_h
-        j = ell * r_h + (1 if n >= 3 else 0)
-    elif family == FULL_CORONA:
-        if n is None:
-            raise ValueError("full_corona_complete needs n")
-        if n < 2:
-            raise ValueError("extremal position unstated for a single-vertex base")
-        p = 2 * n + n * p_h
-        j = n * r_h + (1 if n >= 3 else 0)
-    else:  # clique-path base, including its path specialization
-        size = b if family == CM_CLOSED else n
-        if size is None:
-            raise ValueError(f"{family} needs its base size")
-        if size < 1:
-            raise ValueError("base size must be at least 1")
-        p = 2 * size + size * p_h
-        j = size * r_h + 1
-    return p, p + j

@@ -27,9 +27,10 @@ def _g6_encode_n(n: int) -> str:
     raise ValueError("graph too large for graph6")
 
 
-def to_graph6(g: Graph, header: bool = False) -> str:
-    """Serialize in graph6 format: N(n) then the upper triangle of the
-    adjacency matrix in column-major order, six bits per character."""
+def to_graph6(g: Graph) -> str:
+    """Serialize in graph6 format, without the ``>>graph6<<`` header: N(n)
+    then the upper triangle of the adjacency matrix in column-major order,
+    six bits per character."""
     parts = [_g6_encode_n(g.n)]
     acc = 0
     nbits = 0
@@ -44,8 +45,7 @@ def to_graph6(g: Graph, header: bool = False) -> str:
                 nbits = 0
     if nbits:
         parts.append(chr((acc << (6 - nbits)) + 63))
-    s = "".join(parts)
-    return _G6_HEADER + s if header else s
+    return "".join(parts)
 
 
 def from_graph6(text: str, check_n: Callable[[int], None] | None = None) -> Graph:

@@ -176,6 +176,30 @@ class FakePool:
         return map(fn, payloads)
 
 
+def test_pooled_graphs_are_parsed_once(monkeypatch, tmp_path):
+    monkeypatch.setattr(bms, "_POOL_AFTER_S", 0)
+    monkeypatch.setattr(bms, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    parsed = []
+
+    def counted(text, check_n=None):
+        parsed.append(text)
+        return bei.from_graph6(text, check_n)
+
+    monkeypatch.setattr(bms, "from_graph6", counted)
+    corpus = scan_lines(connected_atlas(5))
+    runs = []
+    for jobs in (1, 2):
+        parsed.clear()
+        out = tmp_path / str(jobs)
+        scan = bms.bms_scan(corpus, jobs=jobs, script_dir=str(out))
+        records = [r._replace(cas_script_path=None) for r in scan]
+        assert parsed == corpus
+        scripts = {p.name: p.read_text() for p in out.iterdir()}
+        runs.append((records, scripts))
+    assert runs[0] == runs[1] and runs[0][1]
+
+
 @pytest.mark.parametrize(
     "jobs, cpus, ngraphs, expected",
     [

@@ -333,6 +333,24 @@ def test_witness_chain():
         bei.accessibility_witness_chain(bei.path_graph(4), vset([0]))
 
 
+def test_witness_chain_tries_each_subset_once(monkeypatch):
+    # the alternating 10-set of C_20 is a cutset with no chain (no single
+    # vertex of a cycle is a cutset); a search that tried a subset again
+    # would make factorially many checks
+    original = cutsets.is_cutset
+    calls = []
+
+    def counted(g, t):
+        calls.append(t)
+        if len(calls) > 1 << 10:
+            raise AssertionError("more than 2^10 cutset checks")
+        return original(g, t)
+
+    monkeypatch.setattr(cutsets, "is_cutset", counted)
+    t = vset(range(0, 20, 2))
+    assert bei.accessibility_witness_chain(bei.cycle_graph(20), t) is None
+
+
 def test_witness_chain_prefers_smallest_vertex(square_leaves_product):
     chain = bei.accessibility_witness_chain(square_leaves_product, vset([0, 2]))
     assert chain == [0, 2]

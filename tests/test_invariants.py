@@ -149,7 +149,7 @@ def test_cmdef_report():
     p3 = block(bei.path_graph(3))
     k2 = block(bei.complete_graph(2))
     star = block(bei.Graph(4, [(0, 1), (0, 2), (0, 3)]))
-    assert star.cmdef == 1
+    assert star.dim_q - star.depth_q == 1
     # the piecewise closed form, row n lists ell = 1..n: ell * cmdef(H) for
     # ell < n; at ell = n, 0 for a complete pendant, else n * cmdef(H), plus
     # 1 when dim H = h + 1 (P3, not the star)
@@ -177,7 +177,7 @@ def test_cmdef_with_almost_cm_pendant_built_from_a_report():
         pd=inner.pd,
         is_complete=False,
     )
-    assert pend.h == 8 and pend.cmdef == 1
+    assert pend.h == 8 and pend.dim_q - pend.depth_q == 1
     # oracle cross-check at desk scale: dim of the 19-vertex product
     inner_graph = bei.corona(bei.complete_graph(2), bei.path_graph(3))
     outer = bei.l_corona(
@@ -214,6 +214,18 @@ def test_cm_closed_without_pendant_graph_has_no_dimension():
     p3 = block(bei.path_graph(3))
     rep = bei.depth_reg_corona_cm_closed(bei.path_graph(3), p3)
     assert rep.dim_q is None and rep.cmdef is None
+    assert rep.provenances["dim"] == "oracle-unavailable"
+
+
+def test_cm_closed_over_the_bound_builds_no_product(monkeypatch):
+    def no_product(*args):
+        raise AssertionError("the product was built")
+
+    monkeypatch.setattr(bei.invariants, "corona", no_product)
+    p3 = bei.path_graph(3)
+    rep = bei.depth_reg_corona_cm_closed(bei.path_graph(7), block(p3), pendant=p3)
+    assert 7 * 4 > bei.DEFAULT_BOUND
+    assert rep.dim_q is None
     assert rep.provenances["dim"] == "oracle-unavailable"
 
 
@@ -254,54 +266,60 @@ def test_extremal_positions_golden():
         h=4, dim_q=6, depth_q=4, reg_q=3, pd=4, is_complete=False, r_extremal=3
     )
     p_h, r_h = base.pd, base.r_extremal
+
+    def position(report):
+        return report.extremal_position
+
     # full corona: p = 2n + n*p_H; the column offset gains 1 from n = 3 on
-    assert bei.extremal_betti_position(FULL_CORONA, base, n=2) == (
-        4 + 2 * p_h,
-        4 + 2 * p_h + 2 * r_h,
-    )
-    assert bei.extremal_betti_position(FULL_CORONA, base, n=3) == (
+    full2 = (4 + 2 * p_h, 4 + 2 * p_h + 2 * r_h)
+    assert position(bei.depth_reg_corona_complete(2, 2, base)) == full2
+    assert position(bei.depth_reg_corona_complete(3, 3, base)) == (
         6 + 3 * p_h,
         6 + 3 * p_h + 3 * r_h + 1,
     )
     # partial attach: p = n + ell - 1 + ell*p_H
-    assert bei.extremal_betti_position(L_CORONA, base, n=2, ell=1) == (
+    assert position(bei.depth_reg_corona_complete(2, 1, base)) == (
         2 + p_h,
         2 + p_h + r_h,
     )
-    assert bei.extremal_betti_position(L_CORONA, base, n=4, ell=2) == (
+    assert position(bei.depth_reg_corona_complete(4, 2, base)) == (
         4 + 2 - 1 + 2 * p_h,
         4 + 2 - 1 + 2 * p_h + 2 * r_h + 1,
     )
-    # clique-path base: always the +1 offset, even at b=2 where the
-    # complete-base statement has none (recorded asymmetry)
-    assert bei.extremal_betti_position(CM_CLOSED, base, b=2) == (
-        4 + 2 * p_h,
-        4 + 2 * p_h + 2 * r_h + 1,
+    # a clique path that is not complete: always the +1 offset; one on two
+    # vertices is K_2 and takes the complete-base statement, which has none
+    # (recorded asymmetry)
+    triangle_and_edge = bei.Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+    assert position(bei.depth_reg_corona_cm_closed(triangle_and_edge, base)) == (
+        8 + 4 * p_h,
+        8 + 4 * p_h + 4 * r_h + 1,
     )
-    assert bei.extremal_betti_position(PATH, base, n=3) == (
+    assert position(bei.depth_reg_corona_cm_closed(bei.path_graph(2), base)) == full2
+    assert position(bei.depth_reg_corona_path(2, base)) == full2
+    assert position(bei.depth_reg_corona_path(3, base)) == (
         6 + 3 * p_h,
         6 + 3 * p_h + 3 * r_h + 1,
     )
 
 
 def test_extremal_position_errors():
+    """Where no extremal statement applies the reports carry None: a
+    complete pendant, a pendant record without ``r_extremal``, and a
+    single-vertex base."""
     complete = block(bei.complete_graph(3))
     noncomplete = bei.BaseInvariants(
         h=4, dim_q=6, depth_q=4, reg_q=3, pd=4, is_complete=False
     )
-    with pytest.raises(ValueError):
-        bei.extremal_betti_position(FULL_CORONA, complete, n=2)
-    with pytest.raises(ValueError, match="r_H required"):
-        bei.extremal_betti_position(FULL_CORONA, noncomplete, n=2)
-    withr = bei.BaseInvariants(
-        h=4, dim_q=6, depth_q=4, reg_q=3, pd=4, is_complete=False, r_extremal=2
-    )
-    with pytest.raises(ValueError):
-        bei.extremal_betti_position(FULL_CORONA, withr, n=1)
-    with pytest.raises(ValueError):
-        bei.extremal_betti_position(L_CORONA, withr, n=2, ell=2)
-    with pytest.raises(ValueError):
-        bei.extremal_betti_position("nonsense", withr, n=2)
+    withr = noncomplete._replace(r_extremal=2)
+    for rec in (complete, noncomplete):
+        assert bei.depth_reg_corona_complete(3, 3, rec).extremal_position is None
+        assert bei.depth_reg_corona_complete(3, 1, rec).extremal_position is None
+        assert bei.depth_reg_corona_path(3, rec).extremal_position is None
+    assert bei.depth_reg_corona_complete(3, 3, withr).extremal_position is not None
+    assert bei.depth_reg_corona_complete(1, 1, withr).extremal_position is None
+    single = bei.complete_graph(1)
+    assert bei.depth_reg_corona_cm_closed(single, withr).extremal_position is None
+    assert bei.depth_reg_corona_path(1, withr).extremal_position is None
 
 
 def test_classify_transfer_and_oracle_agreement():

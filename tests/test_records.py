@@ -20,7 +20,6 @@ def one_of_each():
     return [
         (bei.ReductionCheck(True, True), "diameter_ok"),
         (next(bei.bms_scan(["Bw"])), "n"),
-        (bei.emit_cas_script(p3), "text"),
         (spec, "base"),
         (decompose_cutset(spec, vset([0])), "t0"),
         (bei.enumerate_cutsets(p3), "cutsets"),
