@@ -61,7 +61,6 @@ from .invariants import (
     depth_reg_corona_cm_closed,
     depth_reg_corona_complete,
     depth_reg_corona_path,
-    dim_l_corona,
 )
 from .bms import (
     ReductionCheck,

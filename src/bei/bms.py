@@ -151,13 +151,11 @@ class ScanRecord(NamedTuple):
 _POOL_AFTER_S = 0.5
 
 
-def _analyze(g: Graph, bound: int) -> tuple[int | None, bool, bool, int | None]:
-    """Diameter (None when disconnected), unmixed, accessible, and the
-    oracle dimension (None when not unmixed)."""
-    d = diameter(g)
+def _analyze(g: Graph, bound: int) -> tuple[bool, bool, int | None]:
+    """Unmixed, accessible, and the oracle dimension (None when not
+    unmixed)."""
     report = unmixed_report(g, bound=bound)
     return (
-        None if d == math.inf else int(d),
         report is not None,
         report is not None and report.is_accessible,
         None if report is None else report.oracle_dimension,
@@ -190,8 +188,10 @@ def bms_scan(
 
     Malformed or over-bound lines are reported through ``on_error`` with
     their 1-based line number and skipped; the scan continues.  Graphs above
-    ``max_n`` are filtered silently.  When ``script_dir`` is set, each
-    accessible graph gets a verification script named after its line number.
+    ``max_n``, and graphs whose diameter (None when disconnected) is not in
+    ``diameters``, are filtered silently before their verdicts are computed.
+    When ``script_dir`` is set, each accessible graph gets a verification
+    script named after its line number.
 
     Each line is parsed once and its graph analysed in-process.  ``jobs`` is
     an upper bound on the worker processes: only once the in-process
@@ -211,7 +211,7 @@ def bms_scan(
             raise _AboveMaxN
         check_bound(n, limit)
 
-    def parsed() -> Iterator[tuple[int, Graph, str]]:
+    def parsed() -> Iterator[tuple[int, Graph, str, int | None]]:
         for lineno, raw in enumerate(lines, 1):
             text = raw.strip()
             if not text:
@@ -224,12 +224,13 @@ def bms_scan(
                 if on_error is not None:
                     on_error(lineno, str(exc))
                 continue
-            yield lineno, g, to_graph6(g)
+            d = diameter(g)
+            diam = None if d == math.inf else int(d)
+            if diameters is None or diam in diameters:
+                yield lineno, g, to_graph6(g), diam
 
-    def record(lineno: int, g6: str, g: Graph, result: tuple) -> ScanRecord | None:
-        diam, unmixed, accessible, dim = result
-        if diameters is not None and (diam is None or diam not in diameters):
-            return None
+    def record(lineno: int, g6: str, g: Graph, diam: int | None, result: tuple) -> ScanRecord:
+        unmixed, accessible, dim = result
         script_path = None
         if accessible and script_dir is not None:
             ext = "m2" if dialect == "m2" else "sing"
@@ -246,24 +247,20 @@ def bms_scan(
     workers = min(jobs, _usable_cpus())
     graphs = parsed()
     spent = 0.0
-    for lineno, g, g6 in graphs:
+    for lineno, g, g6, diam in graphs:
         if workers > 1 and spent > _POOL_AFTER_S:
-            rest = [(lineno, g, g6), *graphs]
+            rest = [(lineno, g, g6, diam), *graphs]
             if len(rest) > 1:  # a single graph left is not worth a worker
                 # imported here, so that the scans that start no pool skip its import
                 from concurrent.futures import ProcessPoolExecutor
 
                 with ProcessPoolExecutor(max_workers=min(workers, len(rest))) as pool:
                     analyze = functools.partial(_analyze, bound=limit)
-                    results = pool.map(analyze, [h for _, h, _ in rest], chunksize=8)
-                    for (lineno, h, g6), result in zip(rest, results):
-                        rec = record(lineno, g6, h, result)
-                        if rec is not None:
-                            yield rec
+                    results = pool.map(analyze, [h for _, h, _, _ in rest], chunksize=8)
+                    for (lineno, h, g6, diam), result in zip(rest, results):
+                        yield record(lineno, g6, h, diam, result)
                 return
         started = time.perf_counter()
         result = _analyze(g, limit)
         spent += time.perf_counter() - started
-        rec = record(lineno, g6, g, result)
-        if rec is not None:
-            yield rec
+        yield record(lineno, g6, g, diam, result)

@@ -270,6 +270,8 @@ def _base_record(args) -> tuple[BaseInvariants, Graph | None]:
         base = base_invariants_block_graph(block_graph, bound=args.bound)
     elif args.pendant_base_json:
         obj = json.loads(Path(args.pendant_base_json).read_text())
+        if not isinstance(obj, dict):
+            raise ValueError(f"pendant record must be a JSON object, got {type(obj).__name__}")
         base = BaseInvariants.from_json(obj)
     else:
         raise ValueError("supply pendant data: --pendant-block-graph or --pendant-base-json")
@@ -412,11 +414,19 @@ def _cmd_export(args) -> int:
 # parser
 
 
-def _add_common(p: argparse.ArgumentParser, input_flag: bool = True) -> None:
+def _add_common(
+    p: argparse.ArgumentParser,
+    input_flag: bool = True,
+    format_flag: bool = True,
+    bound_flag: bool = True,
+) -> None:
+    """The shared options; a verb that never reads one does not register it."""
     if input_flag:
         p.add_argument("--input", "-i", required=True, help="graph: name, file, or -")
-    p.add_argument("--format", choices=GRAPH_FORMATS, help="force the input format")
-    p.add_argument("--bound", type=int, help="enumeration cap (default: BEI_BOUND or 24)")
+    if format_flag:
+        p.add_argument("--format", choices=GRAPH_FORMATS, help="force the input format")
+    if bound_flag:
+        p.add_argument("--bound", type=int, help="enumeration cap (default: BEI_BOUND or 24)")
     p.add_argument("--output", "-o", help="output file (default: stdout)")
 
 
@@ -434,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attach", help="comma-separated base vertices carrying copies")
     p.add_argument("--cone", metavar="GRAPH")
     p.add_argument("--out", choices=("graph6", "dot", "edgelist", "json"), default="graph6")
-    _add_common(p, input_flag=False)
+    _add_common(p, input_flag=False, bound_flag=False)  # construct never enumerates
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("cutsets", help="enumerate all cutsets with verdicts")
@@ -485,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="upper bound on worker processes, used only once the in-process "
         "work passes a fixed threshold (default: 1)",
     )
-    _add_common(p)
+    _add_common(p, format_flag=False)  # a scan reads graph6 lines only
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("export", help="convert a graph between formats")

@@ -12,14 +12,17 @@ Every product with a pendant copy at every base vertex -- the full corona
 over K_n, the corona of a clique-path base and its path case -- comes from
 one computation on the base graph; the three families differ only in the
 labels their reports carry.  The L-corona with 1 <= ell < n has its own
-depth and regularity rules.  Each builder states the extremal Betti
-position (the corner of the Betti table in the sense of Bayer, Charalambous
-and Popescu) beside its depth and regularity, one line per rule.  All
-reports are assembled in one place.
+rules.  Each of the two builders states its own dimension formula, depth
+and regularity, extremal Betti position (the corner of the Betti table in
+the sense of Bayer, Charalambous and Popescu) and verdicts, one line per
+rule.  A report stores dim, depth and reg only: pd follows by
+Auslander-Buchsbaum (pd = 2|V| - depth) and the Cohen-Macaulay defect is
+dim - depth, so both are derived on reading.
 """
 
 from __future__ import annotations
 
+import json
 from typing import NamedTuple
 
 from .corona import corona
@@ -33,6 +36,7 @@ from .graph import (
     is_complete,
     path_graph,
 )
+from .io import _is_json_int
 
 L_CORONA = "l_corona_complete"
 FULL_CORONA = "full_corona_complete"
@@ -110,18 +114,39 @@ class BaseInvariants(_BaseInvariantsFields):
 
     @classmethod
     def from_json(cls, obj: dict) -> "BaseInvariants":
+        """The record ``to_json`` writes.  A missing required field is a
+        KeyError; a field of the wrong JSON type is a ValueError naming it."""
+
+        def field(key: str, ok, kind: str, *default):
+            value = obj.get(key, *default) if default else obj[key]
+            if not ok(value):
+                raise ValueError(
+                    f"pendant record field {key!r} must be {kind}, got {json.dumps(value)}"
+                )
+            return value
+
+        def integer(key: str) -> int:
+            return field(key, _is_json_int, "an integer")
+
+        def verdict(key: str) -> bool | None:
+            return field(key, lambda v: v is None or isinstance(v, bool), "a boolean or null", None)
+
         return cls(
-            h=int(obj["h"]),
-            dim_q=int(obj["dim"]),
-            depth_q=int(obj["depth"]),
-            reg_q=int(obj["reg"]),
-            pd=int(obj["pd"]),
-            is_complete=bool(obj["is_complete"]),
-            is_unmixed=obj.get("is_unmixed"),
-            is_cm=obj.get("is_cm"),
-            is_accessible=obj.get("is_accessible"),
-            r_extremal=obj.get("r_extremal"),
-            provenance=str(obj.get("provenance", "user-supplied")),
+            h=integer("h"),
+            dim_q=integer("dim"),
+            depth_q=integer("depth"),
+            reg_q=integer("reg"),
+            pd=integer("pd"),
+            is_complete=field("is_complete", lambda v: isinstance(v, bool), "a boolean"),
+            is_unmixed=verdict("is_unmixed"),
+            is_cm=verdict("is_cm"),
+            is_accessible=verdict("is_accessible"),
+            r_extremal=field(
+                "r_extremal", lambda v: v is None or _is_json_int(v), "an integer or null", None
+            ),
+            provenance=field(
+                "provenance", lambda v: isinstance(v, str), "a string", "user-supplied"
+            ),
         )
 
 
@@ -165,12 +190,11 @@ class _InvariantReportFields(NamedTuple):
     product_vertices: int
     depth_q: int
     reg_q: int
-    pd: int
     dim_q: int | None
-    cmdef: int | None
     extremal_position: tuple[int, int] | None
     verdicts: dict[str, Verdict]
-    provenances: dict[str, str]
+    rule: str
+    dim_provenance: str
     n: int | None = None
     ell: int | None = None
     b: int | None = None
@@ -178,25 +202,30 @@ class _InvariantReportFields(NamedTuple):
 
 
 class InvariantReport(_InvariantReportFields):
-    """Exact invariant values for one product, with per-number provenance,
-    checked on construction."""
+    """Exact invariant values for one product, checked on construction.
+    ``rule`` is the provenance of depth and regularity; pd and the
+    Cohen-Macaulay defect are derived from them."""
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.pd + self.depth_q != 2 * self.product_vertices:
-            raise ValueError("pd + depth must equal twice the product vertex count")
-        if self.dim_q is not None:
-            if self.cmdef != self.dim_q - self.depth_q:
-                raise ValueError("cmdef must equal dim - depth")
-            if self.cmdef < 0:
-                raise ValueError("negative Cohen-Macaulay defect")
+        if self.dim_q is not None and self.dim_q < self.depth_q:
+            raise ValueError("negative Cohen-Macaulay defect")
         return self
 
+    @property
+    def pd(self) -> int:
+        """Auslander-Buchsbaum: pd + depth = 2 |V|."""
+        return 2 * self.product_vertices - self.depth_q
+
+    @property
+    def cmdef(self) -> int | None:
+        return None if self.dim_q is None else self.dim_q - self.depth_q
+
     def to_json(self) -> dict:
-        def num(value, key):
-            return {"value": value, "provenance": self.provenances.get(key, "formula")}
+        def num(value, provenance):
+            return {"value": value, "provenance": provenance}
 
         return {
             "family": self.family,
@@ -205,11 +234,13 @@ class InvariantReport(_InvariantReportFields):
             "b": self.b,
             "product_vertices": self.product_vertices,
             "base": self.base.to_json(),
-            "dim": num(self.dim_q, "dim"),
-            "depth": num(self.depth_q, "depth"),
-            "reg": num(self.reg_q, "reg"),
-            "pd": num(self.pd, "pd"),
-            "cmdef": num(self.cmdef, "cmdef"),
+            "dim": num(self.dim_q, self.dim_provenance),
+            "depth": num(self.depth_q, self.rule),
+            "reg": num(self.reg_q, self.rule),
+            "pd": num(self.pd, "auslander-buchsbaum"),
+            "cmdef": num(
+                self.cmdef, "oracle-unavailable" if self.dim_q is None else "dim-minus-depth"
+            ),
             "extremal_betti_position": (
                 list(self.extremal_position) if self.extremal_position else None
             ),
@@ -218,90 +249,6 @@ class InvariantReport(_InvariantReportFields):
             },
             "notes": list(self.notes),
         }
-
-
-def _check_params(n: int, ell: int) -> None:
-    if n < 1:
-        raise ValueError("base size must be at least 1")
-    if not 1 <= ell <= n:
-        raise ValueError("attach count must satisfy 1 <= ell <= n")
-
-
-def dim_l_corona(n: int, ell: int, base: BaseInvariants) -> int:
-    """Krull dimension of the quotient for a complete base on ``n`` vertices
-    with ``ell`` pendant copies: ``n - ell + 1 + ell * dim(pendant)`` for
-    ``ell < n``, where the bare base vertices add one component.  With a
-    copy at every vertex it is ``n * dim(pendant)``, plus one when the
-    pendant's dimension is ``h + 1`` (the empty set is then the best cutset
-    of the product); otherwise the best cutset holds the whole base and a
-    best cutset of every copy.  ``base`` is the pendant record."""
-    _check_params(n, ell)
-    if ell == n:
-        return n * base.dim_q + (base.dim_q == base.h + 1)
-    return n - ell + 1 + ell * base.dim_q
-
-
-def _verdicts(n: int, ell: int, base: BaseInvariants, base_complete: bool) -> dict[str, Verdict]:
-    keys = ("unmixed", "accessible", "cm")
-    if ell < n:  # over a complete base
-        rule = "transfer-from-pendant"
-        return {
-            "unmixed": Verdict(base.is_unmixed, rule),
-            "accessible": Verdict(base.is_accessible, rule),
-            "cm": Verdict(base.is_cm, rule),
-        }
-    if n >= 2:
-        both = base_complete and base.is_complete
-        rule = "full-corona-needs-both-factors-complete"
-        return {k: Verdict(both, rule) for k in keys}
-    # single-vertex base: the product is a cone over the pendant
-    if base.is_complete:
-        return {k: Verdict(True, "complete-product") for k in keys}
-    return {
-        "unmixed": Verdict(None, "cone-not-covered"),
-        "accessible": Verdict(None, "cone-not-covered"),
-        "cm": Verdict(False, "positive-cm-defect"),
-    }
-
-
-def _report(
-    family: str,
-    base: BaseInvariants,
-    *,
-    nv: int,
-    depth: int,
-    reg: int,
-    dim: int | None,
-    dim_prov: str,
-    extremal: tuple[int, int] | None,
-    verdicts: dict[str, Verdict],
-    rule: str,
-    notes: tuple[str, ...] = (),
-    **ids: int,
-) -> InvariantReport:
-    """Assemble a report: ``pd`` by Auslander-Buchsbaum, the defect as
-    dim - depth, and ``rule`` as the provenance of depth and regularity."""
-    return InvariantReport(
-        family=family,
-        base=base,
-        product_vertices=nv,
-        depth_q=depth,
-        reg_q=reg,
-        pd=2 * nv - depth,
-        dim_q=dim,
-        cmdef=None if dim is None else dim - depth,
-        extremal_position=extremal,
-        verdicts=verdicts,
-        provenances={
-            "dim": dim_prov,
-            "depth": rule,
-            "reg": rule,
-            "pd": "auslander-buchsbaum",
-            "cmdef": "dim-minus-depth" if dim is not None else "oracle-unavailable",
-        },
-        notes=notes,
-        **ids,
-    )
 
 
 def _single_vertex_notes(n: int, base: BaseInvariants) -> tuple[str, ...]:
@@ -344,7 +291,11 @@ def _every_vertex_report(
         depth = b * base.depth_q
         reg = b * base.reg_q
     if complete:
-        dim, dim_prov = dim_l_corona(b, b, base), "formula:l-corona-dimension"
+        # b * dim H, plus one when dim H = h + 1 (the empty set is then the
+        # best cutset of the product); otherwise the best cutset holds the
+        # whole base and a best cutset of every copy
+        dim = b * base.dim_q + (base.dim_q == base.h + 1)
+        dim_prov = "formula:l-corona-dimension"
     else:
         dim, dim_prov = _oracle_dim_for(b_graph, base, pendant, bound)
     extremal = None
@@ -355,17 +306,29 @@ def _every_vertex_report(
         # reconciled)
         p = 2 * b + b * base.pd
         extremal = p, p + b * base.r_extremal + (b >= 3 if complete else 1)
-    return _report(
-        family,
-        base,
-        nv=b * (1 + base.h),
-        depth=depth,
-        reg=reg,
-        dim=dim,
-        dim_prov=dim_prov,
-        extremal=extremal,
-        verdicts=_verdicts(b, b, base, base_complete=complete),
+    keys = ("unmixed", "accessible", "cm")
+    if b >= 2:
+        both = complete and base.is_complete
+        verdicts = {k: Verdict(both, "full-corona-needs-both-factors-complete") for k in keys}
+    elif base.is_complete:  # single-vertex base: the product is a cone over the pendant
+        verdicts = {k: Verdict(True, "complete-product") for k in keys}
+    else:
+        verdicts = {
+            "unmixed": Verdict(None, "cone-not-covered"),
+            "accessible": Verdict(None, "cone-not-covered"),
+            "cm": Verdict(False, "positive-cm-defect"),
+        }
+    return InvariantReport(
+        family=family,
+        base=base,
+        product_vertices=b * (1 + base.h),
+        depth_q=depth,
+        reg_q=reg,
+        dim_q=dim,
+        extremal_position=extremal,
+        verdicts=verdicts,
         rule=rule,
+        dim_provenance=dim_prov,
         notes=notes,
         **ids,
     )
@@ -375,7 +338,10 @@ def depth_reg_corona_complete(n: int, ell: int, base: BaseInvariants) -> Invaria
     """Depth and regularity for a complete base on ``n`` vertices with
     ``ell`` pendant copies, with dimension, Cohen-Macaulay defect, extremal
     Betti position and verdicts attached."""
-    _check_params(n, ell)
+    if n < 1:
+        raise ValueError("base size must be at least 1")
+    if not 1 <= ell <= n:
+        raise ValueError("attach count must satisfy 1 <= ell <= n")
     if ell == n:
         return _every_vertex_report(
             FULL_CORONA,
@@ -399,17 +365,23 @@ def depth_reg_corona_complete(n: int, ell: int, base: BaseInvariants) -> Invaria
         # p = n + ell - 1 + ell*pd_H; the column offset gains 1 from n = 3 on
         p = n + ell - 1 + ell * base.pd
         extremal = p, p + ell * base.r_extremal + (n >= 3)
-    return _report(
-        L_CORONA,
-        base,
-        nv=n + ell * base.h,
-        depth=depth,
-        reg=reg,
-        dim=dim_l_corona(n, ell, base),
-        dim_prov="formula:l-corona-dimension",
-        extremal=extremal,
-        verdicts=_verdicts(n, ell, base, base_complete=True),
+    # the n - ell bare base vertices add one component to ell best cutsets
+    # of the copies; the verdicts are the pendant's own
+    return InvariantReport(
+        family=L_CORONA,
+        base=base,
+        product_vertices=n + ell * base.h,
+        depth_q=depth,
+        reg_q=reg,
+        dim_q=n - ell + 1 + ell * base.dim_q,
+        extremal_position=extremal,
+        verdicts={
+            "unmixed": Verdict(base.is_unmixed, "transfer-from-pendant"),
+            "accessible": Verdict(base.is_accessible, "transfer-from-pendant"),
+            "cm": Verdict(base.is_cm, "transfer-from-pendant"),
+        },
         rule=rule,
+        dim_provenance="formula:l-corona-dimension",
         n=n,
         ell=ell,
     )

@@ -103,6 +103,23 @@ def test_scan_respects_filters():
     assert all(r.n <= 3 for r in small)
 
 
+def test_scan_filters_by_diameter_before_the_verdicts(monkeypatch):
+    # the diameter-3 graphs of the atlas, where the paper's note reduces the
+    # Bolognini-Macchia-Strazzanti question; no other graph gets a verdict
+    corpus = scan_lines(connected_atlas(7))
+    every = list(bei.bms_scan(corpus))
+    calls = []
+
+    def counted(g, bound=None):
+        calls.append(g)
+        return bei.unmixed_report(g, bound=bound)
+
+    monkeypatch.setattr(bms, "unmixed_report", counted)
+    only3 = list(bei.bms_scan(corpus, diameters={3}))
+    assert len(corpus) == 996 and len(calls) == len(only3) == 436
+    assert only3 == [r for r in every if r.diameter == 3]
+
+
 def test_scan_bound_errors_reported():
     lines = [bei.to_graph6(bei.Graph(30))]
     errors = []

@@ -74,6 +74,20 @@ def test_scan_rejects_jobs_below_one(tmp_path, capsys, jobs):
     assert not output.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--corona", "K2", "K1", "--bound", "1"],  # construct never enumerates
+        ["scan", "--input", "corpus.g6", "--format", "json"],  # a scan reads graph6 only
+    ],
+    ids=["construct-bound", "scan-format"],
+)
+def test_options_a_verb_never_reads_are_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_construct_rejects_repeated_attach_vertex(capsys):
     argv = ["construct", "--l-corona", "K3", "P3", "--attach", "0,0"]
     code, out, err = run(argv, capsys)
