@@ -35,7 +35,7 @@ from .cas import emit_cas_script
 from .corona import gadget_d2, gadget_d3
 from .cutsets import check_bound, enumeration_bound, is_accessible, unmixed_report
 from .graph import Graph, diameter, distances_from
-from .io import from_graph6, to_graph6
+from .io import canonical_graph6, from_graph6
 
 
 class ReductionCheck(NamedTuple):
@@ -191,7 +191,8 @@ def bms_scan(
     ``max_n``, and graphs whose diameter (None when disconnected) is not in
     ``diameters``, are filtered silently before their verdicts are computed.
     When ``script_dir`` is set, each accessible graph gets a verification
-    script named after its line number.
+    script named after its line number.  Both name the graph by the
+    validated line's canonical text, ``to_graph6`` of its graph.
 
     Each line is parsed once and its graph analysed in-process.  ``jobs`` is
     an upper bound on the worker processes: only once the in-process
@@ -227,7 +228,7 @@ def bms_scan(
             d = diameter(g)
             diam = None if d == math.inf else int(d)
             if diameters is None or diam in diameters:
-                yield lineno, g, to_graph6(g), diam
+                yield lineno, g, canonical_graph6(text, g.n), diam
 
     def record(lineno: int, g6: str, g: Graph, diam: int | None, result: tuple) -> ScanRecord:
         unmixed, accessible, dim = result

@@ -262,6 +262,8 @@ def _cmd_check(args) -> int:
 
 
 def _base_record(args) -> tuple[BaseInvariants, Graph | None]:
+    if args.pendant_block_graph and args.pendant_base_json:
+        raise ValueError("give one of --pendant-block-graph and --pendant-base-json, not both")
     pendant_graph = block_graph = None
     if args.pendant_graph:
         pendant_graph = _graph_arg(args.pendant_graph, args.format)
@@ -430,30 +432,22 @@ def _add_common(
     p.add_argument("--output", "-o", help="output file (default: stdout)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="bei",
-        description="Cutset combinatorics and invariant formulas for binomial edge ideals of corona-type products.",
-    )
-    parser.add_argument("--version", action="version", version=f"bei {__version__}")
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("construct", help="build corona products and cones")
+def _construct_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--corona", nargs=2, metavar=("BASE", "PENDANT"))
     p.add_argument("--l-corona", nargs=2, metavar=("BASE", "PENDANT"))
     p.add_argument("--attach", help="comma-separated base vertices carrying copies")
     p.add_argument("--cone", metavar="GRAPH")
     p.add_argument("--out", choices=("graph6", "dot", "edgelist", "json"), default="graph6")
     _add_common(p, input_flag=False, bound_flag=False)  # construct never enumerates
-    p.set_defaults(func=_cmd_construct)
 
-    p = sub.add_parser("cutsets", help="enumerate all cutsets with verdicts")
+
+def _cutsets_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--size-cap", type=int)
     p.add_argument("--out", choices=("json", "jsonl"), default="json")
     _add_common(p)
-    p.set_defaults(func=_cmd_cutsets)
 
-    p = sub.add_parser("check", help="combinatorial verdicts for one graph")
+
+def _check_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--unmixed", action="store_true")
     p.add_argument("--accessible", action="store_true")
     p.add_argument("--accessible-system", action="store_true")
@@ -461,9 +455,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chain", action="store_true", help="with --cutset: also search a removal chain")
     p.add_argument("--cm-closed", action="store_true")
     _add_common(p)
-    p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("invariants", help="closed-form invariant reports")
+
+def _invariants_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", required=True, choices=("full-corona", "l-corona", "cm-closed", "path"))
     p.add_argument("--n", type=int)
     p.add_argument("--ell", type=int)
@@ -474,16 +468,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit-cas", help="also write a verification script for the product")
     p.add_argument("--dialect", choices=("m2", "singular"), default="m2")
     _add_common(p, input_flag=False)
-    p.set_defaults(func=_cmd_invariants)
 
-    p = sub.add_parser("gadget", help="diameter-2/3 wrappers and their verification")
+
+def _gadget_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kind", required=True, choices=("d2", "d3"))
     p.add_argument("--verify", action="store_true")
     p.add_argument("--out", choices=("graph6", "dot", "edgelist", "json"), default="graph6")
     _add_common(p)
-    p.set_defaults(func=_cmd_gadget)
 
-    p = sub.add_parser("scan", help="classify a graph6 corpus (JSON lines out)")
+
+def _scan_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--diameter", help="comma-separated diameters to keep")
     p.add_argument("--max-n", type=int)
     p.add_argument("--scripts-dir", help="emit a verification script per accessible graph")
@@ -496,21 +490,50 @@ def build_parser() -> argparse.ArgumentParser:
         "work passes a fixed threshold (default: 1)",
     )
     _add_common(p, format_flag=False)  # a scan reads graph6 lines only
-    p.set_defaults(func=_cmd_scan)
 
-    p = sub.add_parser("export", help="convert a graph between formats")
+
+def _export_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", choices=("graph6", "dot", "edgelist", "json", "cas"), default="graph6", required=False)
     p.add_argument("--dialect", choices=("m2", "singular"), default="m2")
     p.add_argument("--oracle-expected", action="store_true", help="with --out cas: embed oracle verdicts")
     _add_common(p)
-    p.set_defaults(func=_cmd_export)
 
+
+# verb, its help line, the function adding its arguments, and its command
+_VERBS = (
+    ("construct", "build corona products and cones", _construct_args, _cmd_construct),
+    ("cutsets", "enumerate all cutsets with verdicts", _cutsets_args, _cmd_cutsets),
+    ("check", "combinatorial verdicts for one graph", _check_args, _cmd_check),
+    ("invariants", "closed-form invariant reports", _invariants_args, _cmd_invariants),
+    ("gadget", "diameter-2/3 wrappers and their verification", _gadget_args, _cmd_gadget),
+    ("scan", "classify a graph6 corpus (JSON lines out)", _scan_args, _cmd_scan),
+    ("export", "convert a graph between formats", _export_args, _cmd_export),
+)
+
+
+def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The ``bei`` parser with every verb registered; only ``verb``'s
+    subparser, or every one when ``verb`` is None, gets its arguments."""
+    parser = argparse.ArgumentParser(
+        prog="bei",
+        description="Cutset combinatorics and invariant formulas for binomial edge ideals of corona-type products.",
+    )
+    parser.add_argument("--version", action="version", version=f"bei {__version__}")
+    sub = parser.add_subparsers(dest="verb", required=True)
+    for name, help_line, add_arguments, command in _VERBS:
+        p = sub.add_parser(name, help=help_line)
+        if verb is None or verb == name:
+            add_arguments(p)
+        p.set_defaults(func=command)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # the top-level options take no value, so the first other word names the verb
+    verb = next((word for word in argv if not word.startswith("-")), None)
+    args = build_parser(verb).parse_args(argv)
     try:
         return args.func(args)
     except EnumerationBoundError as exc:

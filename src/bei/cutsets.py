@@ -71,7 +71,9 @@ accessible verdicts are read off them.  Two entry points build it:
   violation, so the graph is not unmixed; when no neighbourhood breaks it,
   the search runs as before and decides.  Most graphs that are not unmixed
   are settled this way (all 200 of a seeded corpus on 12-16 vertices, 875
-  of the 898 connected atlas graphs on at most 7 vertices that are not).
+  of the 898 connected atlas graphs on at most 7 vertices that are not),
+  and ``iter_cutsets`` yields the empty set from one flood fill before it
+  finds the simplicial vertices or pendants, so those graphs pay for neither.
 """
 
 from __future__ import annotations
@@ -147,8 +149,9 @@ def check_size_cap(size_cap: int | None) -> None:
 
 
 def iter_cutsets(g: Graph, bound: int | None = None) -> Iterator[tuple[VertexSet, int]]:
-    """Yield ``(cutset, component_count)`` pairs, the empty set first, the
-    rest in ascending mask order.
+    """Yield ``(cutset, component_count)`` pairs, the empty set first (from
+    one flood fill, before any search set-up), the rest in ascending mask
+    order.
 
     A graph without a non-complete cone pendant is searched directly.
     Otherwise the search runs over the core (the vertices outside the
@@ -168,15 +171,17 @@ def iter_cutsets(g: Graph, bound: int | None = None) -> Iterator[tuple[VertexSet
     expanded family is put in ascending order before it is yielded.
     """
     check_bound(g.n, bound)
-    yield from _cutsets(g.adj, g.full_mask, g.full_mask & ~simplicial_vertices(g))
+    adj, full = g.adj, g.full_mask
+    yield 0, len(_components(adj, full))
+    yield from _nonempty_cutsets(adj, full, full & ~simplicial_vertices(g))
 
 
-def _cutsets(
+def _nonempty_cutsets(
     adj: tuple[VertexSet, ...], full: VertexSet, cand: VertexSet
 ) -> Iterator[tuple[VertexSet, int]]:
-    """Cutsets of the graph induced on ``full``, whose adjacency rows
-    ``adj`` reach no vertex outside ``full``, with non-simplicial vertices
-    ``cand``; masks keep their indices."""
+    """Nonempty cutsets of the graph induced on ``full``, whose adjacency
+    rows ``adj`` reach no vertex outside ``full``, with non-simplicial
+    vertices ``cand``; masks keep their indices."""
     if cand.bit_count() > _DIRECT_SEARCH_MAX:
         pendants = _cone_pendants(adj, cand)
         if pendants:
@@ -190,10 +195,10 @@ def _expand(
     cand: VertexSet,
     pendants: list[tuple[int, VertexSet]],
 ) -> Iterator[tuple[VertexSet, int]]:
-    """Cutsets of a graph with cone pendants: the core search, each set
-    expanded by its apexes' pendant cutsets.  A cutset's mask is at least its
-    core part's, and core parts come out ascending, so a heap releases the
-    cutsets in ascending order as soon as the search has passed them."""
+    """Nonempty cutsets of a graph with cone pendants: the core search, each
+    set expanded by its apexes' pendant cutsets.  A cutset's mask is at least
+    its core part's, and core parts come out ascending, so a heap releases
+    the cutsets in ascending order as soon as the search has passed them."""
     apexes = inside = 0
     # apex -> its pendants, each with its own family as (mask, components - 1)
     parts: dict[int, list[tuple[VertexSet, list[tuple[VertexSet, int]]]]] = {}
@@ -202,8 +207,10 @@ def _expand(
         inside |= c
         sub = tuple(row & c for row in adj)
         # a vertex of c has v and its neighbours in c as neighbours, and v
-        # is adjacent to all of c: it is simplicial in G[c] iff in G
-        family = [(m, w - 1) for m, w in _cutsets(sub, c, cand & c)]
+        # is adjacent to all of c: it is simplicial in G[c] iff in G.  c is
+        # a component of G - v, so its empty part leaves one component
+        family = [(0, 0)]
+        family += [(m, w - 1) for m, w in _nonempty_cutsets(sub, c, cand & c)]
         parts.setdefault(v, []).append((c, family))
     heap: list[tuple[VertexSet, int]] = []
     for s, w in _search(adj, full, cand & ~inside, apexes):
@@ -280,9 +287,8 @@ def _search(
     adj: tuple[VertexSet, ...], full: VertexSet, cand: VertexSet, exempt: VertexSet
 ) -> Iterator[tuple[VertexSet, int]]:
     """Clique-pruned depth-first search over subsets of ``cand``: yield
-    ``(s, components of full - s)`` for each set whose members outside
-    ``exempt`` each touch two components, the empty set first, then in
-    ascending mask order.
+    ``(s, components of full - s)`` for each nonempty set whose members
+    outside ``exempt`` each touch two components, in ascending mask order.
 
     A set's children add one candidate below its lowest member.  A child is
     dropped, with every superset below it, when a member's neighbourhood
@@ -291,27 +297,28 @@ def _search(
     those are checked.
     """
     tested = ~exempt
-    # sets that passed the prune, popped lowest first; the empty set has no
-    # member to test, so it is yielded with the component count of G
+    # sets that passed the prune, popped lowest first; the empty set, which
+    # the caller yields, is only expanded
     stack = [0]
     while stack:
         s = stack.pop()
-        comps = _components(adj, full & ~s)
-        t = s & tested
-        while t:
-            b = t & -t
-            t ^= b
-            row = adj[b.bit_length() - 1]
-            hits = 0
-            for c in comps:
-                if row & c:
-                    hits += 1
-                    if hits == 2:
-                        break
-            if hits < 2:
-                break
-        else:
-            yield s, len(comps)
+        if s:
+            comps = _components(adj, full & ~s)
+            t = s & tested
+            while t:
+                b = t & -t
+                t ^= b
+                row = adj[b.bit_length() - 1]
+                hits = 0
+                for c in comps:
+                    if row & c:
+                        hits += 1
+                        if hits == 2:
+                            break
+                if hits < 2:
+                    break
+            else:
+                yield s, len(comps)
         # children take a candidate below s's lowest member (any candidate
         # when s is empty); push the passing ones highest first, so the
         # lowest pops next
@@ -456,11 +463,12 @@ def _neighbourhood_violation(
 def unmixed_report(g: Graph, bound: int | None = None) -> CutsetReport | None:
     """``enumerate_cutsets(g)`` when the graph is unmixed, else None.
 
-    After the empty set (which checks the bound and gives components(G)),
-    each vertex's open neighbourhood is tried as a cutset; one that breaks
-    ``components == |T| + components(G)`` settles the graph as not unmixed.
-    Otherwise the enumeration stops at the first cutset that breaks it, so a
-    graph that is not unmixed costs only the cutsets up to that one.
+    After the empty set (which checks the bound and gives components(G),
+    before any search set-up), each vertex's open neighbourhood is tried as
+    a cutset; one that breaks ``components == |T| + components(G)`` settles
+    the graph as not unmixed.  Otherwise the enumeration stops at the first
+    cutset that breaks it, so a graph that is not unmixed costs only the
+    cutsets up to that one.
     """
     cutsets = iter_cutsets(g, bound)
     found = [next(cutsets)]  # the empty set, with the component count of G

@@ -114,8 +114,14 @@ class BaseInvariants(_BaseInvariantsFields):
 
     @classmethod
     def from_json(cls, obj: dict) -> "BaseInvariants":
-        """The record ``to_json`` writes.  A missing required field is a
-        KeyError; a field of the wrong JSON type is a ValueError naming it."""
+        """The record ``to_json`` writes.  An unknown key (a misspelt field)
+        is a ValueError naming it; a missing required field is a KeyError; a
+        field of the wrong JSON type is a ValueError naming it."""
+        known = ("h", "dim", "depth", "reg", "pd", "is_complete", "is_unmixed", "is_cm",
+                 "is_accessible", "r_extremal", "provenance")
+        for key in obj:
+            if key not in known:
+                raise ValueError(f"pendant record has an unknown field {key!r}")
 
         def field(key: str, ok, kind: str, *default):
             value = obj.get(key, *default) if default else obj[key]

@@ -48,6 +48,14 @@ def to_graph6(g: Graph) -> str:
     return "".join(parts)
 
 
+def canonical_graph6(text: str, n: int) -> str:
+    """``to_graph6`` of the graph that ``from_graph6`` read from ``text``:
+    N(n) written afresh, then the checked body, the text's last
+    ceil(n(n-1)/12) characters."""
+    s = text.rstrip()
+    return _g6_encode_n(n) + s[len(s) - (n * (n - 1) // 2 + 5) // 6 :]
+
+
 def from_graph6(text: str, check_n: Callable[[int], None] | None = None) -> Graph:
     """Parse a single graph6 value (optional ``>>graph6<<`` header allowed).
 

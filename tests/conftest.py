@@ -132,8 +132,10 @@ def assert_matches_direct_search(g: bei.Graph) -> None:
     definition, with the oracle's component count."""
     got = list(bei.iter_cutsets(g))
     cand = g.full_mask & ~bei.simplicial_vertices(g)
-    assert got == list(cutsets._search(g.adj, g.full_mask, cand, 0))
     adj = _naive_adjacency(g)
+    # the search leaves the empty set, its root, to the caller
+    direct = list(cutsets._search(g.adj, g.full_mask, cand, 0))
+    assert got == [(0, _naive_count(adj, set()))] + direct
     for mask, w in got:
         removed = set(members(mask))
         assert w == _naive_count(adj, removed)

@@ -95,6 +95,19 @@ def test_scan_empty_and_malformed():
     assert errors == [2]
 
 
+@pytest.mark.parametrize("line", [">>graph6<<C~", "~??C~"], ids=["header", "long-form"])
+def test_scan_records_the_canonical_graph6(tmp_path, line):
+    canonical = bei.to_graph6(bei.from_graph6(line))
+    assert canonical == "C~" != line
+    runs = []
+    for text in (line, canonical):
+        out = tmp_path / text.replace(">", "h")
+        records = [r._replace(cas_script_path=None) for r in bei.bms_scan([text], script_dir=str(out))]
+        runs.append((records, (out / "000001.m2").read_text()))
+    assert runs[0] == runs[1]
+    assert runs[0][0][0].graph6 == canonical and f"graph6: {canonical}" in runs[0][1]
+
+
 def test_scan_respects_filters():
     corpus = scan_lines(connected_atlas(4))
     only3 = list(bei.bms_scan(corpus, diameters={3}))

@@ -20,7 +20,7 @@ import pytest
 
 import bei
 from bei import complete_graph, cycle_graph, enumerate_cutsets, path_graph, to_graph6
-from bei.cli import _render_report, main
+from bei.cli import _render_report, build_parser, main
 
 from conftest import atlas
 
@@ -86,6 +86,35 @@ def test_options_a_verb_never_reads_are_refused(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+def parser_exit(parse, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+VERB_NAMES = ("construct", "cutsets", "check", "invariants", "gadget", "scan", "export")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *([verb, "--help"] for verb in VERB_NAMES),
+        ["--help"],
+        ["--version"],
+        ["frobnicate", "-i", "K3"],
+        [],
+        ["cutsets"],
+        ["cutsets", "-i", "K3", "--size-cap"],
+    ],
+    ids=lambda argv: " ".join(argv) or "no-args",
+)
+def test_a_call_parses_as_with_every_verb_built(capsys, argv):
+    # main builds only the called verb's arguments
+    full = parser_exit(build_parser().parse_args, argv, capsys)
+    assert parser_exit(main, argv, capsys) == full
 
 
 def test_construct_rejects_repeated_attach_vertex(capsys):

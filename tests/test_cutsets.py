@@ -205,6 +205,37 @@ def test_unmixed_report_enumerates_once_per_graph(monkeypatch):
     assert settled > 0
 
 
+def refuse_search_set_up(monkeypatch):
+    """Make finding the simplicial vertices and the cone pendants fail."""
+
+    def refuse(*args):
+        raise AssertionError("search set-up ran")
+
+    monkeypatch.setattr(cutsets, "simplicial_vertices", refuse)
+    monkeypatch.setattr(cutsets, "_cone_pendants", refuse)
+
+
+def test_empty_set_comes_before_the_search_set_up(monkeypatch):
+    g = bei.corona(bei.cycle_graph(4), bei.path_graph(3))
+    assert factors_pendants(g)
+    refuse_search_set_up(monkeypatch)
+    cuts = bei.iter_cutsets(g)
+    assert next(cuts) == (0, 1)
+    with pytest.raises(AssertionError, match="set-up"):
+        next(cuts)
+    # the bound is still checked before the empty set is yielded
+    with pytest.raises(bei.EnumerationBoundError):
+        next(bei.iter_cutsets(g, bound=g.n - 1))
+
+
+def test_probe_settled_graphs_skip_the_search_set_up(monkeypatch):
+    settled = [g for g in [*connected_atlas(7), *mixed_graphs()] if probe_witness(g)]
+    assert settled
+    refuse_search_set_up(monkeypatch)
+    for g in settled:
+        assert bei.unmixed_report(g) is None
+
+
 def test_report_fields(square_leaves_base):
     rep = bei.enumerate_cutsets(square_leaves_base)
     assert rep.connected and rep.base_components == 1

@@ -60,6 +60,13 @@ def test_base_invariants_from_json_checks_each_field_type(field, value):
         bei.BaseInvariants.from_json(obj)
 
 
+def test_base_invariants_from_json_names_an_unknown_field():
+    obj = block(bei.path_graph(3)).to_json()
+    obj["is_unmixd"] = obj.pop("is_unmixed")
+    with pytest.raises(ValueError, match="unknown field 'is_unmixd'"):
+        bei.BaseInvariants.from_json(obj)
+
+
 def test_block_graph_closed_forms():
     for h in range(1, 6):
         rec = block(bei.complete_graph(h))

@@ -6,7 +6,7 @@ import networkx as nx
 import pytest
 
 import bei
-from bei.io import graph_from_json, graph_to_json, is_graph_name
+from bei.io import canonical_graph6, graph_from_json, graph_to_json, is_graph_name
 
 from conftest import mixed_graphs, to_nx
 
@@ -49,6 +49,19 @@ def test_graph6_three_byte_vertex_count():
     s = bei.to_graph6(g)
     assert s == nx.to_graph6_bytes(nxg, header=False).decode().strip()
     assert bei.from_graph6(s) == g
+
+
+def test_canonical_graph6_is_the_encoding_of_the_parsed_graph():
+    rng = random.Random(15)
+    for n in [*range(0, 14), 62, 63, 70]:
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        g = bei.Graph(n, [e for e in pairs if rng.random() < 0.4])
+        s = bei.to_graph6(g)
+        long_n = "~" + "".join(chr(((n >> k) & 63) + 63) for k in (12, 6, 0))
+        body = s[len(s) - (len(pairs) + 5) // 6 :]
+        for text in (s, ">>graph6<<" + s, long_n + body, ">>graph6<<" + long_n + body + "\n"):
+            parsed = bei.from_graph6(text)
+            assert canonical_graph6(text, parsed.n) == bei.to_graph6(parsed) == s
 
 
 def edge_list_reference(s: str, n: int) -> bei.Graph:
