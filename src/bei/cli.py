@@ -175,26 +175,39 @@ def _labels(g: Graph, mask: int) -> list[str]:
     return [g.label(v) for v in members(mask)]
 
 
+def _one_of(args, *flags: str) -> str:
+    """The one option of ``flags`` that was given; none or several is a
+    ValueError, so that no mode is silently dropped."""
+    given = [f for f in flags if getattr(args, f[2:].replace("-", "_")) not in (None, False)]
+    if len(given) == 1:
+        return given[0]
+    if given:
+        listing = ", ".join(given[:-1]) + " and " + given[-1]
+        raise ValueError(f"give one of {listing}, not {'both' if len(given) == 2 else 'all'}")
+    raise ValueError(f"choose one of {', '.join(flags)}")
+
+
 # ---------------------------------------------------------------------------
 # verbs
 
 
 def _cmd_construct(args) -> int:
-    if args.corona:
+    mode = _one_of(args, "--corona", "--l-corona", "--cone")
+    if args.attach is not None and mode != "--l-corona":
+        raise ValueError("--attach applies only to --l-corona")
+    if mode == "--corona":
         base = _graph_arg(args.corona[0], args.format)
         pend = _graph_arg(args.corona[1], args.format)
         g = corona(base, pend)
-    elif args.l_corona:
+    elif mode == "--l-corona":
         base = _graph_arg(args.l_corona[0], args.format)
         pend = _graph_arg(args.l_corona[1], args.format)
         if not args.attach:
             raise ValueError("--l-corona needs --attach with base vertex indices")
         attach = checked_vset([int(tok) for tok in args.attach.split(",")], "--attach")
         g = l_corona(CoronaSpec(base, attach, pend))
-    elif args.cone:
-        g = cone(_graph_arg(args.cone, args.format))
     else:
-        raise ValueError("choose one of --corona, --l-corona, --cone")
+        g = cone(_graph_arg(args.cone, args.format))
     _write_out(_render_graph(g, args.out), args.output)
     return 0
 
@@ -218,12 +231,14 @@ def _cmd_cutsets(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    if args.unmixed or args.accessible or args.accessible_system:
+    mode = _one_of(args, "--unmixed", "--accessible", "--accessible-system", "--cutset", "--cm-closed")
+    if args.chain and mode != "--cutset":
+        raise ValueError("--chain applies only to --cutset")
+    if mode in ("--unmixed", "--accessible", "--accessible-system"):
         g = _enumerated_input(args)
     else:
         g = _graph_arg(args.input, args.format)
-    result: dict
-    if args.unmixed:
+    if mode == "--unmixed":
         report = enumerate_cutsets(g, bound=args.bound)
         result = {"check": "unmixed", "value": report.is_unmixed}
         if not report.is_unmixed:
@@ -231,7 +246,7 @@ def _cmd_check(args) -> int:
             result["witness"] = _labels(g, mask)
             result["witness_components"] = w
             result["expected_components"] = mask.bit_count() + report.base_components
-    elif args.accessible:
+    elif mode == "--accessible":
         report = unmixed_report(g, bound=args.bound)
         result = {"check": "accessible", "value": report is not None and report.is_accessible}
         if report is None:
@@ -239,12 +254,12 @@ def _cmd_check(args) -> int:
         elif not report.is_accessible_system:
             result["reason"] = "no-removable-vertex"
             result["witness"] = _labels(g, report.stuck_cutset)
-    elif args.accessible_system:
+    elif mode == "--accessible-system":
         report = enumerate_cutsets(g, bound=args.bound)
         result = {"check": "accessible-system", "value": report.is_accessible_system}
         if not report.is_accessible_system:
             result["witness"] = _labels(g, report.stuck_cutset)
-    elif args.cutset is not None:
+    elif mode == "--cutset":
         mask = checked_vset(
             [int(tok) for tok in args.cutset.split(",") if tok != ""], "--cutset"
         )
@@ -253,30 +268,25 @@ def _cmd_check(args) -> int:
         if value and args.chain:
             chain = accessibility_witness_chain(g, mask)
             result["witness_chain"] = None if chain is None else [g.label(v) for v in chain]
-    elif args.cm_closed:
-        result = {"check": "cm-closed", "value": is_cm_closed(g)}
     else:
-        raise ValueError("choose a check: --unmixed, --accessible, --accessible-system, --cutset, --cm-closed")
+        result = {"check": "cm-closed", "value": is_cm_closed(g)}
     _write_out(json.dumps(result, indent=2) + "\n", args.output)
     return 0
 
 
 def _base_record(args) -> tuple[BaseInvariants, Graph | None]:
-    if args.pendant_block_graph and args.pendant_base_json:
-        raise ValueError("give one of --pendant-block-graph and --pendant-base-json, not both")
+    source = _one_of(args, "--pendant-block-graph", "--pendant-base-json")
     pendant_graph = block_graph = None
     if args.pendant_graph:
         pendant_graph = _graph_arg(args.pendant_graph, args.format)
-    if args.pendant_block_graph:
+    if source == "--pendant-block-graph":
         block_graph = _graph_arg(args.pendant_block_graph, args.format)
         base = base_invariants_block_graph(block_graph, bound=args.bound)
-    elif args.pendant_base_json:
+    else:
         obj = json.loads(Path(args.pendant_base_json).read_text())
         if not isinstance(obj, dict):
             raise ValueError(f"pendant record must be a JSON object, got {type(obj).__name__}")
         base = BaseInvariants.from_json(obj)
-    else:
-        raise ValueError("supply pendant data: --pendant-block-graph or --pendant-base-json")
     # the complete-base families take every number from the record, so
     # nothing later compares the pendant graph with it: a block graph must
     # be the pendant graph itself, a JSON record must match its size
@@ -463,7 +473,11 @@ def _invariants_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ell", type=int)
     p.add_argument("--b-graph", help="clique-path base graph (cm-closed family)")
     p.add_argument("--pendant-block-graph", help="pendant graph with block-graph closed forms")
-    p.add_argument("--pendant-base-json", help="user-supplied pendant invariants (JSON file)")
+    p.add_argument(
+        "--pendant-base-json",
+        help="user-supplied pendant invariants (JSON file); pd, is_complete and is_cm "
+        "follow from h, dim, depth and reg (2h - depth, reg = 1, depth = dim) and must agree",
+    )
     p.add_argument("--pendant-graph", help="pendant graph for oracle dimension / script emission")
     p.add_argument("--emit-cas", help="also write a verification script for the product")
     p.add_argument("--dialect", choices=("m2", "singular"), default="m2")

@@ -353,7 +353,6 @@ class CutsetReport(NamedTuple):
     """
 
     n: int
-    connected: bool
     base_components: int
     cutsets: tuple[VertexSet, ...]
     per_cutset_components: tuple[int, ...]
@@ -361,6 +360,10 @@ class CutsetReport(NamedTuple):
     stuck_cutset: VertexSet | None
     oracle_dimension: int
     size_cap: int | None = None
+
+    @property
+    def connected(self) -> bool:
+        return self.base_components <= 1
 
     @property
     def is_unmixed(self) -> bool:
@@ -421,7 +424,6 @@ def _report(
     )
     return CutsetReport(
         n=g.n,
-        connected=w0 <= 1,
         base_components=w0,
         cutsets=masks,
         per_cutset_components=tuple(w for _, w in found),

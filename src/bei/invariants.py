@@ -1,23 +1,26 @@
 """Closed-form dimension / depth / regularity engine for corona products.
 
 The closed forms see the pendant graph only through a small record of its
-quotient-ring invariants (``BaseInvariants``).  A built-in constructor
-covers connected block graphs, where depth and regularity have exact
-combinatorial values (vertex count + 1 and internal-vertex count + 1);
-their dimension and the unmixed/accessible verdicts come from the cutset
-oracle, since a block graph need not be Cohen-Macaulay (a star already is
-not).  Anything else is user-supplied.  All arithmetic is exact integers.
+quotient-ring invariants (``BaseInvariants``), which stores only
+independent values: pd, Cohen-Macaulayness and completeness are derived
+from dim, depth and reg, so no record can contradict them.  A built-in
+constructor covers connected block graphs, where depth and regularity have
+exact combinatorial values (vertex count + 1 and internal-vertex count +
+1); their dimension and the unmixed/accessible verdicts come from the
+cutset oracle, since a block graph need not be Cohen-Macaulay (a star
+already is not).  Anything else is user-supplied.  All arithmetic is exact
+integers.
 
 Every product with a pendant copy at every base vertex -- the full corona
 over K_n, the corona of a clique-path base and its path case -- comes from
 one computation on the base graph; the three families differ only in the
 labels their reports carry.  The L-corona with 1 <= ell < n has its own
-rules.  Each of the two builders states its own dimension formula, depth
-and regularity, extremal Betti position (the corner of the Betti table in
-the sense of Bayer, Charalambous and Popescu) and verdicts, one line per
-rule.  A report stores dim, depth and reg only: pd follows by
-Auslander-Buchsbaum (pd = 2|V| - depth) and the Cohen-Macaulay defect is
-dim - depth, so both are derived on reading.
+rules, the same for every such ell.  Each of the two builders states its
+own dimension formula, depth and regularity, extremal Betti position (the
+corner of the Betti table in the sense of Bayer, Charalambous and Popescu)
+and verdicts, one line per rule.  A report stores dim, depth and reg only:
+pd follows by Auslander-Buchsbaum (pd = 2|V| - depth) and the
+Cohen-Macaulay defect is dim - depth, so both are derived on reading.
 """
 
 from __future__ import annotations
@@ -54,10 +57,7 @@ class _BaseInvariantsFields(NamedTuple):
     dim_q: int
     depth_q: int
     reg_q: int
-    pd: int
-    is_complete: bool
     is_unmixed: bool | None = None
-    is_cm: bool | None = None
     is_accessible: bool | None = None
     r_extremal: int | None = None
     provenance: str = "user-supplied"
@@ -67,12 +67,17 @@ class BaseInvariants(_BaseInvariantsFields):
     """Per-graph algebraic inputs consumed by the formula engine, checked
     on construction.
 
-    ``h`` is the vertex count; ``dim_q``/``depth_q``/``reg_q``/``pd`` are
-    the quotient-ring invariants; ``r_extremal`` the column offset of the
-    extremal Betti entry in homological degree ``pd`` (>= 2, only defined
-    for non-complete graphs).  For the single-vertex pendant the record
-    carries the internal-vertex closed form ``reg_q = 1``; no consuming
-    formula reads ``reg_q`` of a complete pendant.
+    Stored: ``h`` (the vertex count), ``dim_q``/``depth_q``/``reg_q`` (the
+    quotient-ring invariants), the unmixed and accessible verdicts and
+    ``r_extremal``, the column offset of the extremal Betti entry in
+    homological degree ``pd`` (>= 2, only defined for non-complete graphs).
+    Derived: ``pd`` = 2h - depth (Auslander-Buchsbaum), ``is_cm`` (depth =
+    dim) and ``is_complete`` (reg = 1: a connected graph's reg is at least
+    its longest induced path, Matsuda-Murai); the single-vertex pendant
+    carries the internal-vertex closed form ``reg_q = 1``.  As Cohen-Macaulay
+    implies accessible implies unmixed (Bolognini-Macchia-Strazzanti), and a
+    Cohen-Macaulay Betti table has one corner, at (pd, pd + reg), a record
+    saying otherwise is refused.
     """
 
     __slots__ = ()
@@ -81,21 +86,42 @@ class BaseInvariants(_BaseInvariantsFields):
         self = super().__new__(cls, *args, **kwargs)
         if self.h < 1:
             raise ValueError("pendant must have at least one vertex")
-        if self.pd + self.depth_q != 2 * self.h:
-            raise ValueError("pd + depth must equal twice the vertex count")
+        if self.reg_q < 1:
+            raise ValueError("reg below 1")
         if self.pd < self.h - 1:
             raise ValueError("pd is below the h-1 floor")
         if self.depth_q > self.dim_q:
             raise ValueError("depth exceeds dim")
         if self.dim_q < self.h + 1:
             raise ValueError("dim below h+1: pendant data must describe a connected graph")
-        if self.is_complete and not (
-            self.reg_q == 1 and self.depth_q == self.dim_q == self.h + 1
-        ):
-            raise ValueError("complete pendant must carry reg 1 and dim = depth = h+1")
+        if self.is_complete and not self.depth_q == self.dim_q == self.h + 1:
+            raise ValueError("complete pendant (reg 1) must carry dim = depth = h+1")
         if self.r_extremal is not None and self.r_extremal < 2:
             raise ValueError("extremal offset must be >= 2")
+        if self.is_accessible and self.is_unmixed is False:
+            raise ValueError("is_accessible is true but is_unmixed is false: accessible implies unmixed")
+        if self.is_cm and False in (self.is_unmixed, self.is_accessible):
+            raise ValueError(
+                "is_unmixed or is_accessible is false, but depth = dim: Cohen-Macaulay implies both"
+            )
+        if self.is_cm and not self.is_complete and self.r_extremal not in (None, self.reg_q):
+            raise ValueError(
+                "r_extremal is not reg, but depth = dim: a Cohen-Macaulay Betti table has one corner"
+            )
         return self
+
+    @property
+    def pd(self) -> int:
+        """Auslander-Buchsbaum: pd + depth = 2h."""
+        return 2 * self.h - self.depth_q
+
+    @property
+    def is_cm(self) -> bool:
+        return self.depth_q == self.dim_q
+
+    @property
+    def is_complete(self) -> bool:
+        return self.reg_q == 1
 
     def to_json(self) -> dict:
         return {
@@ -116,7 +142,8 @@ class BaseInvariants(_BaseInvariantsFields):
     def from_json(cls, obj: dict) -> "BaseInvariants":
         """The record ``to_json`` writes.  An unknown key (a misspelt field)
         is a ValueError naming it; a missing required field is a KeyError; a
-        field of the wrong JSON type is a ValueError naming it."""
+        field of the wrong JSON type, or a derived field that disagrees with
+        the stored ones, is a ValueError naming it."""
         known = ("h", "dim", "depth", "reg", "pd", "is_complete", "is_unmixed", "is_cm",
                  "is_accessible", "r_extremal", "provenance")
         for key in obj:
@@ -137,23 +164,29 @@ class BaseInvariants(_BaseInvariantsFields):
         def verdict(key: str) -> bool | None:
             return field(key, lambda v: v is None or isinstance(v, bool), "a boolean or null", None)
 
-        return cls(
-            h=integer("h"),
-            dim_q=integer("dim"),
-            depth_q=integer("depth"),
-            reg_q=integer("reg"),
-            pd=integer("pd"),
-            is_complete=field("is_complete", lambda v: isinstance(v, bool), "a boolean"),
-            is_unmixed=verdict("is_unmixed"),
-            is_cm=verdict("is_cm"),
-            is_accessible=verdict("is_accessible"),
-            r_extremal=field(
-                "r_extremal", lambda v: v is None or _is_json_int(v), "an integer or null", None
-            ),
-            provenance=field(
-                "provenance", lambda v: isinstance(v, str), "a string", "user-supplied"
-            ),
-        )
+        # _make skips the checks of __new__, so a derived field that
+        # disagrees is named before them
+        record = cls._make((
+            integer("h"),
+            integer("dim"),
+            integer("depth"),
+            integer("reg"),
+            verdict("is_unmixed"),
+            verdict("is_accessible"),
+            field("r_extremal", lambda v: v is None or _is_json_int(v), "an integer or null", None),
+            field("provenance", lambda v: isinstance(v, str), "a string", "user-supplied"),
+        ))
+        integer("pd")
+        field("is_complete", lambda v: isinstance(v, bool), "a boolean")
+        verdict("is_cm")
+        for key, rule in (
+            ("pd", "2h - depth"),
+            ("is_complete", "complete exactly when reg = 1"),
+            ("is_cm", "Cohen-Macaulay exactly when depth = dim"),
+        ):
+            derived = getattr(record, key)
+            field(key, lambda v: v in (None, derived), f"{json.dumps(derived)} ({rule})", None)
+        return cls(*record)
 
 
 def base_invariants_block_graph(g: Graph, bound: int | None = None) -> BaseInvariants:
@@ -170,18 +203,14 @@ def base_invariants_block_graph(g: Graph, bound: int | None = None) -> BaseInvar
     report = enumerate_cutsets(g, bound=bound)
     dim = report.oracle_dimension
     cm = dim == depth
-    comp = is_complete(g)
     return BaseInvariants(
         h=h,
         dim_q=dim,
         depth_q=depth,
         reg_q=reg,
-        pd=h - 1,
-        is_complete=comp,
         is_unmixed=report.is_unmixed,
-        is_cm=cm,
         is_accessible=report.is_accessible,
-        r_extremal=reg if (cm and not comp) else None,
+        r_extremal=reg if (cm and reg > 1) else None,  # reg 1: complete, no corner offset
         provenance="closed-form" if cm else "oracle",
     )
 
@@ -218,6 +247,9 @@ class InvariantReport(_InvariantReportFields):
         self = super().__new__(cls, *args, **kwargs)
         if self.dim_q is not None and self.dim_q < self.depth_q:
             raise ValueError("negative Cohen-Macaulay defect")
+        cm = self.verdicts["cm"].value
+        if self.dim_q is not None and cm is not None and cm != (self.dim_q == self.depth_q):
+            raise ValueError("the cm verdict disagrees with the Cohen-Macaulay defect")
         return self
 
     @property
@@ -358,27 +390,21 @@ def depth_reg_corona_complete(n: int, ell: int, base: BaseInvariants) -> Invaria
             n=n,
             ell=n,
         )
-    if ell == 1:
-        rule = "formula:single-attach"
-        depth = n + base.depth_q
-        reg = 2 if base.is_complete else 1 + base.reg_q
-    else:
-        rule = "formula:multi-attach"
-        depth = n - ell + 1 + ell * base.depth_q
-        reg = 1 + ell * base.reg_q
     extremal = None
     if not base.is_complete and base.r_extremal is not None:
         # p = n + ell - 1 + ell*pd_H; the column offset gains 1 from n = 3 on
         p = n + ell - 1 + ell * base.pd
         extremal = p, p + ell * base.r_extremal + (n >= 3)
-    # the n - ell bare base vertices add one component to ell best cutsets
-    # of the copies; the verdicts are the pendant's own
+    # one depth and one reg rule for every ell < n (reg_H = 1 covers a
+    # complete pendant); only the rule label names ell = 1.  The n - ell bare
+    # base vertices add one component to ell best cutsets of the copies; the
+    # verdicts are the pendant's own
     return InvariantReport(
         family=L_CORONA,
         base=base,
         product_vertices=n + ell * base.h,
-        depth_q=depth,
-        reg_q=reg,
+        depth_q=n - ell + 1 + ell * base.depth_q,
+        reg_q=1 + ell * base.reg_q,
         dim_q=n - ell + 1 + ell * base.dim_q,
         extremal_position=extremal,
         verdicts={
@@ -386,7 +412,7 @@ def depth_reg_corona_complete(n: int, ell: int, base: BaseInvariants) -> Invaria
             "accessible": Verdict(base.is_accessible, "transfer-from-pendant"),
             "cm": Verdict(base.is_cm, "transfer-from-pendant"),
         },
-        rule=rule,
+        rule="formula:single-attach" if ell == 1 else "formula:multi-attach",
         dim_provenance="formula:l-corona-dimension",
         n=n,
         ell=ell,

@@ -117,6 +117,32 @@ def test_a_call_parses_as_with_every_verb_built(capsys, argv):
     assert parser_exit(main, argv, capsys) == full
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["check", "--unmixed", "--accessible", "-i", "P4"],
+         "give one of --unmixed and --accessible, not both"),
+        (["check", "--unmixed", "--cutset", "1", "--cm-closed", "-i", "P4"],
+         "give one of --unmixed, --cutset and --cm-closed, not all"),
+        (["check", "--cm-closed", "--chain", "-i", "P4"], "--chain applies only to --cutset"),
+        (["check", "-i", "P4"],
+         "choose one of --unmixed, --accessible, --accessible-system, --cutset, --cm-closed"),
+        (["construct", "--corona", "K2", "K1", "--cone", "K3"],
+         "give one of --corona and --cone, not both"),
+        (["construct", "--cone", "K2", "--attach", "0"], "--attach applies only to --l-corona"),
+        (["invariants", "--family", "path", "--n", "2"],
+         "choose one of --pendant-block-graph, --pendant-base-json"),
+    ],
+    ids=["check-two-modes", "check-three-modes", "check-chain", "check-no-mode",
+         "construct-two-modes", "construct-attach", "invariants-no-pendant"],
+)
+def test_a_mode_or_modifier_that_would_be_ignored_is_refused(capsys, argv, error):
+    code, out, err = run(argv, capsys)
+    assert out == ""
+    assert_invalid_input(code, err)
+    assert json.loads(err)["error"] == error
+
+
 def test_construct_rejects_repeated_attach_vertex(capsys):
     argv = ["construct", "--l-corona", "K3", "P3", "--attach", "0,0"]
     code, out, err = run(argv, capsys)

@@ -239,6 +239,7 @@ def test_probe_settled_graphs_skip_the_search_set_up(monkeypatch):
 def test_report_fields(square_leaves_base):
     rep = bei.enumerate_cutsets(square_leaves_base)
     assert rep.connected and rep.base_components == 1
+    assert "connected" not in rep._fields  # read from base_components
     assert rep.is_unmixed
     assert rep.cutsets[0] == 0
     assert all(

@@ -2,6 +2,8 @@
 formulas, Cohen-Macaulay defect, extremal Betti positions, classification,
 and the dimension formula against the cutset oracle."""
 
+import json
+
 import pytest
 
 import bei
@@ -16,23 +18,64 @@ def block(g):
 
 
 def test_base_invariants_validation():
-    good = dict(h=3, dim_q=4, depth_q=4, reg_q=2, pd=2, is_complete=False)
-    bei.BaseInvariants(**good)
-    with pytest.raises(ValueError):
-        bei.BaseInvariants(**{**good, "pd": 3})  # breaks pd + depth = 2h
-    with pytest.raises(ValueError):
-        bei.BaseInvariants(h=3, dim_q=5, depth_q=5, reg_q=2, pd=1, is_complete=False)
-    with pytest.raises(ValueError):
-        bei.BaseInvariants(h=3, dim_q=3, depth_q=4, reg_q=2, pd=2, is_complete=False)
-    with pytest.raises(ValueError):
-        bei.BaseInvariants(h=3, dim_q=4, depth_q=4, reg_q=2, pd=2, is_complete=True)
-    with pytest.raises(ValueError):
-        bei.BaseInvariants(**{**good, "r_extremal": 1})
+    good = dict(h=3, dim_q=4, depth_q=4, reg_q=2)
+    rec = bei.BaseInvariants(**good)
+    # pd, Cohen-Macaulayness and completeness are derived, not stored
+    assert len(bei.BaseInvariants._fields) == 8
+    assert (rec.pd, rec.is_cm, rec.is_complete) == (2, True, False)
+    with pytest.raises(TypeError):
+        bei.BaseInvariants(**good, pd=2)
+    with pytest.raises(ValueError, match="reg below 1"):
+        bei.BaseInvariants(**{**good, "reg_q": 0})
+    with pytest.raises(ValueError, match="floor"):
+        bei.BaseInvariants(h=3, dim_q=5, depth_q=5, reg_q=2)  # pd 1
+    with pytest.raises(ValueError, match="depth exceeds dim"):
+        bei.BaseInvariants(h=3, dim_q=3, depth_q=4, reg_q=2)
+    with pytest.raises(ValueError, match="complete pendant"):
+        bei.BaseInvariants(h=3, dim_q=5, depth_q=4, reg_q=1)
+    with pytest.raises(ValueError, match="extremal offset"):
+        bei.BaseInvariants(**good, r_extremal=1)
+
+
+P3_RECORD = {"h": 3, "dim": 4, "depth": 4, "reg": 2, "pd": 2, "is_complete": False,
+             "is_unmixed": True, "is_cm": True, "is_accessible": True, "r_extremal": 2}
 
 
 def test_base_invariants_json_roundtrip():
-    rec = block(bei.path_graph(4))
-    assert bei.BaseInvariants.from_json(rec.to_json()) == rec
+    rec = block(bei.path_graph(3))
+    assert bei.BaseInvariants.from_json(P3_RECORD) == rec._replace(provenance="user-supplied")
+    # the derived fields may be left out, except the required pd and is_complete
+    assert bei.BaseInvariants.from_json({**P3_RECORD, "is_cm": None}).is_cm is True
+    with pytest.raises(KeyError):
+        bei.BaseInvariants.from_json({k: v for k, v in P3_RECORD.items() if k != "pd"})
+
+
+def test_every_small_block_graph_record_survives_a_json_round_trip():
+    records = [block(g) for g in connected_atlas(7) if bei.is_block_graph(g)]
+    for rec in records:
+        assert bei.BaseInvariants.from_json(json.loads(json.dumps(rec.to_json()))) == rec
+    assert len(records) == 98
+    assert {rec.is_cm for rec in records} == {True, False}
+
+
+@pytest.mark.parametrize(
+    "changes, named",
+    [
+        ({"pd": 3}, "'pd' must be 2"),
+        ({"is_complete": True}, "'is_complete' must be false"),
+        ({"is_cm": False}, "'is_cm' must be true"),
+        ({"dim": 5, "is_cm": False, "is_unmixed": False, "r_extremal": None},
+         "is_accessible is true but is_unmixed is false"),
+        ({"is_unmixed": False, "is_accessible": None}, "is_unmixed or is_accessible is false"),
+        ({"is_accessible": False}, "is_unmixed or is_accessible is false"),
+        ({"r_extremal": 3}, "r_extremal is not reg"),
+    ],
+    ids=["pd", "is-complete", "is-cm", "accessible-unmixed", "cm-unmixed", "cm-accessible",
+         "cm-corner"],
+)
+def test_base_invariants_from_json_refuses_a_contradiction(changes, named):
+    with pytest.raises(ValueError, match=named):
+        bei.BaseInvariants.from_json({**P3_RECORD, **changes})
 
 
 @pytest.mark.parametrize(
@@ -210,10 +253,9 @@ def test_cmdef_with_almost_cm_pendant_built_from_a_report():
         dim_q=inner.dim_q,
         depth_q=inner.depth_q,
         reg_q=inner.reg_q,
-        pd=inner.pd,
-        is_complete=False,
     )
     assert pend.h == 8 and pend.dim_q - pend.depth_q == 1
+    assert pend.pd == inner.pd and not pend.is_complete
     # oracle cross-check at desk scale: dim of the 19-vertex product
     inner_graph = bei.corona(bei.complete_graph(2), bei.path_graph(3))
     outer = bei.l_corona(
@@ -298,10 +340,9 @@ def test_path_family_matches_cm_closed():
 
 
 def test_extremal_positions_golden():
-    base = bei.BaseInvariants(
-        h=4, dim_q=6, depth_q=4, reg_q=3, pd=4, is_complete=False, r_extremal=3
-    )
+    base = bei.BaseInvariants(h=4, dim_q=6, depth_q=4, reg_q=3, r_extremal=3)
     p_h, r_h = base.pd, base.r_extremal
+    assert p_h == 4
 
     def position(report):
         return report.extremal_position
@@ -343,9 +384,7 @@ def test_extremal_position_errors():
     complete pendant, a pendant record without ``r_extremal``, and a
     single-vertex base."""
     complete = block(bei.complete_graph(3))
-    noncomplete = bei.BaseInvariants(
-        h=4, dim_q=6, depth_q=4, reg_q=3, pd=4, is_complete=False
-    )
+    noncomplete = bei.BaseInvariants(h=4, dim_q=6, depth_q=4, reg_q=3)
     withr = noncomplete._replace(r_extremal=2)
     for rec in (complete, noncomplete):
         assert bei.depth_reg_corona_complete(3, 3, rec).extremal_position is None
@@ -399,7 +438,9 @@ def test_classify_validates_pendant_size():
 def test_dimension_formula_matches_the_oracle_on_small_coronas():
     # every L-corona and full corona of K_n (n <= 3) over a connected atlas
     # pendant on at most 6 vertices, with at most 20 product vertices; the
-    # formula reads only h and dim H, so the record's depth is a placeholder
+    # formula reads only h and dim H, so the record's depth and reg are
+    # placeholders, with reg 1 exactly for a complete pendant as a record
+    # requires (a connected graph that is not complete has reg >= 2)
     products = 0
     for h_graph in connected_atlas(6):
         h = h_graph.n
@@ -407,9 +448,7 @@ def test_dimension_formula_matches_the_oracle_on_small_coronas():
             h=h,
             dim_q=bei.dimension_oracle(h_graph),
             depth_q=h + 1,
-            reg_q=1,
-            pd=h - 1,
-            is_complete=bei.is_complete(h_graph),
+            reg_q=1 if bei.is_complete(h_graph) else 2,
         )
         for n in (1, 2, 3):
             for ell in range(1, n + 1):
@@ -460,4 +499,28 @@ def test_report_rejects_a_wrong_defect(keywords):
     assert build().cmdef == rep.cmdef
     with pytest.raises(ValueError, match="negative"):
         build(dim_q=rep.depth_q - 1)
+    flipped = {**rep.verdicts, "cm": bei.Verdict(not rep.verdicts["cm"].value, "flipped")}
+    with pytest.raises(ValueError, match="cm verdict"):
+        build(verdicts=flipped)
+    build(verdicts=flipped, dim_q=None)  # no defect to disagree with
+
+
+def test_every_family_states_cm_exactly_at_defect_zero():
+    # every family over every block-graph pendant on at most 5 vertices,
+    # with the pendant graph, so every dimension is known; a report whose
+    # cm verdict disagreed with its defect would be refused on construction
+    reports = []
+    for g in connected_atlas(5):
+        if not bei.is_block_graph(g):
+            continue
+        rec = block(g)
+        for n in (1, 2, 3, 4):
+            for ell in range(1, n + 1):
+                reports.append(bei.depth_reg_corona_complete(n, ell, rec))
+            reports.append(bei.depth_reg_corona_path(n, rec, pendant=g))
+        for b_graph in (bei.complete_graph(3), bei.Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])):
+            reports.append(bei.depth_reg_corona_cm_closed(b_graph, rec, pendant=g))
+    assert len(reports) == 272
+    for rep in reports:
+        assert rep.verdicts["cm"].value is (rep.cmdef == 0), rep
 
