@@ -39,6 +39,7 @@ from .io import canonical_graph6, from_graph6
 
 
 class ReductionCheck(NamedTuple):
+    gadget_vertices: int
     diameter_ok: bool
     accessible_transfer_ok: bool
     distance_cases_ok: bool | None = None
@@ -55,6 +56,7 @@ def verify_reduction_d2(h: Graph, bound: int | None = None) -> ReductionCheck:
     _require_accessible(h, bound)
     g = gadget_d2(h)
     return ReductionCheck(
+        gadget_vertices=g.n,
         diameter_ok=diameter(g) == 2,
         accessible_transfer_ok=is_accessible(g, bound),
     )
@@ -103,6 +105,7 @@ def verify_reduction_d3(h: Graph, bound: int | None = None) -> ReductionCheck:
     _require_accessible(h, bound)
     g = gadget_d3(h)
     return ReductionCheck(
+        gadget_vertices=g.n,
         diameter_ok=diameter(g) == 3,
         accessible_transfer_ok=is_accessible(g, bound),
         distance_cases_ok=_d3_distances_match(h, g),

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import __version__
-from .bms import ReductionCheck, bms_scan, verify_reduction_d2, verify_reduction_d3
+from .bms import bms_scan, verify_reduction_d2, verify_reduction_d3
 from .cas import emit_cas_script
 from .corona import (
     CoronaSpec,
@@ -32,7 +32,6 @@ from .cutsets import (
     EnumerationBoundError,
     accessibility_witness_chain,
     check_bound,
-    check_size_cap,
     enumerate_cutsets,
     is_cutset,
     iter_cutsets,
@@ -175,10 +174,15 @@ def _labels(g: Graph, mask: int) -> list[str]:
     return [g.label(v) for v in members(mask)]
 
 
+def _given(args, flag: str) -> bool:
+    value = getattr(args, flag[2:].replace("-", "_"))
+    return value is not None and value is not False
+
+
 def _one_of(args, *flags: str) -> str:
     """The one option of ``flags`` that was given; none or several is a
     ValueError, so that no mode is silently dropped."""
-    given = [f for f in flags if getattr(args, f[2:].replace("-", "_")) not in (None, False)]
+    given = [f for f in flags if _given(args, f)]
     if len(given) == 1:
         return given[0]
     if given:
@@ -187,14 +191,20 @@ def _one_of(args, *flags: str) -> str:
     raise ValueError(f"choose one of {', '.join(flags)}")
 
 
+def _applies_only(args, flag: str, applies: bool, where: str) -> None:
+    """Refuse ``flag`` where it does not apply, so that no option the chosen
+    mode never reads is silently dropped."""
+    if not applies and _given(args, flag):
+        raise ValueError(f"{flag} applies only to {where}")
+
+
 # ---------------------------------------------------------------------------
 # verbs
 
 
 def _cmd_construct(args) -> int:
     mode = _one_of(args, "--corona", "--l-corona", "--cone")
-    if args.attach is not None and mode != "--l-corona":
-        raise ValueError("--attach applies only to --l-corona")
+    _applies_only(args, "--attach", mode == "--l-corona", "--l-corona")
     if mode == "--corona":
         base = _graph_arg(args.corona[0], args.format)
         pend = _graph_arg(args.corona[1], args.format)
@@ -213,27 +223,26 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_cutsets(args) -> int:
-    check_size_cap(args.size_cap)
+    cap = args.size_cap
+    if cap is not None and cap < 0:
+        raise ValueError(f"size cap must be at least 0, got {cap}")
     g = _enumerated_input(args)
     if args.out == "jsonl":
-        lines = []
-        for mask, w in iter_cutsets(g, args.bound):
-            if args.size_cap is not None and mask.bit_count() > args.size_cap:
-                continue
-            lines.append(
-                json.dumps({"cutset": members(mask), "components": w}) + "\n"
-            )
+        lines = [
+            json.dumps({"cutset": members(mask), "components": w}) + "\n"
+            for mask, w in iter_cutsets(g, args.bound)
+            if cap is None or mask.bit_count() <= cap
+        ]
         _write_out("".join(lines), args.output)
         return 0
-    report = enumerate_cutsets(g, size_cap=args.size_cap, bound=args.bound)
-    _write_out(_render_report(report.to_json()), args.output)
+    report = enumerate_cutsets(g, bound=args.bound)
+    _write_out(_render_report(report.to_json(cap)), args.output)
     return 0
 
 
 def _cmd_check(args) -> int:
     mode = _one_of(args, "--unmixed", "--accessible", "--accessible-system", "--cutset", "--cm-closed")
-    if args.chain and mode != "--cutset":
-        raise ValueError("--chain applies only to --cutset")
+    _applies_only(args, "--chain", mode == "--cutset", "--cutset")
     if mode in ("--unmixed", "--accessible", "--accessible-system"):
         g = _enumerated_input(args)
     else:
@@ -298,8 +307,11 @@ def _base_record(args) -> tuple[BaseInvariants, Graph | None]:
 
 
 def _cmd_invariants(args) -> int:
-    base, pendant_graph = _base_record(args)
     family = args.family
+    _applies_only(args, "--n", family != "cm-closed", "--family full-corona, l-corona and path")
+    _applies_only(args, "--ell", family == "l-corona", "--family l-corona")
+    _applies_only(args, "--b-graph", family == "cm-closed", "--family cm-closed")
+    base, pendant_graph = _base_record(args)
     # each family names its base graph and attach set (None: every vertex)
     attach = None
     if family == "cm-closed":
@@ -351,13 +363,12 @@ def _cmd_invariants(args) -> int:
 
 def _cmd_gadget(args) -> int:
     h = _enumerated_input(args) if args.verify else _graph_arg(args.input, args.format)
-    build = gadget_d2 if args.kind == "d2" else gadget_d3
     if args.verify:
         verify = verify_reduction_d2 if args.kind == "d2" else verify_reduction_d3
-        check: ReductionCheck = verify(h, args.bound)
+        check = verify(h, args.bound)
         payload = {
             "kind": args.kind,
-            "gadget_vertices": build(h).n,
+            "gadget_vertices": check.gadget_vertices,
             "diameter_ok": check.diameter_ok,
             "accessible_transfer_ok": check.accessible_transfer_ok,
         }
@@ -365,6 +376,7 @@ def _cmd_gadget(args) -> int:
             payload["distance_cases_ok"] = check.distance_cases_ok
         _write_out(json.dumps(payload, indent=2) + "\n", args.output)
         return 0
+    build = gadget_d2 if args.kind == "d2" else gadget_d3
     _write_out(_render_graph(build(h), args.out), args.output)
     return 0
 
@@ -403,7 +415,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    if args.out == "cas" and args.oracle_expected:
+    _applies_only(args, "--oracle-expected", args.out == "cas", "--out cas")
+    if args.oracle_expected:
         g = _enumerated_input(args)
     else:
         g = _graph_arg(args.input, args.format)
@@ -452,7 +465,12 @@ def _construct_args(p: argparse.ArgumentParser) -> None:
 
 
 def _cutsets_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--size-cap", type=int)
+    p.add_argument(
+        "--size-cap",
+        type=int,
+        help="list only the cutsets of at most this size (the verdicts and the "
+        "dimension still describe the whole family)",
+    )
     p.add_argument("--out", choices=("json", "jsonl"), default="json")
     _add_common(p)
 

@@ -16,6 +16,12 @@ from .graph import Graph, VertexSet, checked_vset, complete_graph, is_connected,
 from .io import _graph6_checked, _graph6_decode, _is_json_int
 
 
+def _checked_make(cls, iterable):
+    """``_make`` for a NamedTuple whose ``__new__`` checks its fields: the
+    namedtuple one skips ``__new__``, and ``_replace`` calls ``_make``."""
+    return cls(*iterable)
+
+
 class _CoronaSpecFields(NamedTuple):
     base: Graph
     attach_set: VertexSet
@@ -28,6 +34,7 @@ class CoronaSpec(_CoronaSpecFields):
     set nonempty and inside the base."""
 
     __slots__ = ()
+    _make = classmethod(_checked_make)
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)

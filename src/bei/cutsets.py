@@ -79,6 +79,7 @@ accessible verdicts are read off them.  Two entry points build it:
 from __future__ import annotations
 
 import os
+from bisect import bisect_right
 from heapq import heappop, heappush
 from typing import Iterator, NamedTuple
 
@@ -140,12 +141,6 @@ def check_bound(n: int, bound: int | None = None) -> None:
         raise EnumerationBoundError(
             f"{n} vertices exceeds the enumeration bound {limit}"
         )
-
-
-def check_size_cap(size_cap: int | None) -> None:
-    """Raise ``ValueError`` for a size cap below 0; None means no cap."""
-    if size_cap is not None and size_cap < 0:
-        raise ValueError(f"size cap must be at least 0, got {size_cap}")
 
 
 def iter_cutsets(g: Graph, bound: int | None = None) -> Iterator[tuple[VertexSet, int]]:
@@ -347,7 +342,6 @@ class CutsetReport(NamedTuple):
     component count breaks unmixedness, as ``(mask, components)``;
     ``stuck_cutset`` is the first nonempty cutset from which no single
     removal leaves a cutset.  The verdicts are read off these two witnesses.
-    With a ``size_cap`` everything is computed over the listed cutsets only.
     For disconnected graphs unmixedness uses the extension
     ``components == |T| + components(G)``.
     """
@@ -359,7 +353,6 @@ class CutsetReport(NamedTuple):
     unmixed_violation: tuple[VertexSet, int] | None
     stuck_cutset: VertexSet | None
     oracle_dimension: int
-    size_cap: int | None = None
 
     @property
     def connected(self) -> bool:
@@ -377,39 +370,33 @@ class CutsetReport(NamedTuple):
     def is_accessible(self) -> bool:
         return self.is_unmixed and self.is_accessible_system
 
-    def to_json(self) -> dict:
+    def to_json(self, size_cap: int | None = None) -> dict:
+        """The report; a ``size_cap`` lists only the cutsets of at most that
+        size (a prefix, as they are sorted by size), while the verdicts and
+        the dimension still describe the whole family."""
+        listed = None if size_cap is None else bisect_right(self.cutsets, size_cap, key=int.bit_count)
         return {
             "n": self.n,
             "connected": self.connected,
-            "cutsets": [members(m) for m in self.cutsets],
-            "per_cutset_components": list(self.per_cutset_components),
+            "cutsets": [members(m) for m in self.cutsets[:listed]],
+            "per_cutset_components": list(self.per_cutset_components[:listed]),
             "is_unmixed": self.is_unmixed,
             "is_accessible_system": self.is_accessible_system,
             "oracle_dimension": self.oracle_dimension,
-            "size_cap": self.size_cap,
+            "size_cap": size_cap,
             "unmixedness_definition": (
                 "standard" if self.connected else "disconnected-extension"
             ),
         }
 
 
-def enumerate_cutsets(
-    g: Graph, size_cap: int | None = None, bound: int | None = None
-) -> CutsetReport:
-    """All cutsets (optionally capped by size), sorted by size then by
-    ascending member lists, with the derived witnesses and verdicts.  A
-    ``size_cap`` below 0 is a ``ValueError``."""
-    check_size_cap(size_cap)
-    found = []
-    for mask, w in iter_cutsets(g, bound):
-        if size_cap is None or mask.bit_count() <= size_cap:
-            found.append((mask, w))
-    return _report(g, found, size_cap)
+def enumerate_cutsets(g: Graph, bound: int | None = None) -> CutsetReport:
+    """All cutsets, sorted by size then by ascending member lists, with the
+    derived witnesses and verdicts."""
+    return _report(g, list(iter_cutsets(g, bound)))
 
 
-def _report(
-    g: Graph, found: list[tuple[VertexSet, int]], size_cap: int | None
-) -> CutsetReport:
+def _report(g: Graph, found: list[tuple[VertexSet, int]]) -> CutsetReport:
     """Sort ``(mask, components)`` pairs by size, then by ascending member
     lists, and read the witnesses and the dimension off them."""
     found.sort(key=lambda mw: (mw[0].bit_count(), members(mw[0])))
@@ -430,7 +417,6 @@ def _report(
         unmixed_violation=next(violations, None),
         stuck_cutset=next(stuck, None),
         oracle_dimension=g.n + max(w - m.bit_count() for m, w in found),
-        size_cap=size_cap,
     )
 
 
@@ -481,7 +467,7 @@ def unmixed_report(g: Graph, bound: int | None = None) -> CutsetReport | None:
         if w != mask.bit_count() + w0:
             return None
         found.append((mask, w))
-    return _report(g, found, None)
+    return _report(g, found)
 
 
 def is_accessible(g: Graph, bound: int | None = None) -> bool:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 from typing import NamedTuple
 
-from .corona import corona
+from .corona import _checked_make, corona
 from .cutsets import dimension_oracle, enumerate_cutsets, enumeration_bound
 from .graph import (
     Graph,
@@ -81,6 +81,7 @@ class BaseInvariants(_BaseInvariantsFields):
     """
 
     __slots__ = ()
+    _make = classmethod(_checked_make)
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -164,29 +165,24 @@ class BaseInvariants(_BaseInvariantsFields):
         def verdict(key: str) -> bool | None:
             return field(key, lambda v: v is None or isinstance(v, bool), "a boolean or null", None)
 
-        # _make skips the checks of __new__, so a derived field that
-        # disagrees is named before them
-        record = cls._make((
-            integer("h"),
-            integer("dim"),
-            integer("depth"),
-            integer("reg"),
+        h, dim, depth, reg = (integer(key) for key in ("h", "dim", "depth", "reg"))
+        stored = (
             verdict("is_unmixed"),
             verdict("is_accessible"),
             field("r_extremal", lambda v: v is None or _is_json_int(v), "an integer or null", None),
             field("provenance", lambda v: isinstance(v, str), "a string", "user-supplied"),
-        ))
+        )
         integer("pd")
         field("is_complete", lambda v: isinstance(v, bool), "a boolean")
         verdict("is_cm")
-        for key, rule in (
-            ("pd", "2h - depth"),
-            ("is_complete", "complete exactly when reg = 1"),
-            ("is_cm", "Cohen-Macaulay exactly when depth = dim"),
+        # a derived field that disagrees is named before the checks of __new__
+        for key, derived, rule in (
+            ("pd", 2 * h - depth, "2h - depth"),
+            ("is_complete", reg == 1, "complete exactly when reg = 1"),
+            ("is_cm", depth == dim, "Cohen-Macaulay exactly when depth = dim"),
         ):
-            derived = getattr(record, key)
             field(key, lambda v: v in (None, derived), f"{json.dumps(derived)} ({rule})", None)
-        return cls(*record)
+        return cls(h, dim, depth, reg, *stored)
 
 
 def base_invariants_block_graph(g: Graph, bound: int | None = None) -> BaseInvariants:
@@ -242,6 +238,7 @@ class InvariantReport(_InvariantReportFields):
     Cohen-Macaulay defect are derived from them."""
 
     __slots__ = ()
+    _make = classmethod(_checked_make)
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)

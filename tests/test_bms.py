@@ -15,6 +15,7 @@ from conftest import connected_atlas
 def test_verify_reduction_d2():
     for h in (bei.complete_graph(1), bei.complete_graph(2), bei.path_graph(4)):
         check = bei.verify_reduction_d2(h)
+        assert check.gadget_vertices == h.n + 2
         assert check.diameter_ok and check.accessible_transfer_ok
         assert check.distance_cases_ok is None
 
@@ -22,6 +23,7 @@ def test_verify_reduction_d2():
 def test_verify_reduction_d3():
     for h in (bei.complete_graph(2), bei.path_graph(3), bei.path_graph(4)):
         check = bei.verify_reduction_d3(h)
+        assert check.gadget_vertices == 3 + 2 * h.n
         assert check.diameter_ok
         assert check.accessible_transfer_ok
         assert check.distance_cases_ok

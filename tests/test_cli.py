@@ -9,6 +9,7 @@ from the current CLI.
 """
 
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -132,15 +133,41 @@ def test_a_call_parses_as_with_every_verb_built(capsys, argv):
         (["construct", "--cone", "K2", "--attach", "0"], "--attach applies only to --l-corona"),
         (["invariants", "--family", "path", "--n", "2"],
          "choose one of --pendant-block-graph, --pendant-base-json"),
+        (["invariants", "--family", "path", "--n", "2", "--ell", "0", "--pendant-block-graph", "P3"],
+         "--ell applies only to --family l-corona"),
+        (["invariants", "--family", "l-corona", "--n", "3", "--ell", "1", "--b-graph", "P3",
+          "--pendant-block-graph", "P3"],
+         "--b-graph applies only to --family cm-closed"),
+        (["invariants", "--family", "cm-closed", "--b-graph", "P3", "--n", "0",
+          "--pendant-block-graph", "P3"],
+         "--n applies only to --family full-corona, l-corona and path"),
+        (["export", "-i", "P3", "--out", "json", "--oracle-expected"],
+         "--oracle-expected applies only to --out cas"),
     ],
     ids=["check-two-modes", "check-three-modes", "check-chain", "check-no-mode",
-         "construct-two-modes", "construct-attach", "invariants-no-pendant"],
+         "construct-two-modes", "construct-attach", "invariants-no-pendant",
+         "invariants-ell", "invariants-b-graph", "invariants-n", "export-oracle-expected"],
 )
 def test_a_mode_or_modifier_that_would_be_ignored_is_refused(capsys, argv, error):
     code, out, err = run(argv, capsys)
     assert out == ""
     assert_invalid_input(code, err)
     assert json.loads(err)["error"] == error
+
+
+def test_gadget_verify_builds_the_wrapper_once(capsys, monkeypatch):
+    corona_module = importlib.import_module("bei.corona")  # bei.corona is the function
+    real = corona_module.l_corona
+    calls = []
+
+    def counting(spec):
+        calls.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(corona_module, "l_corona", counting)
+    code, out, _ = run(["gadget", "--kind", "d3", "--verify", "-i", "P4"], capsys)
+    assert code == 0 and json.loads(out)["gadget_vertices"] == 11
+    assert len(calls) == 1
 
 
 def test_construct_rejects_repeated_attach_vertex(capsys):
@@ -194,17 +221,22 @@ def test_cutsets_json_is_the_indented_report(tmp_path, capsys, monkeypatch):
     # the report renderer against json's indent encoder, with no size cap,
     # cap 0 and cap 2: through the CLI on the benchmark's corona products,
     # and on every atlas graph on at most 6 vertices (n = 0 and disconnected
-    # graphs included), where a CLI call per graph would cost seconds
-    def indented(report):
-        return json.dumps(report.to_json(), indent=2) + "\n"
+    # graphs included), where a CLI call per graph would cost seconds.  A cap
+    # trims the listing only: the verdicts and the dimension are the family's
+    def indented(report, cap):
+        return json.dumps(report.to_json(cap), indent=2) + "\n"
 
     caps = (None, 0, 2)
+    whole = ("connected", "is_unmixed", "is_accessible_system", "oracle_dimension")
     for g in atlas():
         if g.n > 6:
             break
+        report = enumerate_cutsets(g)
+        uncapped = report.to_json()
         for cap in caps:
-            report = enumerate_cutsets(g, size_cap=cap)
-            assert _render_report(report.to_json()) == indented(report)
+            obj = report.to_json(cap)
+            assert _render_report(obj) == indented(report, cap)
+            assert {k: obj[k] for k in whole} == {k: uncapped[k] for k in whole}
 
     reports = []
 
@@ -223,7 +255,7 @@ def test_cutsets_json_is_the_indented_report(tmp_path, capsys, monkeypatch):
                 argv += ["--size-cap", str(cap)]
             code, out, _ = run(argv, capsys)
             assert code == 0 and len(reports) == 1
-            assert out == indented(reports.pop())
+            assert out == indented(reports.pop(), cap)
 
 
 def test_scan_jobs_agree_on_a_mixed_corpus(tmp_path, capsys, monkeypatch, square_leaves_product):

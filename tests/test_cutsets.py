@@ -252,13 +252,17 @@ def test_report_fields(square_leaves_base):
 
 
 def test_report_size_cap():
-    g = bei.cycle_graph(5)
-    full = bei.enumerate_cutsets(g)
-    capped = bei.enumerate_cutsets(g, size_cap=1)
-    assert capped.cutsets == tuple(m for m in full.cutsets if m.bit_count() <= 1)
-    assert capped.size_cap == 1
-    with pytest.raises(ValueError, match="size cap must be at least 0, got -1"):
-        bei.enumerate_cutsets(g, size_cap=-1)
+    # the cap trims the listing only: C4 is not unmixed, although every
+    # cutset of at most one vertex (the empty set alone) keeps the rule
+    report = bei.enumerate_cutsets(bei.cycle_graph(4))
+    assert "size_cap" not in report._fields and len(report._fields) == 7
+    full, capped = report.to_json(), report.to_json(size_cap=1)
+    assert full["cutsets"] == [[], [0, 2], [1, 3]] and full["size_cap"] is None
+    assert capped["cutsets"] == [[]] and capped["per_cutset_components"] == [1]
+    assert capped["size_cap"] == 1
+    assert capped["is_unmixed"] is full["is_unmixed"] is False
+    assert capped["is_accessible_system"] is full["is_accessible_system"] is False
+    assert capped["oracle_dimension"] == full["oracle_dimension"] == 5
 
 
 def test_sorted_by_size_then_lex():
