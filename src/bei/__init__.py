@@ -39,7 +39,6 @@ from .cutsets import (
     accessibility_witness_chain,
     dimension_oracle,
     enumerate_cutsets,
-    enumeration_bound,
     is_accessible,
     is_cutset,
     iter_cutsets,

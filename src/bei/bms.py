@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .cas import emit_cas_script
 from .corona import gadget_d2, gadget_d3
-from .cutsets import check_bound, enumeration_bound, is_accessible, unmixed_report
+from .cutsets import check_bound, is_accessible, unmixed_report
 from .graph import Graph, diameter, distances_from
 from .io import canonical_graph6, from_graph6
 
@@ -154,7 +154,7 @@ class ScanRecord(NamedTuple):
 _POOL_AFTER_S = 0.5
 
 
-def _analyze(g: Graph, bound: int) -> tuple[bool, bool, int | None]:
+def _analyze(g: Graph, bound: int | None) -> tuple[bool, bool, int | None]:
     """Unmixed, accessible, and the oracle dimension (None when not
     unmixed)."""
     report = unmixed_report(g, bound=bound)
@@ -208,12 +208,11 @@ def bms_scan(
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    limit = enumeration_bound(bound)
 
     def check_n(n: int) -> None:
         if max_n is not None and n > max_n:
             raise _AboveMaxN
-        check_bound(n, limit)
+        check_bound(n, bound)
 
     def parsed() -> Iterator[tuple[int, Graph, str, int | None]]:
         for lineno, raw in enumerate(lines, 1):
@@ -259,12 +258,12 @@ def bms_scan(
                 from concurrent.futures import ProcessPoolExecutor
 
                 with ProcessPoolExecutor(max_workers=min(workers, len(rest))) as pool:
-                    analyze = functools.partial(_analyze, bound=limit)
+                    analyze = functools.partial(_analyze, bound=bound)
                     results = pool.map(analyze, [h for _, h, _, _ in rest], chunksize=8)
                     for (lineno, h, g6, diam), result in zip(rest, results):
                         yield record(lineno, g6, h, diam, result)
                 return
         started = time.perf_counter()
-        result = _analyze(g, limit)
+        result = _analyze(g, bound)
         spent += time.perf_counter() - started
         yield record(lineno, g6, g, diam, result)

@@ -29,6 +29,7 @@ from .corona import (
     l_corona,
 )
 from .cutsets import (
+    DEFAULT_BOUND,
     EnumerationBoundError,
     accessibility_witness_chain,
     check_bound,
@@ -198,6 +199,11 @@ def _applies_only(args, flag: str, applies: bool, where: str) -> None:
         raise ValueError(f"{flag} applies only to {where}")
 
 
+def _not_negative(value: int | None, name: str) -> None:
+    if value is not None and value < 0:
+        raise ValueError(f"{name} must be at least 0, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # verbs
 
@@ -224,8 +230,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_cutsets(args) -> int:
     cap = args.size_cap
-    if cap is not None and cap < 0:
-        raise ValueError(f"size cap must be at least 0, got {cap}")
+    _not_negative(cap, "size cap")
     g = _enumerated_input(args)
     if args.out == "jsonl":
         lines = [
@@ -243,10 +248,9 @@ def _cmd_cutsets(args) -> int:
 def _cmd_check(args) -> int:
     mode = _one_of(args, "--unmixed", "--accessible", "--accessible-system", "--cutset", "--cm-closed")
     _applies_only(args, "--chain", mode == "--cutset", "--cutset")
-    if mode in ("--unmixed", "--accessible", "--accessible-system"):
-        g = _enumerated_input(args)
-    else:
-        g = _graph_arg(args.input, args.format)
+    searches = mode in ("--unmixed", "--accessible", "--accessible-system")
+    _applies_only(args, "--bound", searches, "--unmixed, --accessible and --accessible-system")
+    g = _enumerated_input(args) if searches else _graph_arg(args.input, args.format)
     if mode == "--unmixed":
         report = enumerate_cutsets(g, bound=args.bound)
         result = {"check": "unmixed", "value": report.is_unmixed}
@@ -311,6 +315,16 @@ def _cmd_invariants(args) -> int:
     _applies_only(args, "--n", family != "cm-closed", "--family full-corona, l-corona and path")
     _applies_only(args, "--ell", family == "l-corona", "--family l-corona")
     _applies_only(args, "--b-graph", family == "cm-closed", "--family cm-closed")
+    # the block-graph record and the clique-path oracle dimension are the
+    # only cutset searches
+    searches = _given(args, "--pendant-block-graph") or (
+        _given(args, "--pendant-graph") and family in ("cm-closed", "path")
+    )
+    _applies_only(
+        args, "--bound", searches,
+        "--pendant-block-graph, or --pendant-graph with --family cm-closed or path",
+    )
+    _applies_only(args, "--dialect", _given(args, "--emit-cas"), "--emit-cas")
     base, pendant_graph = _base_record(args)
     # each family names its base graph and attach set (None: every vertex)
     attach = None
@@ -354,7 +368,7 @@ def _cmd_invariants(args) -> int:
         for key, verdict in report.verdicts.items():
             if verdict.value is not None:
                 expected[key] = verdict.value
-        script = emit_cas_script(l_corona(spec), dialect=args.dialect, expected=expected)
+        script = emit_cas_script(l_corona(spec), dialect=args.dialect or "m2", expected=expected)
         Path(args.emit_cas).write_text(script)
 
     _write_out(json.dumps(report.to_json(), indent=2) + "\n", args.output)
@@ -362,6 +376,8 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_gadget(args) -> int:
+    _applies_only(args, "--bound", args.verify, "--verify")
+    _applies_only(args, "--out", not args.verify, "a gadget built without --verify")
     h = _enumerated_input(args) if args.verify else _graph_arg(args.input, args.format)
     if args.verify:
         verify = verify_reduction_d2 if args.kind == "d2" else verify_reduction_d3
@@ -377,11 +393,13 @@ def _cmd_gadget(args) -> int:
         _write_out(json.dumps(payload, indent=2) + "\n", args.output)
         return 0
     build = gadget_d2 if args.kind == "d2" else gadget_d3
-    _write_out(_render_graph(build(h), args.out), args.output)
+    _write_out(_render_graph(build(h), args.out or "graph6"), args.output)
     return 0
 
 
 def _cmd_scan(args) -> int:
+    _not_negative(args.max_n, "--max-n")
+    _applies_only(args, "--dialect", _given(args, "--scripts-dir"), "--scripts-dir")
     if args.input == "-":
         lines = sys.stdin.read().splitlines()
     else:
@@ -399,7 +417,7 @@ def _cmd_scan(args) -> int:
         max_n=args.max_n,
         bound=args.bound,
         script_dir=args.scripts_dir,
-        dialect=args.dialect,
+        dialect=args.dialect or "m2",
         jobs=args.jobs,
         on_error=on_error,
     )
@@ -416,6 +434,8 @@ def _cmd_scan(args) -> int:
 
 def _cmd_export(args) -> int:
     _applies_only(args, "--oracle-expected", args.out == "cas", "--out cas")
+    _applies_only(args, "--dialect", args.out == "cas", "--out cas")
+    _applies_only(args, "--bound", args.oracle_expected, "--oracle-expected")
     if args.oracle_expected:
         g = _enumerated_input(args)
     else:
@@ -429,7 +449,7 @@ def _cmd_export(args) -> int:
                 "unmixed": report.is_unmixed,
                 "accessible": report.is_accessible,
             }
-        _write_out(emit_cas_script(g, dialect=args.dialect, expected=expected), args.output)
+        _write_out(emit_cas_script(g, dialect=args.dialect or "m2", expected=expected), args.output)
         return 0
     _write_out(_render_graph(g, args.out), args.output)
     return 0
@@ -451,7 +471,11 @@ def _add_common(
     if format_flag:
         p.add_argument("--format", choices=GRAPH_FORMATS, help="force the input format")
     if bound_flag:
-        p.add_argument("--bound", type=int, help="enumeration cap (default: BEI_BOUND or 24)")
+        p.add_argument(
+            "--bound",
+            type=int,
+            help=f"most vertices a cutset search takes (default: {DEFAULT_BOUND})",
+        )
     p.add_argument("--output", "-o", help="output file (default: stdout)")
 
 
@@ -498,14 +522,18 @@ def _invariants_args(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--pendant-graph", help="pendant graph for oracle dimension / script emission")
     p.add_argument("--emit-cas", help="also write a verification script for the product")
-    p.add_argument("--dialect", choices=("m2", "singular"), default="m2")
+    p.add_argument("--dialect", choices=("m2", "singular"), help="with --emit-cas: script dialect (default: m2)")
     _add_common(p, input_flag=False)
 
 
 def _gadget_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kind", required=True, choices=("d2", "d3"))
     p.add_argument("--verify", action="store_true")
-    p.add_argument("--out", choices=("graph6", "dot", "edgelist", "json"), default="graph6")
+    p.add_argument(
+        "--out",
+        choices=("graph6", "dot", "edgelist", "json"),
+        help="without --verify: output format (default: graph6)",
+    )
     _add_common(p)
 
 
@@ -513,7 +541,9 @@ def _scan_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--diameter", help="comma-separated diameters to keep")
     p.add_argument("--max-n", type=int)
     p.add_argument("--scripts-dir", help="emit a verification script per accessible graph")
-    p.add_argument("--dialect", choices=("m2", "singular"), default="m2")
+    p.add_argument(
+        "--dialect", choices=("m2", "singular"), help="with --scripts-dir: script dialect (default: m2)"
+    )
     p.add_argument(
         "--jobs",
         type=int,
@@ -526,7 +556,7 @@ def _scan_args(p: argparse.ArgumentParser) -> None:
 
 def _export_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", choices=("graph6", "dot", "edgelist", "json", "cas"), default="graph6", required=False)
-    p.add_argument("--dialect", choices=("m2", "singular"), default="m2")
+    p.add_argument("--dialect", choices=("m2", "singular"), help="with --out cas: script dialect (default: m2)")
     p.add_argument("--oracle-expected", action="store_true", help="with --out cas: embed oracle verdicts")
     _add_common(p)
 
@@ -567,6 +597,7 @@ def main(argv: list[str] | None = None) -> int:
     verb = next((word for word in argv if not word.startswith("-")), None)
     args = build_parser(verb).parse_args(argv)
     try:
+        _not_negative(getattr(args, "bound", None), "--bound")
         return args.func(args)
     except EnumerationBoundError as exc:
         sys.stderr.write(json.dumps({"error": str(exc), "kind": "bound-exceeded"}) + "\n")

@@ -74,11 +74,15 @@ accessible verdicts are read off them.  Two entry points build it:
   of the 898 connected atlas graphs on at most 7 vertices that are not),
   and ``iter_cutsets`` yields the empty set from one flood fill before it
   finds the simplicial vertices or pendants, so those graphs pay for neither.
+
+Every search first checks the vertex count against a bound.  Each entry
+point takes ``bound=None``, meaning ``DEFAULT_BOUND`` (24), and passes it
+unchanged to ``check_bound``, the one place that default is applied; no
+environment variable changes it.
 """
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_right
 from heapq import heappop, heappush
 from typing import Iterator, NamedTuple
@@ -103,20 +107,6 @@ class EnumerationBoundError(ValueError):
     """Raised when a graph exceeds the configured enumeration bound."""
 
 
-def enumeration_bound(bound: int | None = None) -> int:
-    """Effective vertex-count cap: explicit argument, else the BEI_BOUND
-    environment variable, else 24."""
-    if bound is not None:
-        return bound
-    env = os.environ.get("BEI_BOUND")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"BEI_BOUND must be an integer, got {env!r}") from None
-    return DEFAULT_BOUND
-
-
 def is_cutset(g: Graph, t: VertexSet) -> bool:
     """Definitional check: empty, or every single removal strictly lowers
     the component count of G minus t."""
@@ -134,9 +124,10 @@ def is_cutset(g: Graph, t: VertexSet) -> bool:
 
 
 def check_bound(n: int, bound: int | None = None) -> None:
-    """Raise ``EnumerationBoundError`` when ``n`` vertices exceed the
-    enumeration bound (see ``enumeration_bound``)."""
-    limit = enumeration_bound(bound)
+    """Raise ``EnumerationBoundError`` when ``n`` vertices exceed ``bound``.
+    A bound of None means ``DEFAULT_BOUND``; no other code applies that
+    default."""
+    limit = DEFAULT_BOUND if bound is None else bound
     if n > limit:
         raise EnumerationBoundError(
             f"{n} vertices exceeds the enumeration bound {limit}"

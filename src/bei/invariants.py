@@ -29,7 +29,7 @@ import json
 from typing import NamedTuple
 
 from .corona import _checked_make, corona
-from .cutsets import dimension_oracle, enumerate_cutsets, enumeration_bound
+from .cutsets import EnumerationBoundError, check_bound, dimension_oracle, enumerate_cutsets
 from .graph import (
     Graph,
     complete_graph,
@@ -423,7 +423,9 @@ def _oracle_dim_for(
         return None, "oracle-unavailable"
     if pendant.n != base.h:
         raise ValueError("pendant graph disagrees with the pendant invariants")
-    if b_graph.n * (1 + base.h) > enumeration_bound(bound):
+    try:
+        check_bound(b_graph.n * (1 + base.h), bound)  # before the product is built
+    except EnumerationBoundError:
         return None, "oracle-unavailable"
     return dimension_oracle(corona(b_graph, pendant), bound), "oracle:cutset-enumeration"
 

@@ -143,10 +143,41 @@ def test_a_call_parses_as_with_every_verb_built(capsys, argv):
          "--n applies only to --family full-corona, l-corona and path"),
         (["export", "-i", "P3", "--out", "json", "--oracle-expected"],
          "--oracle-expected applies only to --out cas"),
+        # --bound where no cutset search runs
+        (["check", "--cutset", "1", "-i", "P4", "--bound", "3"],
+         "--bound applies only to --unmixed, --accessible and --accessible-system"),
+        (["check", "--cm-closed", "-i", "P4", "--bound", "3"],
+         "--bound applies only to --unmixed, --accessible and --accessible-system"),
+        (["gadget", "--kind", "d2", "-i", "P4", "--bound", "3"], "--bound applies only to --verify"),
+        (["export", "-i", "P3", "--out", "cas", "--bound", "3"],
+         "--bound applies only to --oracle-expected"),
+        (["invariants", "--family", "full-corona", "--n", "2", "--pendant-base-json", "p3.json",
+          "--pendant-graph", "P3", "--bound", "3"],
+         "--bound applies only to --pendant-block-graph, or --pendant-graph with "
+         "--family cm-closed or path"),
+        (["invariants", "--family", "path", "--n", "2", "--pendant-base-json", "p3.json",
+          "--bound", "3"],
+         "--bound applies only to --pendant-block-graph, or --pendant-graph with "
+         "--family cm-closed or path"),
+        (["cutsets", "-i", "P4", "--bound", "-1"], "--bound must be at least 0, got -1"),
+        # --dialect where no script is written, --out where no graph is printed
+        (["scan", "-i", "corpus.g6", "--dialect", "singular"],
+         "--dialect applies only to --scripts-dir"),
+        (["invariants", "--family", "path", "--n", "2", "--pendant-block-graph", "P3",
+          "--dialect", "m2"],
+         "--dialect applies only to --emit-cas"),
+        (["export", "-i", "P4", "--dialect", "singular"], "--dialect applies only to --out cas"),
+        (["gadget", "--kind", "d2", "-i", "P4", "--verify", "--out", "dot"],
+         "--out applies only to a gadget built without --verify"),
+        (["scan", "-i", "corpus.g6", "--max-n", "-3"], "--max-n must be at least 0, got -3"),
     ],
     ids=["check-two-modes", "check-three-modes", "check-chain", "check-no-mode",
          "construct-two-modes", "construct-attach", "invariants-no-pendant",
-         "invariants-ell", "invariants-b-graph", "invariants-n", "export-oracle-expected"],
+         "invariants-ell", "invariants-b-graph", "invariants-n", "export-oracle-expected",
+         "check-cutset-bound", "check-cm-closed-bound", "gadget-bound", "export-bound",
+         "invariants-full-corona-bound", "invariants-path-bound", "negative-bound",
+         "scan-dialect", "invariants-dialect", "export-dialect", "gadget-verify-out",
+         "scan-negative-max-n"],
 )
 def test_a_mode_or_modifier_that_would_be_ignored_is_refused(capsys, argv, error):
     code, out, err = run(argv, capsys)
@@ -318,7 +349,6 @@ def test_scan_writes_each_record_as_it_is_found(tmp_path, monkeypatch):
 def run_python(args, **kwargs):
     """A fresh interpreter that imports ``bei`` from the tree under test."""
     env = dict(os.environ)
-    env.pop("BEI_BOUND", None)
     src = str(Path(bei.__file__).parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(

@@ -1,6 +1,8 @@
 """Corona constructors, the cutset decomposition, and the gadgets."""
 
+import importlib
 import random
+import types
 
 import networkx as nx
 import pytest
@@ -17,6 +19,19 @@ from conftest import (
     random_connected_graph,
     to_nx,
 )
+
+
+def test_bei_corona_is_the_function_and_the_submodule_stays_importable():
+    # the package re-exports the function under its submodule's name
+    module = importlib.import_module("bei.corona")
+    assert isinstance(module, types.ModuleType)
+    assert bei.corona is module.corona
+    import bei.corona as imported
+
+    assert imported is module.corona
+    from bei.corona import l_corona
+
+    assert l_corona is module.l_corona
 
 
 def test_corona_tiny_cases():

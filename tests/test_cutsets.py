@@ -409,16 +409,12 @@ def test_enumeration_bound():
     assert bei.unmixed_report(claw) is None
     with pytest.raises(bei.EnumerationBoundError):
         bei.unmixed_report(claw, bound=3)
-
-
-def test_bound_env_var(monkeypatch):
-    monkeypatch.setenv("BEI_BOUND", "3")
-    assert bei.enumeration_bound() == 3
+    # no bound means DEFAULT_BOUND
+    assert bei.dimension_oracle(bei.Graph(bei.DEFAULT_BOUND)) == 2 * bei.DEFAULT_BOUND
     with pytest.raises(bei.EnumerationBoundError):
-        list(bei.iter_cutsets(bei.path_graph(4)))
-    assert bei.enumeration_bound(10) == 10  # explicit argument wins
-    monkeypatch.setenv("BEI_BOUND", "junk")
-    with pytest.raises(ValueError):
-        bei.enumeration_bound()
-    monkeypatch.delenv("BEI_BOUND")
-    assert bei.enumeration_bound() == bei.DEFAULT_BOUND
+        bei.dimension_oracle(bei.Graph(bei.DEFAULT_BOUND + 1))
+
+
+def test_the_bound_is_not_read_from_the_environment(monkeypatch):
+    monkeypatch.setenv("BEI_BOUND", "3")
+    assert len(bei.enumerate_cutsets(bei.path_graph(5)).cutsets) == 5
