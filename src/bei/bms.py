@@ -125,14 +125,7 @@ class ScanRecord(NamedTuple):
     cas_script_path: str | None = None
 
     def to_json(self) -> dict:
-        return {
-            "graph6": self.graph6,
-            "n": self.n,
-            "diameter": self.diameter,
-            "unmixed": self.unmixed,
-            "accessible": self.accessible,
-            "cas_script_path": self.cas_script_path,
-        }
+        return self._asdict()
 
 
 # In-process analysis time after which a scan with jobs > 1 hands the rest

@@ -44,6 +44,8 @@ from .graph import (
     complete_graph,
     cone,
     is_cm_closed,
+    is_complete,
+    is_connected,
     members,
     path_graph,
 )
@@ -288,6 +290,9 @@ def _cmd_check(args) -> int:
 
 
 def _base_record(args) -> tuple[BaseInvariants, Graph | None]:
+    """The pendant record and the pendant graph, if any, checked against
+    each other: a block graph must be the pendant graph itself, a JSON
+    record must match its size, and the pendant graph must be connected."""
     source = _one_of(args, "--pendant-block-graph", "--pendant-base-json")
     pendant_graph = block_graph = None
     if args.pendant_graph:
@@ -300,13 +305,12 @@ def _base_record(args) -> tuple[BaseInvariants, Graph | None]:
         if not isinstance(obj, dict):
             raise ValueError(f"pendant record must be a JSON object, got {type(obj).__name__}")
         base = BaseInvariants.from_json(obj)
-    # the complete-base families take every number from the record, so
-    # nothing later compares the pendant graph with it: a block graph must
-    # be the pendant graph itself, a JSON record must match its size
     if pendant_graph is None:
-        pendant_graph = block_graph
-    elif pendant_graph.n != base.h or block_graph not in (None, pendant_graph):
+        return base, block_graph
+    if pendant_graph.n != base.h or block_graph not in (None, pendant_graph):
         raise ValueError("pendant graph disagrees with the pendant invariants")
+    if not is_connected(pendant_graph):
+        raise ValueError("pendant graph must be connected")
     return base, pendant_graph
 
 
@@ -315,63 +319,57 @@ def _cmd_invariants(args) -> int:
     _applies_only(args, "--n", family != "cm-closed", "--family full-corona, l-corona and path")
     _applies_only(args, "--ell", family == "l-corona", "--family l-corona")
     _applies_only(args, "--b-graph", family == "cm-closed", "--family cm-closed")
-    # the block-graph record and the clique-path oracle dimension are the
-    # only cutset searches
-    searches = _given(args, "--pendant-block-graph") or (
-        _given(args, "--pendant-graph") and family in ("cm-closed", "path")
-    )
-    _applies_only(
-        args, "--bound", searches,
-        "--pendant-block-graph, or --pendant-graph with --family cm-closed or path",
-    )
     _applies_only(args, "--dialect", _given(args, "--emit-cas"), "--emit-cas")
-    base, pendant_graph = _base_record(args)
-    # each family names its base graph and attach set (None: every vertex)
-    attach = None
+    b_graph = None
     if family == "cm-closed":
         if not args.b_graph:
             raise ValueError("--family cm-closed needs --b-graph")
-        graph = _graph_arg(args.b_graph, args.format)
-        report = depth_reg_corona_cm_closed(graph, base, pendant_graph, args.bound)
-    elif family == "l-corona":
-        if args.n is None or args.ell is None:
-            raise ValueError("--family l-corona needs --n and --ell")
-        report = depth_reg_corona_complete(args.n, args.ell, base)
-        graph, attach = complete_graph(args.n), (1 << args.ell) - 1
+        b_graph = _graph_arg(args.b_graph, args.format)
+        complete = is_complete(b_graph)
+    elif family == "l-corona" and (args.n is None or args.ell is None):
+        raise ValueError("--family l-corona needs --n and --ell")
     elif args.n is None:
         raise ValueError(f"--family {family} needs --n")
-    elif family == "full-corona":
-        report = depth_reg_corona_complete(args.n, args.n, base)
-        graph = complete_graph(args.n)
     else:
+        complete = family != "path" or args.n <= 2  # P_1 and P_2 are complete
+    # the block-graph record and the oracle dimension over a base that is
+    # not complete are the only cutset searches
+    searches = _given(args, "--pendant-block-graph") or (
+        _given(args, "--pendant-graph") and not complete
+    )
+    _applies_only(
+        args, "--bound", searches,
+        "--pendant-block-graph, or --pendant-graph over a base that is not complete",
+    )
+    base, pendant_graph = _base_record(args)
+    if family == "cm-closed":
+        report = depth_reg_corona_cm_closed(b_graph, base, pendant_graph, args.bound)
+    elif family == "path":
         report = depth_reg_corona_path(args.n, base, pendant_graph, args.bound)
-        graph = path_graph(args.n)
-    # the spec is validated even without --emit-cas, so a bad product is an
-    # error either way; only the script needs the product itself
-    spec = None
-    if pendant_graph is not None:
-        spec = CoronaSpec(graph, graph.full_mask if attach is None else attach, pendant_graph)
+    else:
+        ell = args.ell if family == "l-corona" else args.n
+        report = depth_reg_corona_complete(args.n, ell, base)
+    values = report.to_json()
 
     if args.emit_cas:
-        if spec is None:
+        # only the script needs the product, and so the base graph
+        if pendant_graph is None:
             raise ValueError("--emit-cas needs a pendant graph (--pendant-block-graph or --pendant-graph)")
+        if b_graph is None:
+            b_graph = (path_graph if family == "path" else complete_graph)(args.n)
+        attach = (1 << args.ell) - 1 if family == "l-corona" else b_graph.full_mask
         expected = {"family": report.family}
-        for key, value in (
-            ("dim", report.dim_q),
-            ("depth", report.depth_q),
-            ("reg", report.reg_q),
-            ("pd", report.pd),
-            ("cmdef", report.cmdef),
-        ):
-            if value is not None:
-                expected[key] = value
-        for key, verdict in report.verdicts.items():
-            if verdict.value is not None:
-                expected[key] = verdict.value
-        script = emit_cas_script(l_corona(spec), dialect=args.dialect or "m2", expected=expected)
+        for key, entry in [
+            *((key, values[key]) for key in ("dim", "depth", "reg", "pd", "cmdef")),
+            *values["verdicts"].items(),
+        ]:
+            if entry["value"] is not None:
+                expected[key] = entry["value"]
+        product = l_corona(CoronaSpec(b_graph, attach, pendant_graph))
+        script = emit_cas_script(product, dialect=args.dialect or "m2", expected=expected)
         Path(args.emit_cas).write_text(script)
 
-    _write_out(json.dumps(report.to_json(), indent=2) + "\n", args.output)
+    _write_out(json.dumps(values, indent=2) + "\n", args.output)
     return 0
 
 
@@ -381,15 +379,8 @@ def _cmd_gadget(args) -> int:
     h = _enumerated_input(args) if args.verify else _graph_arg(args.input, args.format)
     if args.verify:
         verify = verify_reduction_d2 if args.kind == "d2" else verify_reduction_d3
-        check = verify(h, args.bound)
-        payload = {
-            "kind": args.kind,
-            "gadget_vertices": check.gadget_vertices,
-            "diameter_ok": check.diameter_ok,
-            "accessible_transfer_ok": check.accessible_transfer_ok,
-        }
-        if check.distance_cases_ok is not None:
-            payload["distance_cases_ok"] = check.distance_cases_ok
+        fields = verify(h, args.bound)._asdict().items()
+        payload = {"kind": args.kind, **{k: v for k, v in fields if v is not None}}
         _write_out(json.dumps(payload, indent=2) + "\n", args.output)
         return 0
     build = gadget_d2 if args.kind == "d2" else gadget_d3

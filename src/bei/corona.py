@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
-from .graph import Graph, VertexSet, checked_vset, complete_graph, is_connected, members
+from .graph import Graph, VertexSet, checked_vset, complete_graph, cone, is_connected, members
 from .io import _graph6_checked, _graph6_decode, _is_json_int
 
 
@@ -106,9 +106,7 @@ def gadget_d2(h: Graph) -> Graph:
     wrapper.  Layout: h at 0..h.n-1, companion next, apex last."""
     if h.n < 1 or not is_connected(h):
         raise ValueError("pendant graph must be connected and nonempty")
-    apex = h.n + 1
-    edges = list(h.edges()) + [(v, apex) for v in range(h.n + 1)]
-    return Graph(h.n + 2, edges)
+    return cone(Graph(h.n + 1, h.edges()))
 
 
 def gadget_d3(h: Graph) -> Graph:

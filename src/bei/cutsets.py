@@ -126,8 +126,10 @@ def is_cutset(g: Graph, t: VertexSet) -> bool:
 def check_bound(n: int, bound: int | None = None) -> None:
     """Raise ``EnumerationBoundError`` when ``n`` vertices exceed ``bound``.
     A bound of None means ``DEFAULT_BOUND``; no other code applies that
-    default."""
+    default.  A negative bound is a plain ValueError."""
     limit = DEFAULT_BOUND if bound is None else bound
+    if limit < 0:
+        raise ValueError(f"the enumeration bound must be at least 0, got {limit}")
     if n > limit:
         raise EnumerationBoundError(
             f"{n} vertices exceeds the enumeration bound {limit}"

@@ -241,14 +241,15 @@ def diameter(g: Graph) -> int | float:
 # cones
 
 
-def cone(g: Graph, apex_label: str = "apex") -> Graph:
-    """New vertex adjacent to every vertex of ``g``; the apex gets the top index."""
+def cone(g: Graph) -> Graph:
+    """New vertex adjacent to every vertex of ``g``; the apex gets the top
+    index, and the label ``apex`` when ``g`` is labelled."""
     n = g.n
     apex_bit = 1 << n
     adj = tuple(row | apex_bit for row in g.adj) + ((1 << n) - 1,)
     labels = None
     if g.labels is not None:
-        labels = tuple(g.label(i) for i in range(n)) + (apex_label,)
+        labels = tuple(g.label(i) for i in range(n)) + ("apex",)
     return Graph._from_adj(adj, labels)
 
 

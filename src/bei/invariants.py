@@ -13,10 +13,12 @@ integers.
 
 Every product with a pendant copy at every base vertex -- the full corona
 over K_n, the corona of a clique-path base and its path case -- comes from
-one computation on the base graph; the three families differ only in the
+one computation on the base's size; the three families differ only in the
 labels their reports carry.  The L-corona with 1 <= ell < n has its own
-rules, the same for every such ell.  Each of the two builders states its
-own dimension formula, depth and regularity, extremal Betti position (the
+rules, the same for every such ell.  No builder makes K_n.  A base that is
+not complete -- P_n for n >= 3, or a clique path the caller gives -- goes
+into a product only when the cutset oracle runs, and P_n is built only
+then.  Each of the two builders states its own dimension formula, depth and regularity, extremal Betti position (the
 corner of the Betti table in the sense of Bayer, Charalambous and Popescu)
 and verdicts, one line per rule.  A report stores dim, depth and reg only:
 pd follows by Auslander-Buchsbaum (pd = 2|V| - depth) and the
@@ -26,13 +28,12 @@ Cohen-Macaulay defect is dim - depth, so both are derived on reading.
 from __future__ import annotations
 
 import json
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .corona import _checked_make, corona
 from .cutsets import EnumerationBoundError, check_bound, dimension_oracle, enumerate_cutsets
 from .graph import (
     Graph,
-    complete_graph,
     internal_vertex_count,
     is_block_graph,
     is_cm_closed,
@@ -299,24 +300,27 @@ def _single_vertex_notes(n: int, base: BaseInvariants) -> tuple[str, ...]:
 
 def _every_vertex_report(
     family: str,
-    b_graph: Graph,
+    b: int,
     base: BaseInvariants,
     rule: str,
+    /,  # a cm-closed report's ``b`` goes into ``ids``
     *,
+    clique_path: Callable[[], Graph] | None = None,
     pendant: Graph | None = None,
     bound: int | None = None,
     notes: tuple[str, ...] = (),
     **ids: int,
 ) -> InvariantReport:
-    """A copy of the pendant at every vertex of the clique-path base
-    ``b_graph``.  The full corona over K_n, the clique-path corona and the
-    path corona all come through here; they differ only in their family,
-    provenance and notes.  A complete base has the dimension formula and,
-    for b >= 2, the full-corona extremal statement; any other clique path
-    takes its dimension from the cutset oracle and the clique-path extremal
-    statement, whose column offset keeps its +1."""
-    b = b_graph.n
-    complete = is_complete(b_graph)
+    """A copy of the pendant at every vertex of a clique-path base on ``b``
+    vertices: K_b when ``clique_path`` is None, else the graph it returns.
+    The full corona over K_n, the clique-path corona and the path corona all
+    come through here; they differ only in their family, provenance and
+    notes.  A complete base has the dimension formula and, for b >= 2, the
+    full-corona extremal statement; any other clique path takes its
+    dimension from the cutset oracle and the clique-path extremal statement,
+    whose column offset keeps its +1.  ``clique_path`` is called only when
+    the oracle runs: with the pendant graph, for a product within the bound."""
+    complete = clique_path is None
     if base.is_complete:
         depth = 1 + b * base.depth_q
         # the product is a block graph; reg = iv + 1, which is b + 1 for
@@ -331,8 +335,18 @@ def _every_vertex_report(
         # whole base and a best cutset of every copy
         dim = b * base.dim_q + (base.dim_q == base.h + 1)
         dim_prov = "formula:l-corona-dimension"
+    elif pendant is None:
+        dim, dim_prov = None, "oracle-unavailable"
+    elif pendant.n != base.h:
+        raise ValueError("pendant graph disagrees with the pendant invariants")
     else:
-        dim, dim_prov = _oracle_dim_for(b_graph, base, pendant, bound)
+        try:
+            check_bound(b * (1 + base.h), bound)  # before the base or product is built
+        except EnumerationBoundError:
+            dim, dim_prov = None, "oracle-unavailable"
+        else:
+            dim = dimension_oracle(corona(clique_path(), pendant), bound)
+            dim_prov = "oracle:cutset-enumeration"
     extremal = None
     if b >= 2 and not base.is_complete and base.r_extremal is not None:
         # (unstated for a single-vertex base) p = 2b + b*pd_H; the column
@@ -380,7 +394,7 @@ def depth_reg_corona_complete(n: int, ell: int, base: BaseInvariants) -> Invaria
     if ell == n:
         return _every_vertex_report(
             FULL_CORONA,
-            complete_graph(n),
+            n,
             base,
             "formula:full-corona",
             notes=_single_vertex_notes(n, base),
@@ -416,20 +430,6 @@ def depth_reg_corona_complete(n: int, ell: int, base: BaseInvariants) -> Invaria
     )
 
 
-def _oracle_dim_for(
-    b_graph: Graph, base: BaseInvariants, pendant: Graph | None, bound: int | None
-) -> tuple[int | None, str]:
-    if pendant is None:
-        return None, "oracle-unavailable"
-    if pendant.n != base.h:
-        raise ValueError("pendant graph disagrees with the pendant invariants")
-    try:
-        check_bound(b_graph.n * (1 + base.h), bound)  # before the product is built
-    except EnumerationBoundError:
-        return None, "oracle-unavailable"
-    return dimension_oracle(corona(b_graph, pendant), bound), "oracle:cutset-enumeration"
-
-
 def depth_reg_corona_cm_closed(
     b_graph: Graph,
     base: BaseInvariants,
@@ -444,14 +444,16 @@ def depth_reg_corona_cm_closed(
     if not is_cm_closed(b_graph):
         raise ValueError("base graph is not a clique path")
     b = b_graph.n
-    rule, notes = "formula:cm-closed-corona", ()
     if is_complete(b_graph):
-        rule = "formula:full-corona"
+        rule, clique_path = "formula:full-corona", None
         notes = _single_vertex_notes(b, base) + (
             "complete clique path: complete-base closed forms apply",
         )
+    else:
+        rule, clique_path, notes = "formula:cm-closed-corona", lambda: b_graph, ()
     return _every_vertex_report(
-        CM_CLOSED, b_graph, base, rule, pendant=pendant, bound=bound, notes=notes, b=b
+        CM_CLOSED, b, base, rule,
+        clique_path=clique_path, pendant=pendant, bound=bound, notes=notes, b=b,
     )
 
 
@@ -461,9 +463,12 @@ def depth_reg_corona_path(
     pendant: Graph | None = None,
     bound: int | None = None,
 ) -> InvariantReport:
-    """The clique-path corona on the path with ``n`` vertices."""
+    """The clique-path corona on the path with ``n`` vertices; P_1 and P_2
+    are complete, and P_n is built only for the cutset oracle."""
     if n < 1:
         raise ValueError("path length must be at least 1")
+    clique_path = None if n <= 2 else lambda: path_graph(n)
     return _every_vertex_report(
-        PATH, path_graph(n), base, "formula:path-corona", pendant=pendant, bound=bound, n=n
+        PATH, n, base, "formula:path-corona",
+        clique_path=clique_path, pendant=pendant, bound=bound, n=n,
     )

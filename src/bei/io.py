@@ -180,8 +180,8 @@ def format_edge_list(g: Graph) -> str:
 # DOT
 
 
-def to_dot(g: Graph, name: str = "G") -> str:
-    lines = [f"graph {name} {{"]
+def to_dot(g: Graph) -> str:
+    lines = ["graph G {"]
     for v in range(g.n):
         if g.labels is not None:
             lines.append(f'  {v} [label="{g.labels[v]}"];')

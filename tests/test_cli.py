@@ -118,6 +118,12 @@ def test_a_call_parses_as_with_every_verb_built(capsys, argv):
     assert parser_exit(main, argv, capsys) == full
 
 
+INVARIANTS_BOUND = (
+    "--bound applies only to --pendant-block-graph, or --pendant-graph over a base that is "
+    "not complete"
+)
+
+
 @pytest.mark.parametrize(
     "argv, error",
     [
@@ -152,13 +158,14 @@ def test_a_call_parses_as_with_every_verb_built(capsys, argv):
         (["export", "-i", "P3", "--out", "cas", "--bound", "3"],
          "--bound applies only to --oracle-expected"),
         (["invariants", "--family", "full-corona", "--n", "2", "--pendant-base-json", "p3.json",
-          "--pendant-graph", "P3", "--bound", "3"],
-         "--bound applies only to --pendant-block-graph, or --pendant-graph with "
-         "--family cm-closed or path"),
+          "--pendant-graph", "P3", "--bound", "3"], INVARIANTS_BOUND),
         (["invariants", "--family", "path", "--n", "2", "--pendant-base-json", "p3.json",
-          "--bound", "3"],
-         "--bound applies only to --pendant-block-graph, or --pendant-graph with "
-         "--family cm-closed or path"),
+          "--bound", "3"], INVARIANTS_BOUND),
+        # a complete base takes its dimension from the formula, not the oracle
+        (["invariants", "--family", "cm-closed", "--b-graph", "K3", "--pendant-base-json",
+          "p3.json", "--pendant-graph", "P3", "--bound", "1"], INVARIANTS_BOUND),
+        (["invariants", "--family", "path", "--n", "2", "--pendant-base-json", "p3.json",
+          "--pendant-graph", "P3", "--bound", "1"], INVARIANTS_BOUND),
         (["cutsets", "-i", "P4", "--bound", "-1"], "--bound must be at least 0, got -1"),
         # --dialect where no script is written, --out where no graph is printed
         (["scan", "-i", "corpus.g6", "--dialect", "singular"],
@@ -175,7 +182,8 @@ def test_a_call_parses_as_with_every_verb_built(capsys, argv):
          "construct-two-modes", "construct-attach", "invariants-no-pendant",
          "invariants-ell", "invariants-b-graph", "invariants-n", "export-oracle-expected",
          "check-cutset-bound", "check-cm-closed-bound", "gadget-bound", "export-bound",
-         "invariants-full-corona-bound", "invariants-path-bound", "negative-bound",
+         "invariants-full-corona-bound", "invariants-path-bound",
+         "invariants-cm-closed-complete-base-bound", "invariants-path-n2-bound", "negative-bound",
          "scan-dialect", "invariants-dialect", "export-dialect", "gadget-verify-out",
          "scan-negative-max-n"],
 )
@@ -433,6 +441,44 @@ def test_declared_size_is_checked_before_the_graph_is_built(tmp_path, name, text
         "error": f"{n} vertices exceeds the enumeration bound 24",
         "kind": "bound-exceeded",
     }
+
+
+P3_BASE = str(GOLDEN / "inputs" / "p3_base.json")
+
+
+@pytest.mark.parametrize(
+    "family",
+    [["full-corona"], ["l-corona", "--ell", "3"], ["path"]],
+    ids=lambda family: family[0],
+)
+def test_a_closed_form_over_a_large_base_builds_no_base_graph(family):
+    # K_100000 as adjacency bitsets holds 10^10 bits and P_100000 about
+    # half as many; the process may use 1 GiB
+    argv = ["invariants", "--family", *family, "--n", "100000", "--pendant-base-json", P3_BASE]
+    proc = run_python(
+        ["-m", "bei.cli", *argv], preexec_fn=_limit_address_space, timeout=10
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)["n"] == 100000
+
+
+def test_without_a_pendant_graph_or_a_script_no_family_builds_its_base(capsys, monkeypatch):
+    def no_graph(n):
+        raise AssertionError(f"a base graph on {n} vertices was built")
+
+    for module in (bei.invariants, bei.cli):
+        for name in ("complete_graph", "path_graph"):
+            monkeypatch.setattr(module, name, no_graph, raising=False)
+    for family in (
+        ["full-corona", "--n", "3"],
+        ["l-corona", "--n", "4", "--ell", "2"],
+        ["cm-closed", "--b-graph", "P4"],
+        ["path", "--n", "3"],
+    ):
+        argv = ["invariants", "--family", *family, "--pendant-base-json", P3_BASE]
+        code, out, err = run(argv, capsys)
+        assert code == 0 and err == ""
+        assert json.loads(out)["base"]["h"] == 3
 
 
 def capture(argv):

@@ -415,6 +415,13 @@ def test_enumeration_bound():
         bei.dimension_oracle(bei.Graph(bei.DEFAULT_BOUND + 1))
 
 
+def test_a_negative_bound_is_refused_as_such():
+    # not an EnumerationBoundError: no graph, not even an empty one, exceeds it
+    with pytest.raises(ValueError, match="bound must be at least 0, got -1") as exc:
+        bei.enumerate_cutsets(bei.Graph(0), bound=-1)
+    assert not isinstance(exc.value, bei.EnumerationBoundError)
+
+
 def test_the_bound_is_not_read_from_the_environment(monkeypatch):
     monkeypatch.setenv("BEI_BOUND", "3")
     assert len(bei.enumerate_cutsets(bei.path_graph(5)).cutsets) == 5
