@@ -201,6 +201,7 @@ def bms_scan(
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    check_bound(0, bound)  # a negative bound is refused once, before any line
 
     def check_n(n: int) -> None:
         if max_n is not None and n > max_n:

@@ -237,7 +237,7 @@ def _cmd_cutsets(args) -> int:
     if args.out == "jsonl":
         lines = [
             json.dumps({"cutset": members(mask), "components": w}) + "\n"
-            for mask, w in iter_cutsets(g, args.bound)
+            for mask, w in sorted(iter_cutsets(g, args.bound))
             if cap is None or mask.bit_count() <= cap
         ]
         _write_out("".join(lines), args.output)
@@ -486,7 +486,12 @@ def _cutsets_args(p: argparse.ArgumentParser) -> None:
         help="list only the cutsets of at most this size (the verdicts and the "
         "dimension still describe the whole family)",
     )
-    p.add_argument("--out", choices=("json", "jsonl"), default="json")
+    p.add_argument(
+        "--out",
+        choices=("json", "jsonl"),
+        default="json",
+        help="json: one report; jsonl: one line per cutset, in ascending mask order",
+    )
     _add_common(p)
 
 
@@ -595,6 +600,12 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc), "kind": "invalid-input"}) + "\n")
+        return 1
+    except MemoryError as exc:
+        # a graph too large to hold, such as {"n": 200000000} under a 1 GiB
+        # address-space limit; MemoryError usually carries no message
+        error = f"out of memory: {str(exc) or 'the graph does not fit'}"
+        sys.stderr.write(json.dumps({"error": error, "kind": "invalid-input"}) + "\n")
         return 1
     except OSError as exc:
         sys.stderr.write(json.dumps({"error": str(exc), "kind": "io-error"}) + "\n")

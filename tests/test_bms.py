@@ -150,6 +150,16 @@ def test_scan_bound_errors_reported():
     assert errors == []
 
 
+def test_scan_refuses_a_negative_bound_before_reading_a_line():
+    lines = iter(["Bw", "Cr", "C~"])
+    errors = []
+    scan = bei.bms_scan(lines, bound=-1, on_error=lambda *error: errors.append(error))
+    with pytest.raises(ValueError, match="must be at least 0, got -1"):
+        next(scan)
+    assert errors == []
+    assert next(lines) == "Bw"
+
+
 def test_scan_deterministic_and_order_preserving():
     corpus = scan_lines(connected_atlas(5))
     a = [json.dumps(r.to_json()) for r in bei.bms_scan(corpus)]

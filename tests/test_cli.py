@@ -23,7 +23,7 @@ import bei
 from bei import complete_graph, cycle_graph, enumerate_cutsets, path_graph, to_graph6
 from bei.cli import _render_report, build_parser, main
 
-from conftest import atlas
+from conftest import atlas, factors_pendants
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -297,6 +297,23 @@ def test_cutsets_json_is_the_indented_report(tmp_path, capsys, monkeypatch):
             assert out == indented(reports.pop(), cap)
 
 
+def test_cutsets_jsonl_lists_a_factored_family_in_ascending_mask_order(tmp_path, capsys):
+    product = bei.corona(complete_graph(2), cycle_graph(8))
+    assert factors_pendants(product)
+    path = tmp_path / "k2oc8.g6"
+    path.write_text(to_graph6(product) + "\n")
+    code, out, _ = run(["cutsets", "--input", str(path), "--out", "jsonl"], capsys)
+    assert code == 0
+    lines = map(json.loads, out.splitlines())
+    listed = [(bei.vset(obj["cutset"]), obj["components"]) for obj in lines]
+    assert all(a < b for (a, _), (b, _) in zip(listed, listed[1:]))
+    code, out, _ = run(["cutsets", "--input", str(path), "--out", "json"], capsys)
+    report = json.loads(out)
+    assert code == 0 and report["size_cap"] is None
+    whole = zip(map(bei.vset, report["cutsets"]), report["per_cutset_components"])
+    assert listed == sorted(whole)
+
+
 def test_scan_jobs_agree_on_a_mixed_corpus(tmp_path, capsys, monkeypatch, square_leaves_product):
     # with no in-process allowance, --jobs 2 scans the first graph in-process
     # and a real pool takes the rest; a malformed and an over-bound line sit on
@@ -441,6 +458,22 @@ def test_declared_size_is_checked_before_the_graph_is_built(tmp_path, name, text
         "error": f"{n} vertices exceeds the enumeration bound 24",
         "kind": "bound-exceeded",
     }
+
+
+def test_a_graph_too_large_for_memory_is_invalid_input(tmp_path):
+    pytest.importorskip("resource")
+    # 2 * 10^8 adjacency rows need 1.6 GB; the process may use 1 GiB, so the
+    # first allocation fails
+    source = tmp_path / "big.json"
+    source.write_text('{"n": 200000000, "edges": []}')
+    proc = run_python(
+        ["-m", "bei.cli", "export", "--input", str(source)],
+        preexec_fn=_limit_address_space,
+        timeout=1.5,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    err = json.loads(proc.stderr)
+    assert err["kind"] == "invalid-input" and err["error"].startswith("out of memory: ")
 
 
 P3_BASE = str(GOLDEN / "inputs" / "p3_base.json")

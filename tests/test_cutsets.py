@@ -63,6 +63,16 @@ def test_enumerate_matches_naive_on_small_corpus():
         assert_matches_naive(g)
 
 
+def test_the_factored_path_matches_naive_on_the_atlas(monkeypatch):
+    # every atlas graph with a non-complete cone pendant has at most
+    # _DIRECT_SEARCH_MAX candidates, so only a zero threshold factors them
+    monkeypatch.setattr(cutsets, "_DIRECT_SEARCH_MAX", 0)
+    factored = [g for g in connected_atlas(7) if factors_pendants(g)]
+    assert len(factored) == 192
+    for g in factored:
+        assert_matches_naive(g)
+
+
 def test_enumerate_matches_naive_on_disconnected_graphs():
     for g in (
         bei.Graph(4, [(0, 1), (2, 3)]),
