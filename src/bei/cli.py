@@ -12,10 +12,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import json
+import os
 import sys
+from itertools import islice
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from . import __version__
 from .bms import bms_scan, verify_reduction_d2, verify_reduction_d3
@@ -30,6 +33,7 @@ from .corona import (
 )
 from .cutsets import (
     DEFAULT_BOUND,
+    CutsetReport,
     EnumerationBoundError,
     accessibility_witness_chain,
     check_bound,
@@ -128,11 +132,19 @@ def _enumerated_input(args) -> Graph:
     return _graph_arg(args.input, args.format, lambda n: check_bound(n, args.bound))
 
 
-def _write_out(text: str, out: str | None) -> None:
-    if out is None or out == "-":
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
+def _opened(out: str | None):
+    """stdout, or the file ``out`` opened for writing."""
+    return contextlib.nullcontext(sys.stdout) if out in (None, "-") else open(out, "w")
+
+
+def _write_out(text: str | Iterable[str], out: str | None) -> None:
+    """Write ``text``, or its pieces a thousand to a ``write``, to
+    ``_opened(out)``: a long listing is never held whole, nor written a row
+    per syscall when unbuffered."""
+    pieces = iter([text] if isinstance(text, str) else text)
+    with _opened(out) as f:
+        for chunk in iter(lambda: "".join(islice(pieces, 1000)), ""):
+            f.write(chunk)
 
 
 def _render_graph(g: Graph, fmt: str) -> str:
@@ -147,30 +159,30 @@ def _render_graph(g: Graph, fmt: str) -> str:
     raise ValueError(f"unknown output format {fmt!r}")
 
 
-def _json_rows(items: list, pad: str) -> str:
-    """``json.dumps(items, indent=2)`` for a list of ints or of int lists
-    nested ``pad`` deep: one ``join`` of ``str`` values per row, where the
-    indent encoder takes one generator step per token."""
-    if not items:
-        return "[]"
-    inner = pad + "  "
-    sep = ",\n" + inner
-    if isinstance(items[0], list):
-        body = sep.join([_json_rows(row, inner) for row in items])
-    else:
-        body = sep.join(map(str, items))
-    return f"[\n{inner}{body}\n{pad}]"
-
-
-def _render_report(obj: dict) -> str:
-    """``json.dumps(obj, indent=2) + "\n"`` for a nonempty dict whose values
-    are scalars, int lists or lists of int lists (``CutsetReport.to_json``)."""
-    fields = [
-        f"  {json.dumps(key)}: "
-        + (_json_rows(value, "  ") if isinstance(value, list) else json.dumps(value))
-        for key, value in obj.items()
-    ]
-    return "{\n" + ",\n".join(fields) + "\n}\n"
+def _report_pieces(report: CutsetReport, size_cap: int | None) -> Iterator[str]:
+    """``json.dumps(report.to_json(size_cap), indent=2) + "\n"`` in pieces,
+    a row each, rendered from the report's masks and counts."""
+    sep = "{"
+    for key, value in report.fields(size_cap):
+        yield f"{sep}\n  {json.dumps(key)}: "
+        sep = ","
+        if not isinstance(value, tuple):
+            yield json.dumps(value)
+            continue
+        if not value:
+            yield "[]"
+            continue
+        if key == "cutsets":
+            value = (
+                "[\n      " + ",\n      ".join(map(str, members(m))) + "\n    ]" if m else "[]"
+                for m in value
+            )
+        row = "[\n    "
+        for x in value:
+            yield f"{row}{x}"
+            row = ",\n    "
+        yield "\n  ]"
+    yield "\n}\n"
 
 
 def _labels(g: Graph, mask: int) -> list[str]:
@@ -235,15 +247,14 @@ def _cmd_cutsets(args) -> int:
     _not_negative(cap, "size cap")
     g = _enumerated_input(args)
     if args.out == "jsonl":
-        lines = [
+        lines = (
             json.dumps({"cutset": members(mask), "components": w}) + "\n"
             for mask, w in sorted(iter_cutsets(g, args.bound))
             if cap is None or mask.bit_count() <= cap
-        ]
-        _write_out("".join(lines), args.output)
+        )
+        _write_out(lines, args.output)
         return 0
-    report = enumerate_cutsets(g, bound=args.bound)
-    _write_out(_render_report(report.to_json(cap)), args.output)
+    _write_out(_report_pieces(enumerate_cutsets(g, bound=args.bound), cap), args.output)
     return 0
 
 
@@ -388,13 +399,18 @@ def _cmd_gadget(args) -> int:
     return 0
 
 
+def _reads_from(corpus, path: str) -> bool:
+    """Whether the open input ``corpus``, a file or stdin, is the file at
+    ``path``: a scan reads as it writes, so writing there would truncate it."""
+    try:
+        return os.path.samestat(os.fstat(corpus.fileno()), os.stat(path))
+    except (io.UnsupportedOperation, FileNotFoundError):  # no descriptor, or no such file
+        return False
+
+
 def _cmd_scan(args) -> int:
     _not_negative(args.max_n, "--max-n")
     _applies_only(args, "--dialect", _given(args, "--scripts-dir"), "--scripts-dir")
-    if args.input == "-":
-        lines = sys.stdin.read().splitlines()
-    else:
-        lines = Path(args.input).read_text().splitlines()
     diameters = None
     if args.diameter:
         diameters = {int(tok) for tok in args.diameter.split(",") if tok != ""}
@@ -402,24 +418,30 @@ def _cmd_scan(args) -> int:
     def on_error(lineno: int, message: str) -> None:
         sys.stderr.write(json.dumps({"line": lineno, "error": message}) + "\n")
 
-    records = bms_scan(
-        lines,
-        diameters=diameters,
-        max_n=args.max_n,
-        bound=args.bound,
-        script_dir=args.scripts_dir,
-        dialect=args.dialect or "m2",
-        jobs=args.jobs,
-        on_error=on_error,
-    )
-    # each record is written as the scan yields it; the first is taken
-    # before an output file is opened, so a refused --jobs leaves none behind
-    record = next(records, None)
-    to_stdout = args.output is None or args.output == "-"
-    with contextlib.nullcontext(sys.stdout) if to_stdout else open(args.output, "w") as out:
-        while record is not None:
-            out.write(json.dumps(record.to_json()) + "\n")
-            record = next(records, None)
+    out = args.output
+    with contextlib.nullcontext(sys.stdin) if args.input == "-" else open(args.input) as corpus:
+        if out not in (None, "-") and _reads_from(corpus, out):
+            raise ValueError("--output is the input file, which the scan reads as it writes")
+        # split as str.splitlines splits the whole text, so error records
+        # keep their line numbers
+        lines = (line for physical in corpus for line in physical.splitlines())
+        records = bms_scan(
+            lines,
+            diameters=diameters,
+            max_n=args.max_n,
+            bound=args.bound,
+            script_dir=args.scripts_dir,
+            dialect=args.dialect or "m2",
+            jobs=args.jobs,
+            on_error=on_error,
+        )
+        # each record is written as the scan yields it; the first is taken
+        # before an output file is opened, so a refused --jobs leaves none behind
+        record = next(records, None)
+        with _opened(out) as f:
+            while record is not None:
+                f.write(json.dumps(record.to_json()) + "\n")
+                record = next(records, None)
     return 0
 
 
@@ -603,8 +625,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except MemoryError as exc:
         # a graph too large to hold, such as {"n": 200000000} under a 1 GiB
-        # address-space limit; MemoryError usually carries no message
-        error = f"out of memory: {str(exc) or 'the graph does not fit'}"
+        # address-space limit, or a listing too long for the memory left;
+        # MemoryError usually carries no message
+        error = f"out of memory: {str(exc) or 'the graph or its results do not fit'}"
         sys.stderr.write(json.dumps({"error": error, "kind": "invalid-input"}) + "\n")
         return 1
     except OSError as exc:

@@ -52,7 +52,10 @@ quotient by the binomial edge ideal is ``n + max(components - |T|)`` over
 cutsets, and (for connected graphs) unmixedness says every cutset satisfies
 ``components == |T| + 1``.  A ``CutsetReport`` carries the first
 unmixedness violation and the first stuck cutset, and the unmixed and
-accessible verdicts are read off them.  Two entry points build it:
+accessible verdicts are read off them.  It lists the family by size, then
+by member lists, sorted on one integer per mask m: ``(|m| << n) - r``, with
+r the n bits of m reversed (proof in ``_report``).  Two entry points build
+it:
 
 - ``enumerate_cutsets`` lists the whole family.  Callers that print the
   family, a witness in report order or the dimension use it: ``bei
@@ -339,24 +342,30 @@ class CutsetReport(NamedTuple):
     def is_accessible(self) -> bool:
         return self.is_unmixed and self.is_accessible_system
 
-    def to_json(self, size_cap: int | None = None) -> dict:
-        """The report; a ``size_cap`` lists only the cutsets of at most that
-        size (a prefix, as they are sorted by size), while the verdicts and
-        the dimension still describe the whole family."""
+    def fields(self, size_cap: int | None = None) -> list[tuple[str, object]]:
+        """The report's ``(key, value)`` pairs in print order, the listing as
+        slices of the masks and counts.  A ``size_cap`` lists only the
+        cutsets of at most that size (a prefix, as they are sorted by size),
+        while the verdicts and the dimension still describe the whole family."""
         listed = None if size_cap is None else bisect_right(self.cutsets, size_cap, key=int.bit_count)
-        return {
-            "n": self.n,
-            "connected": self.connected,
-            "cutsets": [members(m) for m in self.cutsets[:listed]],
-            "per_cutset_components": list(self.per_cutset_components[:listed]),
-            "is_unmixed": self.is_unmixed,
-            "is_accessible_system": self.is_accessible_system,
-            "oracle_dimension": self.oracle_dimension,
-            "size_cap": size_cap,
-            "unmixedness_definition": (
-                "standard" if self.connected else "disconnected-extension"
-            ),
-        }
+        return [
+            ("n", self.n),
+            ("connected", self.connected),
+            ("cutsets", self.cutsets[:listed]),
+            ("per_cutset_components", self.per_cutset_components[:listed]),
+            ("is_unmixed", self.is_unmixed),
+            ("is_accessible_system", self.is_accessible_system),
+            ("oracle_dimension", self.oracle_dimension),
+            ("size_cap", size_cap),
+            ("unmixedness_definition", "standard" if self.connected else "disconnected-extension"),
+        ]
+
+    def to_json(self, size_cap: int | None = None) -> dict:
+        """``fields`` as a dict, each cutset as its member list."""
+        obj = dict(self.fields(size_cap))
+        obj["cutsets"] = [members(m) for m in obj["cutsets"]]
+        obj["per_cutset_components"] = list(obj["per_cutset_components"])
+        return obj
 
 
 def enumerate_cutsets(g: Graph, bound: int | None = None) -> CutsetReport:
@@ -367,8 +376,17 @@ def enumerate_cutsets(g: Graph, bound: int | None = None) -> CutsetReport:
 
 def _report(g: Graph, found: list[tuple[VertexSet, int]]) -> CutsetReport:
     """Sort ``(mask, components)`` pairs by size, then by ascending member
-    lists, and read the witnesses and the dimension off them."""
-    found.sort(key=lambda mw: (mw[0].bit_count(), members(mw[0])))
+    lists, and read the witnesses and the dimension off them.
+
+    The key of a mask m is ``(|m| << n) - r``, with r its n bits reversed
+    (vertex v weighs 2^(n-1-v)); as ``0 <= r < 2^n``, size decides first.
+    Two lists of one size first differ at the least vertex of their
+    symmetric difference, and the list holding it is the smaller; that
+    vertex is the highest bit where the reversals differ, so that list has
+    the larger r and the smaller key.
+    """
+    n = g.n
+    found.sort(key=lambda mw: (mw[0].bit_count() << n) - int(f"{mw[0]:0{n}b}"[::-1], 2))
     masks = tuple(m for m, _ in found)
     w0 = found[0][1]  # empty cutset sorts first
     mask_set = set(masks)

@@ -11,8 +11,10 @@ from the current CLI.
 import contextlib
 import importlib
 import io
+import itertools
 import json
 import os
+import select
 import subprocess
 import sys
 from pathlib import Path
@@ -21,7 +23,7 @@ import pytest
 
 import bei
 from bei import complete_graph, cycle_graph, enumerate_cutsets, path_graph, to_graph6
-from bei.cli import _render_report, build_parser, main
+from bei.cli import _report_pieces, build_parser, main
 
 from conftest import atlas, factors_pendants
 
@@ -257,24 +259,24 @@ BENCH_PRODUCTS = [
 
 
 def test_cutsets_json_is_the_indented_report(tmp_path, capsys, monkeypatch):
-    # the report renderer against json's indent encoder, with no size cap,
-    # cap 0 and cap 2: through the CLI on the benchmark's corona products,
-    # and on every atlas graph on at most 6 vertices (n = 0 and disconnected
-    # graphs included), where a CLI call per graph would cost seconds.  A cap
-    # trims the listing only: the verdicts and the dimension are the family's
+    # the report writer against json's indent encoder, with no size cap,
+    # cap 0 and cap 2: through the CLI on the benchmark's corona products
+    # (P12oK1 lists 1,201 rows, which the CLI writes in several chunks), and
+    # on every atlas graph on at most 6 vertices (n = 0 and disconnected
+    # graphs included), where a CLI call per graph would cost seconds, and
+    # on C16 (2,191 rows).  A cap trims the listing only: the verdicts and
+    # the dimension are the family's
     def indented(report, cap):
         return json.dumps(report.to_json(cap), indent=2) + "\n"
 
     caps = (None, 0, 2)
     whole = ("connected", "is_unmixed", "is_accessible_system", "oracle_dimension")
-    for g in atlas():
-        if g.n > 6:
-            break
+    for g in [*itertools.takewhile(lambda g: g.n <= 6, atlas()), cycle_graph(16)]:
         report = enumerate_cutsets(g)
         uncapped = report.to_json()
         for cap in caps:
             obj = report.to_json(cap)
-            assert _render_report(obj) == indented(report, cap)
+            assert "".join(_report_pieces(report, cap)) == indented(report, cap)
             assert {k: obj[k] for k in whole} == {k: uncapped[k] for k in whole}
 
     reports = []
@@ -312,6 +314,18 @@ def test_cutsets_jsonl_lists_a_factored_family_in_ascending_mask_order(tmp_path,
     assert code == 0 and report["size_cap"] is None
     whole = zip(map(bei.vset, report["cutsets"]), report["per_cutset_components"])
     assert listed == sorted(whole)
+
+
+@pytest.mark.parametrize("out", ["json", "jsonl"])
+def test_cutsets_output_file_gets_the_stdout_bytes(tmp_path, capsys, out):
+    # C16 lists 2,191 cutsets, written a thousand pieces to a write
+    argv = ["cutsets", "--input", "C16", "--out", out]
+    code, printed, _ = run(argv, capsys)
+    assert code == 0 and printed.count("\n") >= 2191
+    path = tmp_path / "c16.out"
+    code, nothing, _ = run([*argv, "--output", str(path)], capsys)
+    assert code == 0 and nothing == ""
+    assert path.read_bytes() == printed.encode()
 
 
 def test_scan_jobs_agree_on_a_mixed_corpus(tmp_path, capsys, monkeypatch, square_leaves_product):
@@ -371,14 +385,54 @@ def test_scan_writes_each_record_as_it_is_found(tmp_path, monkeypatch):
     assert seen[2].count("\n") == 2 and out.getvalue().startswith(seen[2])
 
 
-def run_python(args, **kwargs):
-    """A fresh interpreter that imports ``bei`` from the tree under test."""
+def python_env():
+    """The environment of a fresh interpreter that imports ``bei`` from the
+    tree under test."""
     env = dict(os.environ)
     src = str(Path(bei.__file__).parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_python(args, **kwargs):
     return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, **kwargs
+        [sys.executable, *args], env=python_env(), capture_output=True, text=True, **kwargs
     )
+
+
+def test_scan_reads_its_input_as_it_scans():
+    # one line in, and its record comes out while stdin is still open; -u
+    # makes the child write each record as it is made
+    with subprocess.Popen(
+        [sys.executable, "-u", "-m", "bei.cli", "scan", "--input", "-"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=python_env(), text=True,
+    ) as proc:
+        try:
+            proc.stdin.write("Bw\n")
+            proc.stdin.flush()
+            ready, _, _ = select.select([proc.stdout], [], [], 10)
+            assert ready, "no record before stdin was closed"
+            assert json.loads(proc.stdout.readline())["graph6"] == "Bw"
+        finally:
+            proc.stdin.close()
+        assert proc.stdout.read() == ""
+    assert proc.returncode == 0
+
+
+def test_scan_refuses_to_write_over_its_input(tmp_path, capsys):
+    # the input is read as it is scanned, so writing over it would truncate
+    # it unread: the output names the same file another way, or stdin is
+    # redirected from it
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text("Bw\nCr\n")
+    argv = ["scan", "--input", str(corpus), "--output", str(tmp_path / "." / "corpus.g6")]
+    code, out, err = run(argv, capsys)
+    assert out == ""
+    assert_invalid_input(code, err)
+    with corpus.open() as stdin:
+        proc = run_python(["-m", "bei.cli", "scan", "-i", "-", "-o", str(corpus)], stdin=stdin)
+    assert proc.returncode == 1 and json.loads(proc.stderr)["kind"] == "invalid-input"
+    assert corpus.read_text() == "Bw\nCr\n"
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():

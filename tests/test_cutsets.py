@@ -261,6 +261,14 @@ def test_report_fields(square_leaves_base):
     assert js["cutsets"][0] == []
 
 
+def test_report_order_key_is_size_then_member_lists():
+    # the integer key of _report against the (size, members) order it
+    # replaces, on every mask of every n up to 10
+    for n in range(11):
+        report = cutsets._report(bei.Graph(n), [(m, 0) for m in range(1 << n)])
+        assert report.cutsets == tuple(sorted(range(1 << n), key=lambda m: (m.bit_count(), members(m))))
+
+
 def test_report_size_cap():
     # the cap trims the listing only: C4 is not unmixed, although every
     # cutset of at most one vertex (the empty set alone) keeps the rule
