@@ -126,10 +126,13 @@ def _graph_arg(
     raise ValueError(f"unknown input format {fmt!r}")
 
 
-def _enumerated_input(args) -> Graph:
-    """``--input`` of a call that enumerates its cutsets: a declared vertex
-    count above the bound is refused before the graph is built."""
-    return _graph_arg(args.input, args.format, lambda n: check_bound(n, args.bound))
+def _input_graph(args, searches: bool = True, where: str = "") -> Graph:
+    """``--input``.  Where a cutset search runs, a declared vertex count
+    above ``--bound`` is refused before the graph is built; elsewhere
+    ``--bound`` itself is refused, as applying only to ``where``."""
+    _applies_only(args, "--bound", searches, where)
+    check_n = (lambda n: check_bound(n, args.bound)) if searches else None
+    return _graph_arg(args.input, args.format, check_n)
 
 
 def _opened(out: str | None):
@@ -245,7 +248,7 @@ def _cmd_construct(args) -> int:
 def _cmd_cutsets(args) -> int:
     cap = args.size_cap
     _not_negative(cap, "size cap")
-    g = _enumerated_input(args)
+    g = _input_graph(args)
     if args.out == "jsonl":
         lines = (
             json.dumps({"cutset": members(mask), "components": w}) + "\n"
@@ -262,8 +265,7 @@ def _cmd_check(args) -> int:
     mode = _one_of(args, "--unmixed", "--accessible", "--accessible-system", "--cutset", "--cm-closed")
     _applies_only(args, "--chain", mode == "--cutset", "--cutset")
     searches = mode in ("--unmixed", "--accessible", "--accessible-system")
-    _applies_only(args, "--bound", searches, "--unmixed, --accessible and --accessible-system")
-    g = _enumerated_input(args) if searches else _graph_arg(args.input, args.format)
+    g = _input_graph(args, searches, "--unmixed, --accessible and --accessible-system")
     if mode == "--unmixed":
         report = enumerate_cutsets(g, bound=args.bound)
         result = {"check": "unmixed", "value": report.is_unmixed}
@@ -385,9 +387,8 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_gadget(args) -> int:
-    _applies_only(args, "--bound", args.verify, "--verify")
     _applies_only(args, "--out", not args.verify, "a gadget built without --verify")
-    h = _enumerated_input(args) if args.verify else _graph_arg(args.input, args.format)
+    h = _input_graph(args, args.verify, "--verify")
     if args.verify:
         verify = verify_reduction_d2 if args.kind == "d2" else verify_reduction_d3
         fields = verify(h, args.bound)._asdict().items()
@@ -435,12 +436,14 @@ def _cmd_scan(args) -> int:
             jobs=args.jobs,
             on_error=on_error,
         )
-        # each record is written as the scan yields it; the first is taken
+        # each record is written and flushed as the scan yields it, so a pipe
+        # reader gets it while the input is still open; the first is taken
         # before an output file is opened, so a refused --jobs leaves none behind
         record = next(records, None)
         with _opened(out) as f:
             while record is not None:
                 f.write(json.dumps(record.to_json()) + "\n")
+                f.flush()
                 record = next(records, None)
     return 0
 
@@ -448,11 +451,7 @@ def _cmd_scan(args) -> int:
 def _cmd_export(args) -> int:
     _applies_only(args, "--oracle-expected", args.out == "cas", "--out cas")
     _applies_only(args, "--dialect", args.out == "cas", "--out cas")
-    _applies_only(args, "--bound", args.oracle_expected, "--oracle-expected")
-    if args.oracle_expected:
-        g = _enumerated_input(args)
-    else:
-        g = _graph_arg(args.input, args.format)
+    g = _input_graph(args, args.oracle_expected, "--oracle-expected")
     if args.out == "cas":
         expected = None
         if args.oracle_expected:

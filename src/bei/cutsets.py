@@ -44,8 +44,9 @@ families.  In a corona G o H with H not complete, each copy of H is a
 pendant under its base vertex, so the search runs over the base alone, and
 each copy's family is listed once.  The clique prune stays exact on the core, since a non-apex
 member's outside neighbourhood does not change when pendant parts are
-added.  Graphs with at most ``_DIRECT_SEARCH_MAX`` non-simplicial vertices
-skip the detection and are searched directly.
+added.  Every graph takes this one path: one without a non-complete cone
+pendant has no apex, so its core is the whole graph and each core set is
+yielded as it is.
 
 Quotient-ring facts read off the cutset family: the Krull dimension of the
 quotient by the binomial edge ideal is ``n + max(components - |T|)`` over
@@ -101,12 +102,6 @@ from .graph import (
 )
 
 DEFAULT_BOUND = 24
-# graphs with at most this many non-simplicial vertices are searched
-# directly.  Measured in-process on a Xeon: at 0, which factors every graph
-# with a pendant, a pass of verdicts over the 996 connected atlas graphs on
-# at most 7 vertices took 8.4 ms against 7.3 ms (medians of 10), while the
-# factored path lists K4oC4 in 0.24 ms against 230 ms searched directly
-_DIRECT_SEARCH_MAX = 7
 
 
 class EnumerationBoundError(ValueError):
@@ -147,10 +142,8 @@ def iter_cutsets(g: Graph, bound: int | None = None) -> Iterator[tuple[VertexSet
     one flood fill, before any search set-up), then every other cutset
     exactly once, in no promised order.
 
-    A graph with at most ``_DIRECT_SEARCH_MAX`` candidates, or without a
-    non-complete cone pendant, is searched directly; otherwise the core
-    search is expanded by each apex's pendant families under the rules in
-    the module docstring.
+    The core search, with the cone pendants factored out, is expanded by
+    each apex's pendant families under the rules in the module docstring.
     """
     check_bound(g.n, bound)
     adj, full = g.adj, g.full_mask
@@ -165,17 +158,14 @@ def _nonempty_cutsets(
     rows ``adj`` reach no vertex outside ``full``, with non-simplicial
     vertices ``cand``; masks keep their indices.
 
-    With cone pendants, the core search runs with every apex exempt, and
-    each core set is expanded by its apexes' pendant cutsets.
+    The core search runs outside the cone pendants with every apex exempt,
+    and each core set is expanded by its apexes' pendant cutsets; without
+    pendants the core is the whole graph and its sets pass unchanged.
     """
-    pendants = _cone_pendants(adj, cand) if cand.bit_count() > _DIRECT_SEARCH_MAX else []
-    if not pendants:
-        yield from _search(adj, full, cand, 0)
-        return
     apexes = inside = 0
     # apex -> its pendants, each with its own family as (mask, components - 1)
     parts: dict[int, list[tuple[VertexSet, list[tuple[VertexSet, int]]]]] = {}
-    for v, c in pendants:
+    for v, c in _cone_pendants(adj, cand):
         apexes |= 1 << v
         inside |= c
         sub = tuple(row & c for row in adj)

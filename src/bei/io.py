@@ -181,10 +181,12 @@ def format_edge_list(g: Graph) -> str:
 
 
 def to_dot(g: Graph) -> str:
+    """DOT text, each label a quoted string with ``\\`` and ``"`` escaped."""
     lines = ["graph G {"]
     for v in range(g.n):
         if g.labels is not None:
-            lines.append(f'  {v} [label="{g.labels[v]}"];')
+            label = g.labels[v].replace("\\", "\\\\").replace('"', '\\"')
+            lines.append(f'  {v} [label="{label}"];')
         else:
             lines.append(f"  {v};")
     for u, v in g.edges():

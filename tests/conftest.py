@@ -115,12 +115,10 @@ def assert_early_stop_agrees(g: bei.Graph) -> None:
 
 
 def factors_pendants(g: bei.Graph) -> bool:
-    """True when the enumerator splits ``g`` at cone pendants instead of
-    searching it directly."""
+    """True when the enumerator splits ``g`` at a non-complete cone pendant,
+    so its core search does not cover the whole graph."""
     cand = g.full_mask & ~bei.simplicial_vertices(g)
-    return cand.bit_count() > cutsets._DIRECT_SEARCH_MAX and bool(
-        cutsets._cone_pendants(g.adj, cand)
-    )
+    return bool(cutsets._cone_pendants(g.adj, cand))
 
 
 def assert_matches_direct_search(g: bei.Graph) -> None:

@@ -220,6 +220,14 @@ def test_construct_rejects_repeated_attach_vertex(capsys):
     assert code == 0 and out.strip()
 
 
+def test_export_dot_escapes_a_quote_in_a_label(tmp_path, capsys):
+    path = tmp_path / "edges.txt"
+    path.write_text('a"b c\n')
+    code, out, _ = run(["export", "-i", str(path), "--out", "dot"], capsys)
+    assert code == 0
+    assert out == 'graph G {\n  0 [label="a\\"b"];\n  1 [label="c"];\n  0 -- 1;\n}\n'
+
+
 def test_check_accessible_reports_the_stuck_cutset(tmp_path, capsys):
     # unmixed, but neither {3} nor {4} is a cutset although {3, 4} is
     path = tmp_path / "stuck.g6"
@@ -401,11 +409,13 @@ def run_python(args, **kwargs):
 
 
 def test_scan_reads_its_input_as_it_scans():
-    # one line in, and its record comes out while stdin is still open; -u
-    # makes the child write each record as it is made
+    # one line in, and its record comes out while stdin is still open, with
+    # the child's stdout block-buffered as it is on a pipe by default
+    env = python_env()
+    env.pop("PYTHONUNBUFFERED", None)
     with subprocess.Popen(
-        [sys.executable, "-u", "-m", "bei.cli", "scan", "--input", "-"],
-        stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=python_env(), text=True,
+        [sys.executable, "-m", "bei.cli", "scan", "--input", "-"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env, text=True,
     ) as proc:
         try:
             proc.stdin.write("Bw\n")

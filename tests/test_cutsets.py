@@ -63,14 +63,27 @@ def test_enumerate_matches_naive_on_small_corpus():
         assert_matches_naive(g)
 
 
-def test_the_factored_path_matches_naive_on_the_atlas(monkeypatch):
-    # every atlas graph with a non-complete cone pendant has at most
-    # _DIRECT_SEARCH_MAX candidates, so only a zero threshold factors them
-    monkeypatch.setattr(cutsets, "_DIRECT_SEARCH_MAX", 0)
+def test_the_factored_path_matches_naive_on_the_atlas():
     factored = [g for g in connected_atlas(7) if factors_pendants(g)]
     assert len(factored) == 192
     for g in factored:
         assert_matches_naive(g)
+
+
+def test_a_small_graph_is_split_at_its_cone_pendant(monkeypatch):
+    # a leaf and a P3 coned off vertex 0: two candidates, 0 and 3, and the
+    # P3 is a non-complete cone pendant of 0 (the leaf is complete)
+    g = bei.Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (2, 3), (3, 4)])
+    found = []
+    cone_pendants = cutsets._cone_pendants
+
+    def counting(adj, cand):
+        found.append(cone_pendants(adj, cand))
+        return found[-1]
+
+    monkeypatch.setattr(cutsets, "_cone_pendants", counting)
+    assert_matches_naive(g)
+    assert [(0, vset([2, 3, 4]))] in found
 
 
 def test_enumerate_matches_naive_on_disconnected_graphs():

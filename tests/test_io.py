@@ -155,6 +155,13 @@ def test_dot_export():
     assert 'label="left"' in dot and "0 -- 1;" in dot
     plain = bei.to_dot(bei.path_graph(2))
     assert "0;" in plain and "0 -- 1;" in plain
+    # a quote or a backslash in a label is escaped inside its quoted string
+    g = bei.Graph(3, [(0, 1), (1, 2)], labels=['a"b', "c\\", 'd\\"'])
+    assert bei.to_dot(g).splitlines()[1:4] == [
+        '  0 [label="a\\"b"];',
+        '  1 [label="c\\\\"];',
+        '  2 [label="d\\\\\\""];',
+    ]
 
 
 def test_named_graphs():
