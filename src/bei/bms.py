@@ -20,7 +20,8 @@ stop at the first unmixedness violation), so the scan
 measures the time it has spent and hands the rest of the corpus to the pool
 only once that time passes a measured threshold.  Time spent does not tell
 the work left, so the threshold bounds what a pool started too late can
-lose rather than promising a gain.
+lose rather than promising a gain.  The pool takes the rest in batches, so
+a pooled scan holds one batch of the corpus at a time, not all of it.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import functools
 import math
 import os
 import time
+from itertools import islice
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .cas import emit_cas_script
@@ -145,17 +147,16 @@ class ScanRecord(NamedTuple):
 # sixth of the run.  On the paths, about 0.1 s each, it saves about 40%, and
 # waiting for 0.5 s of in-process work gives up a fifth of that.
 _POOL_AFTER_S = 0.5
+_POOL_BATCH = 256  # graphs a pooled scan parses ahead of their records
 
 
 def _analyze(g: Graph, bound: int | None) -> tuple[bool, bool, int | None]:
     """Unmixed, accessible, and the oracle dimension (None when not
     unmixed)."""
     report = unmixed_report(g, bound=bound)
-    return (
-        report is not None,
-        report is not None and report.is_accessible,
-        None if report is None else report.oracle_dimension,
-    )
+    if report is None:
+        return False, False, None
+    return True, report.is_accessible_system, report.oracle_dimension
 
 
 class _AboveMaxN(Exception):
@@ -194,10 +195,11 @@ def bms_scan(
     an upper bound on the worker processes: only once the in-process
     analysis has taken ``_POOL_AFTER_S`` seconds, and only if at least two
     workers would run (no more than ``jobs``, the usable CPUs or the graphs
-    left), does the rest of the corpus go to a pool.  A pooled graph goes to
-    its worker as the parsed ``Graph``, which pickles through its adjacency
-    rows, so no line is parsed twice.  Records and scripts are the same at
-    every ``jobs``.
+    left in the first batch), does the rest of the corpus go to a pool, in
+    batches of ``_POOL_BATCH`` graphs, each drawn from ``lines`` after the
+    previous batch's records are yielded.  A pooled graph goes to its worker
+    as the parsed ``Graph``, which pickles through its adjacency rows, so no
+    line is parsed twice.  Records and scripts are the same at every ``jobs``.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -246,16 +248,18 @@ def bms_scan(
     spent = 0.0
     for lineno, g, g6, diam in graphs:
         if workers > 1 and spent > _POOL_AFTER_S:
-            rest = [(lineno, g, g6, diam), *graphs]
-            if len(rest) > 1:  # a single graph left is not worth a worker
+            batch = [(lineno, g, g6, diam), *islice(graphs, _POOL_BATCH - 1)]
+            if len(batch) > 1:  # a single graph left is not worth a worker
                 # imported here, so that the scans that start no pool skip its import
                 from concurrent.futures import ProcessPoolExecutor
 
-                with ProcessPoolExecutor(max_workers=min(workers, len(rest))) as pool:
+                with ProcessPoolExecutor(max_workers=min(workers, len(batch))) as pool:
                     analyze = functools.partial(_analyze, bound=bound)
-                    results = pool.map(analyze, [h for _, h, _, _ in rest], chunksize=8)
-                    for (lineno, h, g6, diam), result in zip(rest, results):
-                        yield record(lineno, g6, h, diam, result)
+                    while batch:
+                        results = pool.map(analyze, [h for _, h, _, _ in batch], chunksize=8)
+                        for (lineno, h, g6, diam), result in zip(batch, results):
+                            yield record(lineno, g6, h, diam, result)
+                        batch = list(islice(graphs, _POOL_BATCH))
                 return
         started = time.perf_counter()
         result = _analyze(g, bound)

@@ -16,6 +16,7 @@ import io
 import json
 import os
 import sys
+from bisect import bisect_right
 from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -163,18 +164,31 @@ def _render_graph(g: Graph, fmt: str) -> str:
 
 
 def _report_pieces(report: CutsetReport, size_cap: int | None) -> Iterator[str]:
-    """``json.dumps(report.to_json(size_cap), indent=2) + "\n"`` in pieces,
-    a row each, rendered from the report's masks and counts."""
+    """The ``bei cutsets`` JSON report (key order, labels and all) as
+    ``json.dumps(..., indent=2)`` writes it, a row a piece.  A ``size_cap``
+    lists only the cutsets of at most that size, a prefix of the sorted
+    family; the verdicts and the dimension describe the whole family."""
+    listed = None if size_cap is None else bisect_right(report.cutsets, size_cap, key=int.bit_count)
+    connected = report.connected
+    fields = [
+        ("n", report.n),
+        ("connected", connected),
+        ("cutsets", report.cutsets[:listed]),
+        ("per_cutset_components", report.per_cutset_components[:listed]),
+        ("is_unmixed", report.is_unmixed),
+        ("is_accessible_system", report.is_accessible_system),
+        ("oracle_dimension", report.oracle_dimension),
+        ("size_cap", size_cap),
+        ("unmixedness_definition", "standard" if connected else "disconnected-extension"),
+    ]
     sep = "{"
-    for key, value in report.fields(size_cap):
+    for key, value in fields:
         yield f"{sep}\n  {json.dumps(key)}: "
         sep = ","
         if not isinstance(value, tuple):
             yield json.dumps(value)
             continue
-        if not value:
-            yield "[]"
-            continue
+        # never empty: the empty set, of size 0, is always listed
         if key == "cutsets":
             value = (
                 "[\n      " + ",\n      ".join(map(str, members(m))) + "\n    ]" if m else "[]"
@@ -237,7 +251,7 @@ def _cmd_construct(args) -> int:
         pend = _graph_arg(args.l_corona[1], args.format)
         if not args.attach:
             raise ValueError("--l-corona needs --attach with base vertex indices")
-        attach = checked_vset([int(tok) for tok in args.attach.split(",")], "--attach")
+        attach = checked_vset([int(tok) for tok in args.attach.split(",")], "--attach", base.n)
         g = l_corona(CoronaSpec(base, attach, pend))
     else:
         g = cone(_graph_arg(args.cone, args.format))
@@ -268,28 +282,30 @@ def _cmd_check(args) -> int:
     g = _input_graph(args, searches, "--unmixed, --accessible and --accessible-system")
     if mode == "--unmixed":
         report = enumerate_cutsets(g, bound=args.bound)
-        result = {"check": "unmixed", "value": report.is_unmixed}
-        if not report.is_unmixed:
-            mask, w = report.unmixed_violation
+        violation = report.unmixed_violation
+        result = {"check": "unmixed", "value": violation is None}
+        if violation is not None:
+            mask, w = violation
             result["witness"] = _labels(g, mask)
             result["witness_components"] = w
             result["expected_components"] = mask.bit_count() + report.base_components
     elif mode == "--accessible":
         report = unmixed_report(g, bound=args.bound)
-        result = {"check": "accessible", "value": report is not None and report.is_accessible}
+        stuck = None if report is None else report.stuck_cutset
+        result = {"check": "accessible", "value": report is not None and stuck is None}
         if report is None:
             result["reason"] = "not-unmixed"
-        elif not report.is_accessible_system:
+        elif stuck is not None:
             result["reason"] = "no-removable-vertex"
-            result["witness"] = _labels(g, report.stuck_cutset)
+            result["witness"] = _labels(g, stuck)
     elif mode == "--accessible-system":
-        report = enumerate_cutsets(g, bound=args.bound)
-        result = {"check": "accessible-system", "value": report.is_accessible_system}
-        if not report.is_accessible_system:
-            result["witness"] = _labels(g, report.stuck_cutset)
+        stuck = enumerate_cutsets(g, bound=args.bound).stuck_cutset
+        result = {"check": "accessible-system", "value": stuck is None}
+        if stuck is not None:
+            result["witness"] = _labels(g, stuck)
     elif mode == "--cutset":
         mask = checked_vset(
-            [int(tok) for tok in args.cutset.split(",") if tok != ""], "--cutset"
+            [int(tok) for tok in args.cutset.split(",") if tok != ""], "--cutset", g.n
         )
         value = is_cutset(g, mask)
         result = {"check": "cutset", "set": _labels(g, mask), "value": value}
@@ -456,10 +472,11 @@ def _cmd_export(args) -> int:
         expected = None
         if args.oracle_expected:
             report = enumerate_cutsets(g, bound=args.bound)
+            unmixed = report.is_unmixed
             expected = {
                 "dim": report.oracle_dimension,
-                "unmixed": report.is_unmixed,
-                "accessible": report.is_accessible,
+                "unmixed": unmixed,
+                "accessible": unmixed and report.is_accessible_system,
             }
         _write_out(emit_cas_script(g, dialect=args.dialect or "m2", expected=expected), args.output)
         return 0

@@ -125,17 +125,17 @@ def corona_spec_from_json(
     obj: dict, check_n: Callable[[int], None] | None = None
 ) -> CoronaSpec:
     """Spec from ``{"base": graph6, "L": [vertex, ...], "pendant": graph6}``;
-    a field of the wrong type, or a negative or repeated ``L`` entry, is a
-    ValueError.  Both graph6 strings are checked, and ``check_n``, when
-    given, sees the product's declared vertex count, before either graph is
-    decoded."""
+    a field of the wrong type, or a negative, repeated or out-of-range ``L``
+    entry, is a ValueError.  The base's graph6 string is checked first, for
+    the range of ``L``, then the pendant's; ``check_n``, when given, sees
+    the product's declared vertex count before either graph is decoded."""
     base, attach, pend = obj["base"], obj["L"], obj["pendant"]
     if not isinstance(base, str) or not isinstance(pend, str):
         raise ValueError("corona spec fields 'base' and 'pendant' must be graph6 strings")
     if not isinstance(attach, list) or not all(map(_is_json_int, attach)):
         raise ValueError("corona spec field 'L' must be a list of base vertex indices")
-    mask = checked_vset(attach, "corona spec field 'L'")
     n_base, base_body = _graph6_checked(base)
+    mask = checked_vset(attach, "corona spec field 'L'", n_base)
     n_pend, pend_body = _graph6_checked(pend)
     if check_n is not None:
         check_n(n_base + mask.bit_count() * n_pend)

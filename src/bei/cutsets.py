@@ -51,12 +51,12 @@ yielded as it is.
 Quotient-ring facts read off the cutset family: the Krull dimension of the
 quotient by the binomial edge ideal is ``n + max(components - |T|)`` over
 cutsets, and (for connected graphs) unmixedness says every cutset satisfies
-``components == |T| + 1``.  A ``CutsetReport`` carries the first
-unmixedness violation and the first stuck cutset, and the unmixed and
-accessible verdicts are read off them.  It lists the family by size, then
-by member lists, sorted on one integer per mask m: ``(|m| << n) - r``, with
-r the n bits of m reversed (proof in ``_report``).  Two entry points build
-it:
+``components == |T| + 1``.  A ``CutsetReport`` stores only the family, by
+size, then by member lists, sorted on one integer per mask m:
+``(|m| << n) - r``, with r the n bits of m reversed (proof in
+``_report``).  Its witnesses, verdicts and dimension are read off the
+family on each access, so a report cannot contradict itself.  Two entry
+points build it:
 
 - ``enumerate_cutsets`` lists the whole family.  Callers that print the
   family, a witness in report order or the dimension use it: ``bei
@@ -88,8 +88,7 @@ environment variable changes it.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .graph import (
     Graph,
@@ -97,7 +96,6 @@ from .graph import (
     _components,
     _is_clique,
     iter_members,
-    members,
     simplicial_vertices,
 )
 
@@ -298,27 +296,45 @@ def _search(
 
 
 class CutsetReport(NamedTuple):
-    """Full cutset family of one graph plus the verdicts derived from it.
+    """Cutset family of one graph, sorted by size, then by ascending member
+    lists, with each cutset's component count.  Nothing else is stored:
+    each property reads the family afresh, so a caller reads each once.
 
     ``unmixed_violation`` is the first cutset, in report order, whose
     component count breaks unmixedness, as ``(mask, components)``;
     ``stuck_cutset`` is the first nonempty cutset from which no single
-    removal leaves a cutset.  The verdicts are read off these two witnesses.
+    removal leaves a cutset.  The verdicts are read off these two witnesses;
+    the graph is accessible when both hold.
     For disconnected graphs unmixedness uses the extension
     ``components == |T| + components(G)``.
     """
 
     n: int
-    base_components: int
     cutsets: tuple[VertexSet, ...]
     per_cutset_components: tuple[int, ...]
-    unmixed_violation: tuple[VertexSet, int] | None
-    stuck_cutset: VertexSet | None
-    oracle_dimension: int
+
+    @property
+    def base_components(self) -> int:
+        return self.per_cutset_components[0]  # the empty cutset sorts first
 
     @property
     def connected(self) -> bool:
         return self.base_components <= 1
+
+    @property
+    def unmixed_violation(self) -> tuple[VertexSet, int] | None:
+        w0, pairs = self.base_components, zip(self.cutsets, self.per_cutset_components)
+        return next(((m, w) for m, w in pairs if w != m.bit_count() + w0), None)
+
+    @property
+    def stuck_cutset(self) -> VertexSet | None:
+        listed = set(self.cutsets)
+        stuck = (m for m in self.cutsets if m and all(m ^ (1 << v) not in listed for v in iter_members(m)))
+        return next(stuck, None)
+
+    @property
+    def oracle_dimension(self) -> int:
+        return _dimension(self.n, zip(self.cutsets, self.per_cutset_components))
 
     @property
     def is_unmixed(self) -> bool:
@@ -328,45 +344,20 @@ class CutsetReport(NamedTuple):
     def is_accessible_system(self) -> bool:
         return self.stuck_cutset is None
 
-    @property
-    def is_accessible(self) -> bool:
-        return self.is_unmixed and self.is_accessible_system
 
-    def fields(self, size_cap: int | None = None) -> list[tuple[str, object]]:
-        """The report's ``(key, value)`` pairs in print order, the listing as
-        slices of the masks and counts.  A ``size_cap`` lists only the
-        cutsets of at most that size (a prefix, as they are sorted by size),
-        while the verdicts and the dimension still describe the whole family."""
-        listed = None if size_cap is None else bisect_right(self.cutsets, size_cap, key=int.bit_count)
-        return [
-            ("n", self.n),
-            ("connected", self.connected),
-            ("cutsets", self.cutsets[:listed]),
-            ("per_cutset_components", self.per_cutset_components[:listed]),
-            ("is_unmixed", self.is_unmixed),
-            ("is_accessible_system", self.is_accessible_system),
-            ("oracle_dimension", self.oracle_dimension),
-            ("size_cap", size_cap),
-            ("unmixedness_definition", "standard" if self.connected else "disconnected-extension"),
-        ]
-
-    def to_json(self, size_cap: int | None = None) -> dict:
-        """``fields`` as a dict, each cutset as its member list."""
-        obj = dict(self.fields(size_cap))
-        obj["cutsets"] = [members(m) for m in obj["cutsets"]]
-        obj["per_cutset_components"] = list(obj["per_cutset_components"])
-        return obj
+def _dimension(n: int, pairs: Iterable[tuple[VertexSet, int]]) -> int:
+    """``n + max(components - |T|)`` over ``(T, components)`` pairs."""
+    return n + max(w - m.bit_count() for m, w in pairs)
 
 
 def enumerate_cutsets(g: Graph, bound: int | None = None) -> CutsetReport:
-    """All cutsets, sorted by size then by ascending member lists, with the
-    derived witnesses and verdicts."""
+    """All cutsets and their component counts, in report order."""
     return _report(g, list(iter_cutsets(g, bound)))
 
 
 def _report(g: Graph, found: list[tuple[VertexSet, int]]) -> CutsetReport:
     """Sort ``(mask, components)`` pairs by size, then by ascending member
-    lists, and read the witnesses and the dimension off them.
+    lists, and split them into the report's two stored tuples.
 
     The key of a mask m is ``(|m| << n) - r``, with r its n bits reversed
     (vertex v weighs 2^(n-1-v)); as ``0 <= r < 2^n``, size decides first.
@@ -377,24 +368,7 @@ def _report(g: Graph, found: list[tuple[VertexSet, int]]) -> CutsetReport:
     """
     n = g.n
     found.sort(key=lambda mw: (mw[0].bit_count() << n) - int(f"{mw[0]:0{n}b}"[::-1], 2))
-    masks = tuple(m for m, _ in found)
-    w0 = found[0][1]  # empty cutset sorts first
-    mask_set = set(masks)
-    violations = ((m, w) for m, w in found if w != m.bit_count() + w0)
-    stuck = (
-        m
-        for m in masks
-        if m and not any((m ^ (1 << v)) in mask_set for v in iter_members(m))
-    )
-    return CutsetReport(
-        n=g.n,
-        base_components=w0,
-        cutsets=masks,
-        per_cutset_components=tuple(w for _, w in found),
-        unmixed_violation=next(violations, None),
-        stuck_cutset=next(stuck, None),
-        oracle_dimension=g.n + max(w - m.bit_count() for m, w in found),
-    )
+    return CutsetReport(n, tuple(m for m, _ in found), tuple(w for _, w in found))
 
 
 def _neighbourhood_violation(
@@ -457,7 +431,7 @@ def is_accessible(g: Graph, bound: int | None = None) -> bool:
 def dimension_oracle(g: Graph, bound: int | None = None) -> int:
     """Krull dimension of the quotient by the binomial edge ideal:
     ``n + max(components(G \\ T) - |T|)`` over all cutsets T."""
-    return g.n + max(w - m.bit_count() for m, w in iter_cutsets(g, bound))
+    return _dimension(g.n, iter_cutsets(g, bound))
 
 
 def accessibility_witness_chain(g: Graph, t: VertexSet) -> list[int] | None:

@@ -26,12 +26,15 @@ def vset(vertices: Iterable[int]) -> VertexSet:
     return s
 
 
-def checked_vset(vertices: list[int], field: str) -> VertexSet:
-    """``vset`` of a list given on input; a negative or repeated vertex is a
-    ValueError that names ``field``."""
+def checked_vset(vertices: list[int], field: str, n: int) -> VertexSet:
+    """``vset`` of a list given on input for a graph on ``n`` vertices; a
+    negative, out-of-range or repeated vertex is a ValueError that names
+    ``field``, raised before any bit is set."""
     shown = ",".join(map(str, vertices))
     if any(v < 0 for v in vertices):
         raise ValueError(f"{field} holds a negative vertex: {shown}")
+    if any(v >= n for v in vertices):
+        raise ValueError(f"{field} holds a vertex out of range for {n} vertices: {shown}")
     if len(set(vertices)) != len(vertices):
         raise ValueError(f"{field} repeats a vertex: {shown}")
     return vset(vertices)

@@ -199,14 +199,15 @@ def base_invariants_block_graph(g: Graph, bound: int | None = None) -> BaseInvar
     reg = internal_vertex_count(g) + 1
     report = enumerate_cutsets(g, bound=bound)
     dim = report.oracle_dimension
+    unmixed = report.is_unmixed
     cm = dim == depth
     return BaseInvariants(
         h=h,
         dim_q=dim,
         depth_q=depth,
         reg_q=reg,
-        is_unmixed=report.is_unmixed,
-        is_accessible=report.is_accessible,
+        is_unmixed=unmixed,
+        is_accessible=unmixed and report.is_accessible_system,
         r_extremal=reg if (cm and reg > 1) else None,  # reg 1: complete, no corner offset
         provenance="closed-form" if cm else "oracle",
     )

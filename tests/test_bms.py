@@ -1,6 +1,7 @@
 """Diameter wrappers, their verification records, and corpus scanning."""
 
 import concurrent.futures
+import itertools
 import json
 
 import pytest
@@ -216,6 +217,27 @@ class FakePool:
 
     def map(self, fn, payloads, chunksize=1):
         return map(fn, payloads)
+
+
+def test_a_pooled_scan_reads_its_input_a_batch_at_a_time(monkeypatch):
+    # with no in-process allowance the pool takes over at the second graph;
+    # its first records come before more than one batch of lines is drawn
+    monkeypatch.setattr(bms, "_POOL_AFTER_S", 0)
+    monkeypatch.setattr(bms, "_POOL_BATCH", 16)
+    monkeypatch.setattr(bms, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    drawn = 0
+
+    def corpus():
+        nonlocal drawn
+        for _ in range(2_000):
+            drawn += 1
+            yield "Bw"
+
+    records = bms.bms_scan(corpus(), jobs=2)
+    assert [r.graph6 for r in itertools.islice(records, 2)] == ["Bw", "Bw"]
+    assert drawn <= 1 + 16
+    assert sum(1 for _ in records) == 1_998 and drawn == 2_000
 
 
 def test_pooled_graphs_are_parsed_once(monkeypatch, tmp_path):

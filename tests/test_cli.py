@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 import bei
-from bei import complete_graph, cycle_graph, enumerate_cutsets, path_graph, to_graph6
+from bei import complete_graph, cycle_graph, enumerate_cutsets, members, path_graph, to_graph6
 from bei.cli import _report_pieces, build_parser, main
 
 from conftest import atlas, factors_pendants
@@ -220,6 +220,27 @@ def test_construct_rejects_repeated_attach_vertex(capsys):
     assert code == 0 and out.strip()
 
 
+HUGE = "99999999999999999999"  # above any C long: shifting 1 by it overflows
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--cutset", HUGE, "-i", "P3"],
+        ["check", "--cutset", "5000000000", "-i", "P3"],  # 1 << 5000000000 takes 625 MB
+        ["construct", "--l-corona", "K3", "P2", "--attach", HUGE],
+        ["construct", "--cone", "-"],  # the corona spec on stdin
+    ],
+)
+def test_a_vertex_index_out_of_range_is_refused_before_it_is_shifted(capsys, monkeypatch, argv):
+    spec = {"base": "Bw", "L": [int(HUGE)], "pendant": "@"}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(spec)))
+    code, out, err = run(argv, capsys)
+    assert out == ""
+    assert_invalid_input(code, err)
+    assert "out of range for 3 vertices" in json.loads(err)["error"]
+
+
 def test_export_dot_escapes_a_quote_in_a_label(tmp_path, capsys):
     path = tmp_path / "edges.txt"
     path.write_text('a"b c\n')
@@ -266,6 +287,23 @@ BENCH_PRODUCTS = [
 ]
 
 
+def report_json(report, cap=None):
+    """The ``bei cutsets`` report as a dict in print order, built here from
+    the report's stored family and derived properties."""
+    listed = [i for i, m in enumerate(report.cutsets) if cap is None or m.bit_count() <= cap]
+    return {
+        "n": report.n,
+        "connected": report.connected,
+        "cutsets": [members(report.cutsets[i]) for i in listed],
+        "per_cutset_components": [report.per_cutset_components[i] for i in listed],
+        "is_unmixed": report.is_unmixed,
+        "is_accessible_system": report.is_accessible_system,
+        "oracle_dimension": report.oracle_dimension,
+        "size_cap": cap,
+        "unmixedness_definition": "standard" if report.connected else "disconnected-extension",
+    }
+
+
 def test_cutsets_json_is_the_indented_report(tmp_path, capsys, monkeypatch):
     # the report writer against json's indent encoder, with no size cap,
     # cap 0 and cap 2: through the CLI on the benchmark's corona products
@@ -275,15 +313,15 @@ def test_cutsets_json_is_the_indented_report(tmp_path, capsys, monkeypatch):
     # on C16 (2,191 rows).  A cap trims the listing only: the verdicts and
     # the dimension are the family's
     def indented(report, cap):
-        return json.dumps(report.to_json(cap), indent=2) + "\n"
+        return json.dumps(report_json(report, cap), indent=2) + "\n"
 
     caps = (None, 0, 2)
     whole = ("connected", "is_unmixed", "is_accessible_system", "oracle_dimension")
     for g in [*itertools.takewhile(lambda g: g.n <= 6, atlas()), cycle_graph(16)]:
         report = enumerate_cutsets(g)
-        uncapped = report.to_json()
+        uncapped = report_json(report)
         for cap in caps:
-            obj = report.to_json(cap)
+            obj = report_json(report, cap)
             assert "".join(_report_pieces(report, cap)) == indented(report, cap)
             assert {k: obj[k] for k in whole} == {k: uncapped[k] for k in whole}
 

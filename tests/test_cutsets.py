@@ -1,11 +1,15 @@
 """Cutset enumeration against the brute-force oracle, and the verdicts."""
 
+import itertools
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bei
 from bei import cutsets, members, vset
+from bei.cli import _report_pieces
 
 from conftest import (
     assert_early_stop_agrees,
@@ -15,6 +19,7 @@ from conftest import (
     connected_atlas,
     factors_pendants,
     mixed_graphs,
+    naive_cutsets,
     naive_is_accessible_system,
     naive_is_unmixed,
     naive_ncomp,
@@ -269,9 +274,42 @@ def test_report_fields(square_leaves_base):
         w == m.bit_count() + 1 for m, w in zip(rep.cutsets, rep.per_cutset_components)
     )
     assert rep.oracle_dimension == square_leaves_base.n + 1
-    js = rep.to_json()
+    js = printed(rep)
     assert js["unmixedness_definition"] == "standard"
     assert js["cutsets"][0] == []
+
+
+def printed(report, size_cap=None):
+    """The report as ``bei cutsets`` prints it."""
+    return json.loads("".join(_report_pieces(report, size_cap)))
+
+
+def test_report_stores_only_the_family():
+    # the witnesses, verdicts and dimension are derived, so a report cannot
+    # contradict itself
+    assert bei.CutsetReport._fields == ("n", "cutsets", "per_cutset_components")
+    rep = bei.enumerate_cutsets(bei.cycle_graph(4))
+    assert rep._replace(n=5).oracle_dimension == rep.oracle_dimension + 1
+
+
+def test_witnesses_are_the_first_in_report_order():
+    # against the naive family sorted by (size, member list), on every atlas
+    # graph on at most 6 vertices
+    for g in itertools.takewhile(lambda g: g.n <= 6, atlas()):
+        family = sorted(naive_cutsets(g), key=lambda m: (m.bit_count(), members(m)))
+        w0 = naive_ncomp(g, set())
+        counts = {m: naive_ncomp(g, set(members(m))) for m in family}
+        violations = [(m, counts[m]) for m in family if counts[m] != m.bit_count() + w0]
+        stuck = [
+            m for m in family if m and not any(m & ~(1 << v) in counts for v in members(m))
+        ]
+        report = bei.enumerate_cutsets(g)
+        assert report.cutsets == tuple(family)
+        assert report.unmixed_violation == next(iter(violations), None)
+        assert report.stuck_cutset == next(iter(stuck), None)
+        assert report.is_unmixed == (not violations)
+        assert report.is_accessible_system == (not stuck)
+        assert report.oracle_dimension == g.n + max(counts[m] - m.bit_count() for m in family)
 
 
 def test_report_order_key_is_size_then_member_lists():
@@ -286,8 +324,8 @@ def test_report_size_cap():
     # the cap trims the listing only: C4 is not unmixed, although every
     # cutset of at most one vertex (the empty set alone) keeps the rule
     report = bei.enumerate_cutsets(bei.cycle_graph(4))
-    assert "size_cap" not in report._fields and len(report._fields) == 7
-    full, capped = report.to_json(), report.to_json(size_cap=1)
+    assert "size_cap" not in report._fields and len(report._fields) == 3
+    full, capped = printed(report), printed(report, size_cap=1)
     assert full["cutsets"] == [[], [0, 2], [1, 3]] and full["size_cap"] is None
     assert capped["cutsets"] == [[]] and capped["per_cutset_components"] == [1]
     assert capped["size_cap"] == 1
@@ -334,7 +372,7 @@ def test_disconnected_unmixedness_extension():
     assert unmixed(g)
     rep = bei.enumerate_cutsets(g)
     assert not rep.connected
-    assert rep.to_json()["unmixedness_definition"] == "disconnected-extension"
+    assert printed(rep)["unmixedness_definition"] == "disconnected-extension"
     # one part mixed: the union is mixed too
     star_and_edge = bei.Graph(6, [(0, 1), (0, 2), (0, 3), (4, 5)])
     assert not unmixed(star_and_edge)
