@@ -1,11 +1,13 @@
 """Command-line front end.
 
 Verbs: construct, cutsets, check, invariants, gadget, scan, export.  Graph
-arguments accept inline names (K5, P3, C4), file paths, or ``-`` for stdin;
-formats are sniffed from the extension and content unless ``--format`` is
-given.  A JSON file with ``base``/``L``/``pendant`` keys is a corona
-specification and stands for its constructed product.  Validation and bound
-errors exit nonzero with a machine-readable JSON object on stderr.
+arguments accept inline names (K5, P3, C4), file paths, or ``-`` for stdin.
+A name always stands for the named graph (a file called ``K3`` is given as
+``./K3``) and takes no ``--format``; a file's format is sniffed from its
+extension and content unless ``--format`` is given.  A JSON file with
+``base``/``L``/``pendant`` keys is a corona specification and stands for its
+constructed product.  Validation and bound errors exit nonzero with a
+machine-readable JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -98,7 +100,9 @@ def _graph_arg(
     ``check_n`` sees the vertex count a graph name, a graph6 line, a JSON
     object (a corona spec's product included) or an edge list of indices
     declares before a graph of that size is built."""
-    if fmt is None and is_graph_name(token):
+    if is_graph_name(token):
+        if fmt is not None:
+            raise ValueError(f"--format applies only to a file or -: give a file {token} as ./{token}")
         return graph_from_name(token, check_n)
     if token == "-":
         text = sys.stdin.read()
@@ -106,8 +110,6 @@ def _graph_arg(
     else:
         path = Path(token)
         if not path.exists():
-            if is_graph_name(token):
-                return graph_from_name(token, check_n)
             raise ValueError(f"no such file or graph name: {token}")
         text = path.read_text()
         source = token
@@ -202,6 +204,15 @@ def _report_pieces(report: CutsetReport, size_cap: int | None) -> Iterator[str]:
     yield "\n}\n"
 
 
+def _int_list(text: str, flag: str) -> list[int]:
+    """The integers of the comma-separated list given to ``flag``; empty
+    tokens are skipped, so ``""`` is the empty list."""
+    try:
+        return [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise ValueError(f"{flag} takes comma-separated integers, got {text!r}") from None
+
+
 def _labels(g: Graph, mask: int) -> list[str]:
     return [g.label(v) for v in members(mask)]
 
@@ -251,7 +262,7 @@ def _cmd_construct(args) -> int:
         pend = _graph_arg(args.l_corona[1], args.format)
         if not args.attach:
             raise ValueError("--l-corona needs --attach with base vertex indices")
-        attach = checked_vset([int(tok) for tok in args.attach.split(",")], "--attach", base.n)
+        attach = checked_vset(_int_list(args.attach, "--attach"), "--attach", base.n)
         g = l_corona(CoronaSpec(base, attach, pend))
     else:
         g = cone(_graph_arg(args.cone, args.format))
@@ -304,9 +315,7 @@ def _cmd_check(args) -> int:
         if stuck is not None:
             result["witness"] = _labels(g, stuck)
     elif mode == "--cutset":
-        mask = checked_vset(
-            [int(tok) for tok in args.cutset.split(",") if tok != ""], "--cutset", g.n
-        )
+        mask = checked_vset(_int_list(args.cutset, "--cutset"), "--cutset", g.n)
         value = is_cutset(g, mask)
         result = {"check": "cutset", "set": _labels(g, mask), "value": value}
         if value and args.chain:
@@ -430,7 +439,7 @@ def _cmd_scan(args) -> int:
     _applies_only(args, "--dialect", _given(args, "--scripts-dir"), "--scripts-dir")
     diameters = None
     if args.diameter:
-        diameters = {int(tok) for tok in args.diameter.split(",") if tok != ""}
+        diameters = set(_int_list(args.diameter, "--diameter"))
 
     def on_error(lineno: int, message: str) -> None:
         sys.stderr.write(json.dumps({"line": lineno, "error": message}) + "\n")
@@ -498,7 +507,7 @@ def _add_common(
     if input_flag:
         p.add_argument("--input", "-i", required=True, help="graph: name, file, or -")
     if format_flag:
-        p.add_argument("--format", choices=GRAPH_FORMATS, help="force the input format")
+        p.add_argument("--format", choices=GRAPH_FORMATS, help="force the format of a file or -")
     if bound_flag:
         p.add_argument(
             "--bound",
@@ -636,7 +645,9 @@ def main(argv: list[str] | None = None) -> int:
     except EnumerationBoundError as exc:
         sys.stderr.write(json.dumps({"error": str(exc), "kind": "bound-exceeded"}) + "\n")
         return 1
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OverflowError, json.JSONDecodeError) as exc:
+        # OverflowError: a number too large to index or shift by, such as
+        # the vertex count of {"n": 99999999999999999999}
         sys.stderr.write(json.dumps({"error": str(exc), "kind": "invalid-input"}) + "\n")
         return 1
     except MemoryError as exc:

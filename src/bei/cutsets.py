@@ -163,7 +163,7 @@ def _nonempty_cutsets(
     apexes = inside = 0
     # apex -> its pendants, each with its own family as (mask, components - 1)
     parts: dict[int, list[tuple[VertexSet, list[tuple[VertexSet, int]]]]] = {}
-    for v, c in _cone_pendants(adj, cand):
+    for v, c in _cone_pendants(adj, full, cand):
         apexes |= 1 << v
         inside |= c
         sub = tuple(row & c for row in adj)
@@ -191,41 +191,25 @@ def _nonempty_cutsets(
 
 
 def _cone_pendants(
-    adj: tuple[VertexSet, ...], cand: VertexSet
+    adj: tuple[VertexSet, ...], full: VertexSet, cand: VertexSet
 ) -> list[tuple[int, VertexSet]]:
-    """Disjoint non-complete cone pendants as ``(apex, pendant)`` pairs.
+    """Disjoint non-complete cone pendants of the graph induced on ``full``,
+    as ``(apex, pendant)`` pairs.
 
-    A cone pendant of v is a component C of G - v with C inside N(v).  Its
-    members' neighbourhoods stay inside N[v], so C is a component of the
-    graph induced on those neighbours that reaches no other neighbour of v.
-    Only a non-simplicial vertex can be the apex of a non-complete one.
+    A cone pendant of v is a component C of G - v with C inside N(v); each
+    candidate v keeps those of its components that are not cliques.  Only a
+    non-simplicial vertex can be the apex of a non-complete one.
     Two cone pendants are disjoint, nested, or each holds the other's apex;
     larger pendants are taken first, and a pendant that meets a taken
     pendant or apex, or whose apex lies in a taken pendant, is left to the
     search (a nested one is factored again inside its host).
     """
-    found = []
-    for v in iter_members(cand):
-        row = adj[v]
-        outside = ~(row | (1 << v))
-        inner = 0
-        t = row
-        while t:
-            b = t & -t
-            t ^= b
-            if adj[b.bit_length() - 1] & outside == 0:
-                inner |= b
-        if _is_clique(adj, inner):
-            continue
-        for c in _components(adj, inner):
-            reach = 0
-            t = c
-            while t:
-                b = t & -t
-                t ^= b
-                reach |= adj[b.bit_length() - 1]
-            if reach & row & ~c == 0 and not _is_clique(adj, c):
-                found.append((v, c))
+    found = [
+        (v, c)
+        for v in iter_members(cand)
+        for c in _components(adj, full & ~(1 << v))
+        if c & ~adj[v] == 0 and not _is_clique(adj, c)
+    ]
     found.sort(key=lambda vc: (-vc[1].bit_count(), vc[0]))
     chosen = []
     apexes = inside = 0

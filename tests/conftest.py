@@ -118,7 +118,7 @@ def factors_pendants(g: bei.Graph) -> bool:
     """True when the enumerator splits ``g`` at a non-complete cone pendant,
     so its core search does not cover the whole graph."""
     cand = g.full_mask & ~bei.simplicial_vertices(g)
-    return bool(cutsets._cone_pendants(g.adj, cand))
+    return bool(cutsets._cone_pendants(g.adj, g.full_mask, cand))
 
 
 def assert_matches_direct_search(g: bei.Graph) -> None:

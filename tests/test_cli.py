@@ -23,7 +23,7 @@ import pytest
 
 import bei
 from bei import complete_graph, cycle_graph, enumerate_cutsets, members, path_graph, to_graph6
-from bei.cli import _report_pieces, build_parser, main
+from bei.cli import GRAPH_FORMATS, _report_pieces, build_parser, main
 
 from conftest import atlas, factors_pendants
 
@@ -241,6 +241,60 @@ def test_a_vertex_index_out_of_range_is_refused_before_it_is_shifted(capsys, mon
     assert "out of range for 3 vertices" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        (["export", "-i", "-"], f"0 {HUGE}\n"),
+        (["export", "-i", "-"], f'{{"n": {HUGE}}}'),
+        (["construct", "--corona", f"K{HUGE}", "P2"], ""),
+    ],
+    ids=["edge-list", "json-object", "name"],
+)
+def test_a_vertex_count_too_large_to_index_is_invalid_input(capsys, monkeypatch, argv, stdin):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    code, out, err = run(argv, capsys)
+    assert out == ""
+    assert_invalid_input(code, err)
+
+
+def test_a_graph_name_is_the_named_graph_and_takes_no_format(tmp_path, capsys, monkeypatch):
+    # before and after a file named K3 exists; it is read through a path
+    # that is not a name
+    monkeypatch.chdir(tmp_path)
+    for _ in range(2):
+        for fmt in GRAPH_FORMATS:
+            code, out, err = run(["export", "-i", "K3", "--format", fmt], capsys)
+            assert out == ""
+            assert_invalid_input(code, err)
+            assert "./K3" in json.loads(err)["error"]
+        code, out, _ = run(["export", "-i", "K3"], capsys)
+        assert code == 0 and out == "Bw\n"
+        (tmp_path / "K3").write_text("0 1\n1 2\n")
+    code, out, _ = run(["export", "-i", "./K3", "--format", "edgelist"], capsys)
+    assert code == 0 and out == to_graph6(path_graph(3)) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["check", "-i", "P3", "--cutset"], "--cutset"),
+        (["scan", "-i", "-", "--diameter"], "--diameter"),
+        (["construct", "--l-corona", "K3", "P2", "--attach"], "--attach"),
+    ],
+    ids=["cutset", "diameter", "attach"],
+)
+def test_comma_lists_skip_empty_tokens_and_name_their_option(capsys, monkeypatch, argv, flag):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("Bw\n"))
+    code, expected, _ = run([*argv, "1"], capsys)
+    assert code == 0
+    monkeypatch.setattr(sys, "stdin", io.StringIO("Bw\n"))
+    assert run([*argv, "1,"], capsys) == (0, expected, "")
+    code, out, err = run([*argv, "1,x"], capsys)
+    assert out == ""
+    assert_invalid_input(code, err)
+    assert json.loads(err)["error"] == f"{flag} takes comma-separated integers, got '1,x'"
+
+
 def test_export_dot_escapes_a_quote_in_a_label(tmp_path, capsys):
     path = tmp_path / "edges.txt"
     path.write_text('a"b c\n')
@@ -279,6 +333,65 @@ def test_invariants_take_a_long_clique_path_base(capsys):
     assert code == 0 and err == ""
     report = json.loads(out)
     assert report["b"] == 1500 and report["product_vertices"] == 6000
+
+
+def test_invariants_take_the_oracle_dimension_over_a_pendant_graph(capsys):
+    argv = ["invariants", "--family", "cm-closed", "--b-graph", "P3",
+            "--pendant-block-graph", "P3", "--pendant-graph", "P3"]
+    code, out, err = run(argv, capsys)
+    assert code == 0 and err == ""
+    dim = json.loads(out)["dim"]
+    product = bei.corona(path_graph(3), path_graph(3))
+    assert dim == {"value": bei.dimension_oracle(product), "provenance": "oracle:cutset-enumeration"}
+
+
+def script_header(text):
+    """The graph6 and the expected values in a script's comment lines."""
+    graph6, expected = None, {}
+    for line in text.splitlines():
+        body = line.removeprefix("-- ").removeprefix("// ")
+        if body.startswith("graph6: "):
+            graph6 = body.removeprefix("graph6: ")
+        elif body.startswith("expected "):
+            key, value = body.removeprefix("expected ").split(" = ")
+            expected[key] = value
+    return graph6, expected
+
+
+@pytest.mark.parametrize(
+    "family, dialect, product",
+    [
+        (["l-corona", "--n", "4", "--ell", "2", "--pendant-block-graph", "P3"], None,
+         bei.l_corona(bei.CoronaSpec(complete_graph(4), 0b11, path_graph(3)))),
+        (["path", "--n", "3", "--pendant-block-graph", "K3", "--pendant-graph", "K3"], "singular",
+         bei.corona(path_graph(3), complete_graph(3))),
+    ],
+    ids=["l-corona-m2", "path-singular"],
+)
+def test_invariants_emit_a_script_for_the_product(tmp_path, capsys, family, dialect, product):
+    script = tmp_path / "product.script"
+    argv = ["invariants", "--family", *family, "--emit-cas", str(script)]
+    if dialect is not None:
+        argv += ["--dialect", dialect]
+    code, out, err = run(argv, capsys)
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    values = {
+        "family": report["family"],
+        **{key: report[key]["value"] for key in ("dim", "depth", "reg", "pd", "cmdef")},
+        **{key: entry["value"] for key, entry in report["verdicts"].items()},
+    }
+    # the script's values are the report's non-null ones, booleans in JSON
+    shown = {
+        key: json.dumps(value) if isinstance(value, bool) else str(value)
+        for key, value in values.items()
+        if value is not None
+    }
+    text = script.read_text()
+    assert text.startswith("//" if dialect == "singular" else "--")
+    graph6, expected = script_header(text)
+    assert bei.from_graph6(graph6) == product
+    assert expected == shown
 
 
 # the corona-cutsets benchmark products: work-bound, then output-dense

@@ -64,15 +64,13 @@ def test_enumerate_frozen_small_families():
 
 
 def test_enumerate_matches_naive_on_small_corpus():
+    factored = 0
     for g in connected_atlas(7):
+        factored += factors_pendants(g)
         assert_matches_naive(g)
-
-
-def test_the_factored_path_matches_naive_on_the_atlas():
-    factored = [g for g in connected_atlas(7) if factors_pendants(g)]
-    assert len(factored) == 192
-    for g in factored:
-        assert_matches_naive(g)
+    # the graphs split at a cone pendant, where the core search is not the
+    # whole graph
+    assert factored == 192
 
 
 def test_a_small_graph_is_split_at_its_cone_pendant(monkeypatch):
@@ -82,13 +80,32 @@ def test_a_small_graph_is_split_at_its_cone_pendant(monkeypatch):
     found = []
     cone_pendants = cutsets._cone_pendants
 
-    def counting(adj, cand):
-        found.append(cone_pendants(adj, cand))
+    def counting(adj, full, cand):
+        found.append(cone_pendants(adj, full, cand))
         return found[-1]
 
     monkeypatch.setattr(cutsets, "_cone_pendants", counting)
     assert_matches_naive(g)
     assert [(0, vset([2, 3, 4]))] in found
+
+
+def test_each_copy_of_a_non_complete_pendant_is_a_cone_pendant_of_its_attach_vertex():
+    # the corona layout: copy v of H is a component of the product minus v
+    # lying inside N(v), and the one factored under v
+    bases = connected_atlas(4)
+    pendants = [h for h in bases if h.n >= 3 and not bei.is_complete(h)]
+    products = 0
+    for base in bases:
+        for pendant in pendants:
+            for attach in range(1, base.full_mask + 1):
+                spec = bei.CoronaSpec(base, attach, pendant)
+                g = bei.l_corona(spec)
+                cand = g.full_mask & ~bei.simplicial_vertices(g)
+                found = cutsets._cone_pendants(g.adj, g.full_mask, cand)
+                for v in spec.attach_vertices():
+                    assert (v, pendant.full_mask << spec.copy_start(v)) in found
+                products += 1
+    assert products == 648
 
 
 def test_enumerate_matches_naive_on_disconnected_graphs():
