@@ -438,8 +438,10 @@ def _cmd_scan(args) -> int:
     _not_negative(args.max_n, "--max-n")
     _applies_only(args, "--dialect", _given(args, "--scripts-dir"), "--scripts-dir")
     diameters = None
-    if args.diameter:
+    if args.diameter is not None:
         diameters = set(_int_list(args.diameter, "--diameter"))
+        if not diameters:
+            raise ValueError(f"--diameter takes at least one integer, got {args.diameter!r}")
 
     def on_error(lineno: int, message: str) -> None:
         sys.stderr.write(json.dumps({"line": lineno, "error": message}) + "\n")

@@ -13,6 +13,7 @@ graphs may be shared freely across threads.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Iterable, Iterator
 
 VertexSet = int
@@ -38,6 +39,15 @@ def checked_vset(vertices: list[int], field: str, n: int) -> VertexSet:
     if len(set(vertices)) != len(vertices):
         raise ValueError(f"{field} repeats a vertex: {shown}")
     return vset(vertices)
+
+
+def _check_vertex_count(n: int) -> None:
+    """Refuse a vertex count that no graph can have: a negative one, or one
+    too large to index a list by, which the message names."""
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    if n > sys.maxsize:
+        raise ValueError(f"vertex count {n} is too large for a graph")
 
 
 def members(s: VertexSet) -> list[int]:
@@ -69,8 +79,7 @@ class Graph:
         edges: Iterable[tuple[int, int]] = (),
         labels: Iterable[str] | None = None,
     ):
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
+        _check_vertex_count(n)
         adj = [0] * n
         for u, v in edges:
             if u == v:
@@ -144,6 +153,7 @@ class Graph:
 
 
 def complete_graph(n: int) -> Graph:
+    _check_vertex_count(n)
     full = (1 << n) - 1
     return Graph._from_adj(tuple(full ^ (1 << v) for v in range(n)))
 
@@ -151,12 +161,14 @@ def complete_graph(n: int) -> Graph:
 def path_graph(n: int) -> Graph:
     if n < 1:
         raise ValueError("path needs at least one vertex")
+    _check_vertex_count(n)
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs at least three vertices")
+    _check_vertex_count(n)
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 

@@ -1,11 +1,16 @@
 """Shared fixtures: an independent brute-force cutset oracle and the checks
 built on it, the paper's structure of corona cutsets, the worked
-unmixedness counterexample, and the small-graph corpus."""
+unmixedness counterexample, the small-graph corpus, and a fresh interpreter
+that imports ``bei`` from the tree under test."""
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
@@ -344,3 +349,22 @@ def mixed_graphs() -> list[bei.Graph]:
         bei.Graph(2),
         bei.complete_graph(2),
     ]
+
+
+# ---------------------------------------------------------------------------
+# a fresh interpreter
+
+
+def python_env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports ``bei`` from the
+    tree under test."""
+    env = dict(os.environ)
+    src = str(Path(bei.__file__).parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_python(args, **kwargs) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, *args], env=python_env(), capture_output=True, text=True, **kwargs
+    )

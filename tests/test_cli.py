@@ -25,7 +25,7 @@ import bei
 from bei import complete_graph, cycle_graph, enumerate_cutsets, members, path_graph, to_graph6
 from bei.cli import GRAPH_FORMATS, _report_pieces, build_parser, main
 
-from conftest import atlas, factors_pendants
+from conftest import atlas, factors_pendants, python_env, run_python
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -242,19 +242,23 @@ def test_a_vertex_index_out_of_range_is_refused_before_it_is_shifted(capsys, mon
 
 
 @pytest.mark.parametrize(
-    "argv, stdin",
+    "argv, stdin, count",
     [
-        (["export", "-i", "-"], f"0 {HUGE}\n"),
-        (["export", "-i", "-"], f'{{"n": {HUGE}}}'),
-        (["construct", "--corona", f"K{HUGE}", "P2"], ""),
+        (["export", "-i", "-"], f"0 {HUGE}\n", int(HUGE) + 1),
+        (["export", "-i", "-"], f'{{"n": {HUGE}}}', int(HUGE)),
+        (["construct", "--corona", f"K{HUGE}", "P2"], "", int(HUGE)),
+        (["construct", "--corona", f"P{HUGE}", "P2"], "", int(HUGE)),
+        (["construct", "--cone", f"C{HUGE}"], "", int(HUGE)),
     ],
-    ids=["edge-list", "json-object", "name"],
+    ids=["edge-list", "json-object", "name", "path-name", "cycle-name"],
 )
-def test_a_vertex_count_too_large_to_index_is_invalid_input(capsys, monkeypatch, argv, stdin):
+def test_a_vertex_count_too_large_to_index_is_invalid_input(capsys, monkeypatch, argv, stdin, count):
+    # refused before a list or an edge list of that length is started
     monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
     code, out, err = run(argv, capsys)
     assert out == ""
     assert_invalid_input(code, err)
+    assert json.loads(err)["error"] == f"vertex count {count} is too large for a graph"
 
 
 def test_a_graph_name_is_the_named_graph_and_takes_no_format(tmp_path, capsys, monkeypatch):
@@ -542,21 +546,6 @@ def test_scan_writes_each_record_as_it_is_found(tmp_path, monkeypatch):
     # when the last graph is analysed, the first two records are out
     assert len(seen) == 3
     assert seen[2].count("\n") == 2 and out.getvalue().startswith(seen[2])
-
-
-def python_env():
-    """The environment of a fresh interpreter that imports ``bei`` from the
-    tree under test."""
-    env = dict(os.environ)
-    src = str(Path(bei.__file__).parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
-
-
-def run_python(args, **kwargs):
-    return subprocess.run(
-        [sys.executable, *args], env=python_env(), capture_output=True, text=True, **kwargs
-    )
 
 
 def test_scan_reads_its_input_as_it_scans():
