@@ -51,7 +51,6 @@ from .graph import (
     complete_graph,
     cone,
     is_cm_closed,
-    is_complete,
     is_connected,
     members,
     path_graph,
@@ -363,27 +362,17 @@ def _cmd_invariants(args) -> int:
         if not args.b_graph:
             raise ValueError("--family cm-closed needs --b-graph")
         b_graph = _graph_arg(args.b_graph, args.format)
-        complete = is_complete(b_graph)
     elif family == "l-corona" and (args.n is None or args.ell is None):
         raise ValueError("--family l-corona needs --n and --ell")
     elif args.n is None:
         raise ValueError(f"--family {family} needs --n")
-    else:
-        complete = family != "path" or args.n <= 2  # P_1 and P_2 are complete
-    # the block-graph record and the oracle dimension over a base that is
-    # not complete are the only cutset searches
-    searches = _given(args, "--pendant-block-graph") or (
-        _given(args, "--pendant-graph") and not complete
-    )
-    _applies_only(
-        args, "--bound", searches,
-        "--pendant-block-graph, or --pendant-graph over a base that is not complete",
-    )
+    # the block-graph record is the only cutset search
+    _applies_only(args, "--bound", _given(args, "--pendant-block-graph"), "--pendant-block-graph")
     base, pendant_graph = _base_record(args)
     if family == "cm-closed":
-        report = depth_reg_corona_cm_closed(b_graph, base, pendant_graph, args.bound)
+        report = depth_reg_corona_cm_closed(b_graph, base)
     elif family == "path":
-        report = depth_reg_corona_path(args.n, base, pendant_graph, args.bound)
+        report = depth_reg_corona_path(args.n, base)
     else:
         ell = args.ell if family == "l-corona" else args.n
         report = depth_reg_corona_complete(args.n, ell, base)
@@ -565,7 +554,10 @@ def _invariants_args(p: argparse.ArgumentParser) -> None:
         help="user-supplied pendant invariants (JSON file); pd, is_complete and is_cm "
         "follow from h, dim, depth and reg (2h - depth, reg = 1, depth = dim) and must agree",
     )
-    p.add_argument("--pendant-graph", help="pendant graph for oracle dimension / script emission")
+    p.add_argument(
+        "--pendant-graph",
+        help="pendant graph for --emit-cas, checked against the pendant record",
+    )
     p.add_argument("--emit-cas", help="also write a verification script for the product")
     p.add_argument("--dialect", choices=("m2", "singular"), help="with --emit-cas: script dialect (default: m2)")
     _add_common(p, input_flag=False)

@@ -303,6 +303,26 @@ def is_complete(g: Graph) -> bool:
     return all(g.adj[v] == full ^ (1 << v) for v in range(g.n))
 
 
+def independence_number(g: Graph) -> int:
+    """The most pairwise non-adjacent vertices of a chordal graph (a clique
+    path among them).  A simplicial vertex lies in some largest independent
+    set, so take one and drop its closed neighbourhood until no vertex is
+    left (Gavril 1972).  Each sweep takes every vertex it meets that is
+    simplicial among those left; a sweep that takes none has found an
+    induced part with no simplicial vertex, which no chordal graph has:
+    ValueError."""
+    alive, alpha = g.full_mask, 0
+    while alive:
+        before = alive
+        for v in iter_members(before):
+            if alive >> v & 1 and _is_clique(g.adj, g.adj[v] & alive):
+                alive &= ~(g.adj[v] | 1 << v)
+                alpha += 1
+        if alive == before:
+            raise ValueError("not a chordal graph: some induced part has no simplicial vertex")
+    return alpha
+
+
 # ---------------------------------------------------------------------------
 # block structure
 #

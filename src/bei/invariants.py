@@ -13,33 +13,26 @@ integers.
 
 Every product with a pendant copy at every base vertex -- the full corona
 over K_n, the corona of a clique-path base and its path case -- comes from
-one computation on the base's size; the three families differ only in the
-labels their reports carry.  The L-corona with 1 <= ell < n has its own
-rules, the same for every such ell.  No builder makes K_n.  A base that is
-not complete -- P_n for n >= 3, or a clique path the caller gives -- goes
-into a product only when the cutset oracle runs, and P_n is built only
-then.  Each of the two builders states its own dimension formula, depth and regularity, extremal Betti position (the
-corner of the Betti table in the sense of Bayer, Charalambous and Popescu)
-and verdicts, one line per rule.  A report stores dim, depth and reg only:
-pd follows by Auslander-Buchsbaum (pd = 2|V| - depth) and the
-Cohen-Macaulay defect is dim - depth, so both are derived on reading.
+one computation on the base's size and independence number; the three
+families differ only in the labels their reports carry.  The L-corona with
+1 <= ell < n has its own rules, the same for every such ell.  No product is
+built, and no base either: K_n and P_n are known by n alone.  Each of the
+two builders states its own dimension formula, depth and regularity,
+extremal Betti position (the corner of the Betti table in the sense of
+Bayer, Charalambous and Popescu) and verdicts, one line per rule.  A report
+stores dim, depth and reg only: pd follows by Auslander-Buchsbaum (pd =
+2|V| - depth) and the Cohen-Macaulay defect is dim - depth, so both are
+derived on reading.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
-from .corona import _checked_make, corona
-from .cutsets import EnumerationBoundError, check_bound, dimension_oracle, enumerate_cutsets
-from .graph import (
-    Graph,
-    internal_vertex_count,
-    is_block_graph,
-    is_cm_closed,
-    is_complete,
-    path_graph,
-)
+from .corona import _checked_make
+from .cutsets import enumerate_cutsets
+from .graph import Graph, independence_number, internal_vertex_count, is_block_graph, is_cm_closed
 from .io import _is_json_int
 
 L_CORONA = "l_corona_complete"
@@ -223,7 +216,7 @@ class _InvariantReportFields(NamedTuple):
     product_vertices: int
     depth_q: int
     reg_q: int
-    dim_q: int | None
+    dim_q: int
     extremal_position: tuple[int, int] | None
     verdicts: dict[str, Verdict]
     rule: str
@@ -244,10 +237,10 @@ class InvariantReport(_InvariantReportFields):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.dim_q is not None and self.dim_q < self.depth_q:
+        if self.dim_q < self.depth_q:
             raise ValueError("negative Cohen-Macaulay defect")
         cm = self.verdicts["cm"].value
-        if self.dim_q is not None and cm is not None and cm != (self.dim_q == self.depth_q):
+        if cm is not None and cm != (self.dim_q == self.depth_q):
             raise ValueError("the cm verdict disagrees with the Cohen-Macaulay defect")
         return self
 
@@ -257,8 +250,8 @@ class InvariantReport(_InvariantReportFields):
         return 2 * self.product_vertices - self.depth_q
 
     @property
-    def cmdef(self) -> int | None:
-        return None if self.dim_q is None else self.dim_q - self.depth_q
+    def cmdef(self) -> int:
+        return self.dim_q - self.depth_q
 
     def to_json(self) -> dict:
         def num(value, provenance):
@@ -275,9 +268,7 @@ class InvariantReport(_InvariantReportFields):
             "depth": num(self.depth_q, self.rule),
             "reg": num(self.reg_q, self.rule),
             "pd": num(self.pd, "auslander-buchsbaum"),
-            "cmdef": num(
-                self.cmdef, "oracle-unavailable" if self.dim_q is None else "dim-minus-depth"
-            ),
+            "cmdef": num(self.cmdef, "dim-minus-depth"),
             "extremal_betti_position": (
                 list(self.extremal_position) if self.extremal_position else None
             ),
@@ -304,24 +295,20 @@ def _every_vertex_report(
     b: int,
     base: BaseInvariants,
     rule: str,
+    alpha: int,
     /,  # a cm-closed report's ``b`` goes into ``ids``
     *,
-    clique_path: Callable[[], Graph] | None = None,
-    pendant: Graph | None = None,
-    bound: int | None = None,
     notes: tuple[str, ...] = (),
     **ids: int,
 ) -> InvariantReport:
     """A copy of the pendant at every vertex of a clique-path base on ``b``
-    vertices: K_b when ``clique_path`` is None, else the graph it returns.
-    The full corona over K_n, the clique-path corona and the path corona all
-    come through here; they differ only in their family, provenance and
-    notes.  A complete base has the dimension formula and, for b >= 2, the
-    full-corona extremal statement; any other clique path takes its
-    dimension from the cutset oracle and the clique-path extremal statement,
-    whose column offset keeps its +1.  ``clique_path`` is called only when
-    the oracle runs: with the pendant graph, for a product within the bound."""
-    complete = clique_path is None
+    vertices whose independence number is ``alpha``.  The full corona over
+    K_n, the clique-path corona and the path corona all come through here;
+    they differ only in their family, provenance and notes.  The dimension
+    is one formula for every base.  A complete base (alpha = 1) has, for
+    b >= 2, the full-corona extremal statement; any other clique path has
+    the clique-path extremal statement, whose column offset keeps its +1."""
+    complete = alpha == 1  # no two vertices are non-adjacent
     if base.is_complete:
         depth = 1 + b * base.depth_q
         # the product is a block graph; reg = iv + 1, which is b + 1 for
@@ -330,24 +317,15 @@ def _every_vertex_report(
     else:
         depth = b * base.depth_q
         reg = b * base.reg_q
-    if complete:
-        # b * dim H, plus one when dim H = h + 1 (the empty set is then the
-        # best cutset of the product); otherwise the best cutset holds the
-        # whole base and a best cutset of every copy
-        dim = b * base.dim_q + (base.dim_q == base.h + 1)
-        dim_prov = "formula:l-corona-dimension"
-    elif pendant is None:
-        dim, dim_prov = None, "oracle-unavailable"
-    elif pendant.n != base.h:
-        raise ValueError("pendant graph disagrees with the pendant invariants")
-    else:
-        try:
-            check_bound(b * (1 + base.h), bound)  # before the base or product is built
-        except EnumerationBoundError:
-            dim, dim_prov = None, "oracle-unavailable"
-        else:
-            dim = dimension_oracle(corona(clique_path(), pendant), bound)
-            dim_prov = "oracle:cutset-enumeration"
+    # dim = the most of |V| - |S| + c(G - S) over vertex sets S (Herzog,
+    # Hibi, Hreinsdottir, Kahle and Rauh).  Every copy vertex is adjacent to
+    # its base vertex, so a best S meets only the copies of the base
+    # vertices it holds, each in a best set of H.  Each base vertex in S
+    # then gains dim H - h - 1 >= 0 over keeping it with its copy, and the
+    # base vertices left make at most alpha components.  With a gain, S
+    # holds the whole base: b * dim H; without one (dim H = h + 1), the
+    # base part of S is free and leaves alpha components
+    dim = b * base.dim_q + (base.dim_q == base.h + 1) * alpha
     extremal = None
     if b >= 2 and not base.is_complete and base.r_extremal is not None:
         # (unstated for a single-vertex base) p = 2b + b*pd_H; the column
@@ -378,7 +356,7 @@ def _every_vertex_report(
         extremal_position=extremal,
         verdicts=verdicts,
         rule=rule,
-        dim_provenance=dim_prov,
+        dim_provenance="formula:l-corona-dimension",
         notes=notes,
         **ids,
     )
@@ -398,6 +376,7 @@ def depth_reg_corona_complete(n: int, ell: int, base: BaseInvariants) -> Invaria
             n,
             base,
             "formula:full-corona",
+            1,
             notes=_single_vertex_notes(n, base),
             n=n,
             ell=n,
@@ -431,45 +410,28 @@ def depth_reg_corona_complete(n: int, ell: int, base: BaseInvariants) -> Invaria
     )
 
 
-def depth_reg_corona_cm_closed(
-    b_graph: Graph,
-    base: BaseInvariants,
-    pendant: Graph | None = None,
-    bound: int | None = None,
-) -> InvariantReport:
+def depth_reg_corona_cm_closed(b_graph: Graph, base: BaseInvariants) -> InvariantReport:
     """Depth and regularity for the corona of a clique-path base with an
-    arbitrary connected pendant.  A complete base gets the complete-base
-    closed forms (dimension included); otherwise no dimension formula
-    exists and the cutset oracle fills it in when the product fits the
-    enumeration bound and the pendant graph is supplied."""
+    arbitrary connected pendant, and the dimension from the base's
+    independence number.  A complete base gets the complete-base closed
+    forms."""
     if not is_cm_closed(b_graph):
         raise ValueError("base graph is not a clique path")
     b = b_graph.n
-    if is_complete(b_graph):
-        rule, clique_path = "formula:full-corona", None
+    alpha = independence_number(b_graph)
+    if alpha == 1:
+        rule = "formula:full-corona"
         notes = _single_vertex_notes(b, base) + (
             "complete clique path: complete-base closed forms apply",
         )
     else:
-        rule, clique_path, notes = "formula:cm-closed-corona", lambda: b_graph, ()
-    return _every_vertex_report(
-        CM_CLOSED, b, base, rule,
-        clique_path=clique_path, pendant=pendant, bound=bound, notes=notes, b=b,
-    )
+        rule, notes = "formula:cm-closed-corona", ()
+    return _every_vertex_report(CM_CLOSED, b, base, rule, alpha, notes=notes, b=b)
 
 
-def depth_reg_corona_path(
-    n: int,
-    base: BaseInvariants,
-    pendant: Graph | None = None,
-    bound: int | None = None,
-) -> InvariantReport:
-    """The clique-path corona on the path with ``n`` vertices; P_1 and P_2
-    are complete, and P_n is built only for the cutset oracle."""
+def depth_reg_corona_path(n: int, base: BaseInvariants) -> InvariantReport:
+    """The clique-path corona on the path with ``n`` vertices, which is
+    never built: P_1 and P_2 are complete, and alpha(P_n) = ceil(n / 2)."""
     if n < 1:
         raise ValueError("path length must be at least 1")
-    clique_path = None if n <= 2 else lambda: path_graph(n)
-    return _every_vertex_report(
-        PATH, n, base, "formula:path-corona",
-        clique_path=clique_path, pendant=pendant, bound=bound, n=n,
-    )
+    return _every_vertex_report(PATH, n, base, "formula:path-corona", (n + 1) // 2, n=n)

@@ -120,10 +120,7 @@ def test_a_call_parses_as_with_every_verb_built(capsys, argv):
     assert parser_exit(main, argv, capsys) == full
 
 
-INVARIANTS_BOUND = (
-    "--bound applies only to --pendant-block-graph, or --pendant-graph over a base that is "
-    "not complete"
-)
+INVARIANTS_BOUND = "--bound applies only to --pendant-block-graph"
 
 
 @pytest.mark.parametrize(
@@ -163,7 +160,7 @@ INVARIANTS_BOUND = (
           "--pendant-graph", "P3", "--bound", "3"], INVARIANTS_BOUND),
         (["invariants", "--family", "path", "--n", "2", "--pendant-base-json", "p3.json",
           "--bound", "3"], INVARIANTS_BOUND),
-        # a complete base takes its dimension from the formula, not the oracle
+        # a pendant graph feeds no cutset search: every dimension is a formula
         (["invariants", "--family", "cm-closed", "--b-graph", "K3", "--pendant-base-json",
           "p3.json", "--pendant-graph", "P3", "--bound", "1"], INVARIANTS_BOUND),
         (["invariants", "--family", "path", "--n", "2", "--pendant-base-json", "p3.json",
@@ -337,6 +334,8 @@ def test_invariants_take_a_long_clique_path_base(capsys):
     assert code == 0 and err == ""
     report = json.loads(out)
     assert report["b"] == 1500 and report["product_vertices"] == 6000
+    # 1500 * dim P_3 + alpha(P_1500)
+    assert report["dim"]["value"] == 1500 * 4 + 750
 
 
 def test_invariants_take_the_oracle_dimension_over_a_pendant_graph(capsys):
@@ -346,7 +345,7 @@ def test_invariants_take_the_oracle_dimension_over_a_pendant_graph(capsys):
     assert code == 0 and err == ""
     dim = json.loads(out)["dim"]
     product = bei.corona(path_graph(3), path_graph(3))
-    assert dim == {"value": bei.dimension_oracle(product), "provenance": "oracle:cutset-enumeration"}
+    assert dim == {"value": bei.dimension_oracle(product), "provenance": "formula:l-corona-dimension"}
 
 
 def script_header(text):
@@ -716,6 +715,24 @@ def test_without_a_pendant_graph_or_a_script_no_family_builds_its_base(capsys, m
         code, out, err = run(argv, capsys)
         assert code == 0 and err == ""
         assert json.loads(out)["base"]["h"] == 3
+
+
+@pytest.mark.parametrize("pendant_graph", [[], ["--pendant-graph", "P3"]], ids=["record", "graph"])
+def test_invariants_over_a_pendant_record_enumerate_nothing(capsys, monkeypatch, pendant_graph):
+    def no_search(*args):
+        raise AssertionError("a cutset search ran")
+
+    monkeypatch.setattr(bei.cutsets, "iter_cutsets", no_search)
+    for family in (
+        ["full-corona", "--n", "3"],
+        ["l-corona", "--n", "4", "--ell", "2"],
+        ["cm-closed", "--b-graph", "P4"],
+        ["path", "--n", "4"],
+    ):
+        argv = ["invariants", "--family", *family, "--pendant-base-json", P3_BASE, *pendant_graph]
+        code, out, err = run(argv, capsys)
+        assert code == 0 and err == ""
+        assert json.loads(out)["dim"]["provenance"] == "formula:l-corona-dimension"
 
 
 def capture(argv):

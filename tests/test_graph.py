@@ -10,9 +10,9 @@ import pytest
 
 import bei
 from bei import members, vset
-from bei.graph import _components
+from bei.graph import _components, independence_number
 
-from conftest import atlas, mixed_graphs, to_nx
+from conftest import atlas, connected_atlas, mixed_graphs, to_nx
 
 
 def test_graph_construction_and_queries():
@@ -243,3 +243,23 @@ def test_cm_closed_examples():
     # two triangles sharing a vertex form a clique path
     bowtie = bei.Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
     assert bei.is_cm_closed(bowtie)
+
+
+def test_independence_number_of_every_small_clique_path():
+    # the simplicial-vertex rule against the largest independent vertex set
+    # found among all subsets, on each clique path and a relabelled copy
+    rng = random.Random(26)
+    clique_paths = [g for g in connected_atlas(7) if bei.is_cm_closed(g)]
+    assert len(clique_paths) == 43
+    for g in clique_paths:
+        want = max(
+            s.bit_count()
+            for s in range(1 << g.n)
+            if all(g.adj[v] & s == 0 for v in members(s))
+        )
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        relabelled = bei.Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+        assert independence_number(g) == independence_number(relabelled) == want, g.edges()
+    with pytest.raises(ValueError, match="not a chordal graph"):
+        independence_number(bei.cycle_graph(4))

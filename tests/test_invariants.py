@@ -2,6 +2,7 @@
 formulas, Cohen-Macaulay defect, extremal Betti positions, classification,
 and the dimension formula against the cutset oracle."""
 
+import importlib
 import json
 
 import pytest
@@ -270,9 +271,7 @@ def test_cmdef_with_almost_cm_pendant_built_from_a_report():
 
 def test_cm_closed_family():
     k2 = block(bei.complete_graph(2))
-    rep = bei.depth_reg_corona_cm_closed(
-        bei.path_graph(3), k2, pendant=bei.complete_graph(2)
-    )
+    rep = bei.depth_reg_corona_cm_closed(bei.path_graph(3), k2)
     assert rep.family == CM_CLOSED and rep.b == 3
     assert rep.depth_q == 1 + 3 * 3 == 10
     assert rep.reg_q == 4
@@ -281,30 +280,33 @@ def test_cm_closed_family():
     assert bei.is_block_graph(prod)
     assert rep.depth_q == prod.n + 1
     assert rep.reg_q == bei.internal_vertex_count(prod) + 1
-    # dimension comes from the oracle and exceeds depth: not Cohen-Macaulay
+    # the dimension formula agrees with the oracle and exceeds depth: not
+    # Cohen-Macaulay
     assert rep.dim_q == bei.dimension_oracle(prod) == 11
     assert rep.cmdef == 1
     assert rep.verdicts["cm"].value is False
     assert rep.verdicts["unmixed"].value is False
 
 
-def test_cm_closed_without_pendant_graph_has_no_dimension():
+def test_cm_closed_without_pendant_graph_has_the_formula_dimension():
     p3 = block(bei.path_graph(3))
     rep = bei.depth_reg_corona_cm_closed(bei.path_graph(3), p3)
-    assert rep.dim_q is None and rep.cmdef is None
-    assert rep.dim_provenance == "oracle-unavailable"
+    # 3 * dim P_3 + alpha(P_3), as the oracle gives for P_3 o P_3
+    assert (rep.dim_q, rep.cmdef) == (14, 2)
+    assert rep.dim_provenance == "formula:l-corona-dimension"
 
 
 def test_cm_closed_over_the_bound_builds_no_product(monkeypatch):
     def no_product(*args):
-        raise AssertionError("the product was built")
+        raise AssertionError("the product was built or enumerated")
 
-    monkeypatch.setattr(bei.invariants, "corona", no_product)
-    p3 = bei.path_graph(3)
-    rep = bei.depth_reg_corona_cm_closed(bei.path_graph(7), block(p3), pendant=p3)
+    p3 = block(bei.path_graph(3))
+    monkeypatch.setattr(importlib.import_module("bei.corona"), "l_corona", no_product)
+    monkeypatch.setattr(bei.cutsets, "iter_cutsets", no_product)
+    rep = bei.depth_reg_corona_cm_closed(bei.path_graph(7), p3)
     assert 7 * 4 > bei.DEFAULT_BOUND
-    assert rep.dim_q is None
-    assert rep.dim_provenance == "oracle-unavailable"
+    assert rep.dim_q == 7 * 4 + 4 == 32  # alpha(P_7) = 4
+    assert rep.dim_provenance == "formula:l-corona-dimension"
 
 
 def test_cm_closed_complete_base_matches_full_corona():
@@ -334,7 +336,7 @@ def test_path_family_matches_cm_closed():
         for rec in (block(bei.complete_graph(3)), block(bei.path_graph(3))):
             a = bei.depth_reg_corona_path(n, rec)
             b = bei.depth_reg_corona_cm_closed(bei.path_graph(n), rec)
-            assert (a.depth_q, a.reg_q, a.pd) == (b.depth_q, b.reg_q, b.pd)
+            assert (a.depth_q, a.reg_q, a.pd, a.dim_q) == (b.depth_q, b.reg_q, b.pd, b.dim_q)
             assert a.extremal_position == b.extremal_position
             assert a.family == PATH
 
@@ -425,31 +427,27 @@ def test_classify_cone_case():
     assert all(v.value is True for v in vk.values())
 
 
-def test_classify_validates_pendant_size():
-    # a pendant graph that disagrees with its record is refused wherever
-    # the product is built for the dimension oracle
-    k2 = block(bei.complete_graph(2))
-    with pytest.raises(ValueError, match="disagrees"):
-        bei.depth_reg_corona_path(3, k2, pendant=bei.path_graph(3))
-    with pytest.raises(ValueError, match="disagrees"):
-        bei.depth_reg_corona_cm_closed(bei.path_graph(3), k2, pendant=bei.path_graph(3))
+def oracle_record(h_graph):
+    """A pendant record whose dimension is the oracle's.  The dimension
+    formulas read only h and dim H, so depth and reg are placeholders, with
+    reg 1 exactly for a complete pendant as a record requires (a connected
+    graph that is not complete has reg >= 2)."""
+    h = h_graph.n
+    return bei.BaseInvariants(
+        h=h,
+        dim_q=bei.dimension_oracle(h_graph),
+        depth_q=h + 1,
+        reg_q=1 if bei.is_complete(h_graph) else 2,
+    )
 
 
 def test_dimension_formula_matches_the_oracle_on_small_coronas():
     # every L-corona and full corona of K_n (n <= 3) over a connected atlas
-    # pendant on at most 6 vertices, with at most 20 product vertices; the
-    # formula reads only h and dim H, so the record's depth and reg are
-    # placeholders, with reg 1 exactly for a complete pendant as a record
-    # requires (a connected graph that is not complete has reg >= 2)
+    # pendant on at most 6 vertices, with at most 20 product vertices
     products = 0
     for h_graph in connected_atlas(6):
         h = h_graph.n
-        rec = bei.BaseInvariants(
-            h=h,
-            dim_q=bei.dimension_oracle(h_graph),
-            depth_q=h + 1,
-            reg_q=1 if bei.is_complete(h_graph) else 2,
-        )
+        rec = oracle_record(h_graph)
         for n in (1, 2, 3):
             for ell in range(1, n + 1):
                 if n + ell * h > 20:
@@ -459,6 +457,25 @@ def test_dimension_formula_matches_the_oracle_on_small_coronas():
                 assert dim_l_corona(n, ell, rec) == want, (bei.to_graph6(h_graph), n, ell)
                 products += 1
     assert products == 746
+
+
+def test_clique_path_dimension_formula_matches_the_oracle():
+    # every corona of a clique path on at most 7 vertices over a connected
+    # atlas pendant on at most 5 vertices, with at most 24 product vertices:
+    # b * dim H + [dim H = h + 1] * alpha(B)
+    pendants = [(h_graph, oracle_record(h_graph)) for h_graph in connected_atlas(5)]
+    products = 0
+    for b_graph in connected_atlas(7):
+        if not bei.is_cm_closed(b_graph):
+            continue
+        for h_graph, rec in pendants:
+            if b_graph.n * (1 + h_graph.n) > 24:
+                continue
+            want = bei.dimension_oracle(bei.corona(b_graph, h_graph))
+            got = bei.depth_reg_corona_cm_closed(b_graph, rec).dim_q
+            assert got == want, (bei.to_graph6(b_graph), bei.to_graph6(h_graph))
+            products += 1
+    assert products == 321
 
 
 def test_report_json_shape():
@@ -502,13 +519,14 @@ def test_report_rejects_a_wrong_defect(keywords):
     flipped = {**rep.verdicts, "cm": bei.Verdict(not rep.verdicts["cm"].value, "flipped")}
     with pytest.raises(ValueError, match="cm verdict"):
         build(verdicts=flipped)
-    build(verdicts=flipped, dim_q=None)  # no defect to disagree with
+    with pytest.raises(TypeError):
+        build(verdicts=flipped, dim_q=None)  # every report has a dimension
 
 
 def test_every_family_states_cm_exactly_at_defect_zero():
-    # every family over every block-graph pendant on at most 5 vertices,
-    # with the pendant graph, so every dimension is known; a report whose
-    # cm verdict disagreed with its defect would be refused on construction
+    # every family over every block-graph pendant on at most 5 vertices; a
+    # report whose cm verdict disagreed with its defect would be refused on
+    # construction
     reports = []
     for g in connected_atlas(5):
         if not bei.is_block_graph(g):
@@ -517,9 +535,9 @@ def test_every_family_states_cm_exactly_at_defect_zero():
         for n in (1, 2, 3, 4):
             for ell in range(1, n + 1):
                 reports.append(bei.depth_reg_corona_complete(n, ell, rec))
-            reports.append(bei.depth_reg_corona_path(n, rec, pendant=g))
+            reports.append(bei.depth_reg_corona_path(n, rec))
         for b_graph in (bei.complete_graph(3), bei.Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])):
-            reports.append(bei.depth_reg_corona_cm_closed(b_graph, rec, pendant=g))
+            reports.append(bei.depth_reg_corona_cm_closed(b_graph, rec))
     assert len(reports) == 272
     for rep in reports:
         assert rep.verdicts["cm"].value is (rep.cmdef == 0), rep
