@@ -271,7 +271,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_cutsets(args) -> int:
     cap = args.size_cap
-    _not_negative(cap, "size cap")
+    _not_negative(cap, "--size-cap")
     g = _input_graph(args)
     if args.out == "jsonl":
         lines = (

@@ -11,18 +11,18 @@ cutset oracle, since a block graph need not be Cohen-Macaulay (a star
 already is not).  Anything else is user-supplied.  All arithmetic is exact
 integers.
 
-Every product with a pendant copy at every base vertex -- the full corona
-over K_n, the corona of a clique-path base and its path case -- comes from
-one computation on the base's size and independence number; the three
-families differ only in the labels their reports carry.  The L-corona with
-1 <= ell < n has its own rules, the same for every such ell.  No product is
-built, and no base either: K_n and P_n are known by n alone.  Each of the
-two builders states its own dimension formula, depth and regularity,
+Every product is a base on b vertices -- K_n or a clique path, with
+independence number alpha -- carrying a pendant copy at ell of its
+vertices: the L-corona over K_n (ell < n), the full corona over K_n, the
+corona of a clique-path base and its path case.  One builder,
+``_corona_report``, states the dimension formula, depth and regularity,
 extremal Betti position (the corner of the Betti table in the sense of
-Bayer, Charalambous and Popescu) and verdicts, one line per rule.  A report
-stores dim, depth and reg only: pd follows by Auslander-Buchsbaum (pd =
-2|V| - depth) and the Cohen-Macaulay defect is dim - depth, so both are
-derived on reading.
+Bayer, Charalambous and Popescu) and verdicts for all of them, one line per
+rule, in b, ell, alpha and the pendant record; the families differ only in
+the labels their reports carry.  No product is built, and no base either:
+K_n and P_n are known by n alone.  A report stores dim, depth and reg only:
+pd follows by Auslander-Buchsbaum (pd = 2|V| - depth) and the
+Cohen-Macaulay defect is dim - depth, so both are derived on reading.
 """
 
 from __future__ import annotations
@@ -220,7 +220,6 @@ class _InvariantReportFields(NamedTuple):
     extremal_position: tuple[int, int] | None
     verdicts: dict[str, Verdict]
     rule: str
-    dim_provenance: str
     n: int | None = None
     ell: int | None = None
     b: int | None = None
@@ -229,8 +228,9 @@ class _InvariantReportFields(NamedTuple):
 
 class InvariantReport(_InvariantReportFields):
     """Exact invariant values for one product, checked on construction.
-    ``rule`` is the provenance of depth and regularity; pd and the
-    Cohen-Macaulay defect are derived from them."""
+    ``rule`` is the provenance of depth and regularity, and every dimension
+    comes from the one L-corona formula; pd and the Cohen-Macaulay defect
+    are derived from them."""
 
     __slots__ = ()
     _make = classmethod(_checked_make)
@@ -264,7 +264,7 @@ class InvariantReport(_InvariantReportFields):
             "b": self.b,
             "product_vertices": self.product_vertices,
             "base": self.base.to_json(),
-            "dim": num(self.dim_q, self.dim_provenance),
+            "dim": num(self.dim_q, "formula:l-corona-dimension"),
             "depth": num(self.depth_q, self.rule),
             "reg": num(self.reg_q, self.rule),
             "pd": num(self.pd, "auslander-buchsbaum"),
@@ -290,53 +290,67 @@ def _single_vertex_notes(n: int, base: BaseInvariants) -> tuple[str, ...]:
     return ()
 
 
-def _every_vertex_report(
+def _corona_report(
     family: str,
-    b: int,
-    base: BaseInvariants,
     rule: str,
+    b: int,
+    ell: int,
     alpha: int,
+    base: BaseInvariants,
+    notes: tuple[str, ...],
     /,  # a cm-closed report's ``b`` goes into ``ids``
-    *,
-    notes: tuple[str, ...] = (),
     **ids: int,
 ) -> InvariantReport:
-    """A copy of the pendant at every vertex of a clique-path base on ``b``
-    vertices whose independence number is ``alpha``.  The full corona over
-    K_n, the clique-path corona and the path corona all come through here;
-    they differ only in their family, provenance and notes.  The dimension
-    is one formula for every base.  A complete base (alpha = 1) has, for
-    b >= 2, the full-corona extremal statement; any other clique path has
-    the clique-path extremal statement, whose column offset keeps its +1."""
-    complete = alpha == 1  # no two vertices are non-adjacent
-    if base.is_complete:
-        depth = 1 + b * base.depth_q
-        # the product is a block graph; reg = iv + 1, which is b + 1 for
-        # b >= 2 but 1 for b == 1 (the product is then complete)
-        reg = b + 1 if b >= 2 else 1
-    else:
-        depth = b * base.depth_q
-        reg = b * base.reg_q
+    """A copy of the pendant H at ``ell`` vertices of a base on ``b``
+    vertices -- K_n or a clique path -- whose independence number is
+    ``alpha``.  Every family comes through here; they differ only in their
+    family, rule, notes and ids.  With bare = ell < b (some base vertex
+    carries no copy, which only a complete base allows here):
+
+    - depth = b - ell + ell*depth H + [bare or H complete];
+    - reg = ell*reg H + [bare or (H complete and b >= 2)];
+    - dim = b - ell + ell*dim H + [bare or dim H = h + 1]*alpha;
+    - the extremal Betti position sits in row pd (= 2|V| - depth) and
+      column pd + ell*r_H + ([b >= 3] if alpha = 1 else 1); it is unstated
+      for b < 2, for a complete H, and when r_H is unknown.
+
+    A bare report's verdicts are the pendant's own.  Otherwise, for b >= 2,
+    the product is Cohen-Macaulay, unmixed and accessible only when base and
+    pendant are both complete; over a single vertex it is a cone over H."""
+    bare = ell < b
+    # a complete H makes the product a block graph, with reg = iv + 1: b + 1
+    # for b >= 2, and 1 for b = 1 (the product is then complete)
+    depth = b - ell + ell * base.depth_q + (bare or base.is_complete)
+    reg = ell * base.reg_q + (bare or (base.is_complete and b >= 2))
     # dim = the most of |V| - |S| + c(G - S) over vertex sets S (Herzog,
     # Hibi, Hreinsdottir, Kahle and Rauh).  Every copy vertex is adjacent to
     # its base vertex, so a best S meets only the copies of the base
-    # vertices it holds, each in a best set of H.  Each base vertex in S
+    # vertices it holds, each in a best set of H.  Each such base vertex
     # then gains dim H - h - 1 >= 0 over keeping it with its copy, and the
-    # base vertices left make at most alpha components.  With a gain, S
-    # holds the whole base: b * dim H; without one (dim H = h + 1), the
-    # base part of S is free and leaves alpha components
-    dim = b * base.dim_q + (base.dim_q == base.h + 1) * alpha
+    # base vertices left make at most alpha components.  With a gain and a
+    # copy at every base vertex, S holds the whole base: b * dim H.  Without
+    # one (dim H = h + 1), the base part of S is free and leaves alpha
+    # components.  Bare vertices (over K_n only) stay out of S and make one
+    dim = b - ell + ell * base.dim_q + (bare or base.dim_q == base.h + 1) * alpha
+    product_vertices = b + ell * base.h
     extremal = None
     if b >= 2 and not base.is_complete and base.r_extremal is not None:
-        # (unstated for a single-vertex base) p = 2b + b*pd_H; the column
-        # offset gains 1 from b = 3 on over a complete base, and always over
-        # any other clique path (the two statements are recorded, not
-        # reconciled)
-        p = 2 * b + b * base.pd
-        extremal = p, p + b * base.r_extremal + (b >= 3 if complete else 1)
+        # the column offset gains 1 from b = 3 on over a complete base, and
+        # always over any other clique path (the statements are recorded,
+        # not reconciled)
+        p = 2 * product_vertices - depth
+        extremal = p, p + ell * base.r_extremal + (b >= 3 if alpha == 1 else 1)
     keys = ("unmixed", "accessible", "cm")
-    if b >= 2:
-        both = complete and base.is_complete
+    if bare:
+        # the bare base vertices add one component to ell best cutsets of
+        # the copies, so the verdicts are the pendant's own
+        verdicts = {
+            "unmixed": Verdict(base.is_unmixed, "transfer-from-pendant"),
+            "accessible": Verdict(base.is_accessible, "transfer-from-pendant"),
+            "cm": Verdict(base.is_cm, "transfer-from-pendant"),
+        }
+    elif b >= 2:
+        both = alpha == 1 and base.is_complete
         verdicts = {k: Verdict(both, "full-corona-needs-both-factors-complete") for k in keys}
     elif base.is_complete:  # single-vertex base: the product is a cone over the pendant
         verdicts = {k: Verdict(True, "complete-product") for k in keys}
@@ -349,14 +363,13 @@ def _every_vertex_report(
     return InvariantReport(
         family=family,
         base=base,
-        product_vertices=b * (1 + base.h),
+        product_vertices=product_vertices,
         depth_q=depth,
         reg_q=reg,
         dim_q=dim,
         extremal_position=extremal,
         verdicts=verdicts,
         rule=rule,
-        dim_provenance="formula:l-corona-dimension",
         notes=notes,
         **ids,
     )
@@ -371,43 +384,11 @@ def depth_reg_corona_complete(n: int, ell: int, base: BaseInvariants) -> Invaria
     if not 1 <= ell <= n:
         raise ValueError("attach count must satisfy 1 <= ell <= n")
     if ell == n:
-        return _every_vertex_report(
-            FULL_CORONA,
-            n,
-            base,
-            "formula:full-corona",
-            1,
-            notes=_single_vertex_notes(n, base),
-            n=n,
-            ell=n,
-        )
-    extremal = None
-    if not base.is_complete and base.r_extremal is not None:
-        # p = n + ell - 1 + ell*pd_H; the column offset gains 1 from n = 3 on
-        p = n + ell - 1 + ell * base.pd
-        extremal = p, p + ell * base.r_extremal + (n >= 3)
-    # one depth and one reg rule for every ell < n (reg_H = 1 covers a
-    # complete pendant); only the rule label names ell = 1.  The n - ell bare
-    # base vertices add one component to ell best cutsets of the copies; the
-    # verdicts are the pendant's own
-    return InvariantReport(
-        family=L_CORONA,
-        base=base,
-        product_vertices=n + ell * base.h,
-        depth_q=n - ell + 1 + ell * base.depth_q,
-        reg_q=1 + ell * base.reg_q,
-        dim_q=n - ell + 1 + ell * base.dim_q,
-        extremal_position=extremal,
-        verdicts={
-            "unmixed": Verdict(base.is_unmixed, "transfer-from-pendant"),
-            "accessible": Verdict(base.is_accessible, "transfer-from-pendant"),
-            "cm": Verdict(base.is_cm, "transfer-from-pendant"),
-        },
-        rule="formula:single-attach" if ell == 1 else "formula:multi-attach",
-        dim_provenance="formula:l-corona-dimension",
-        n=n,
-        ell=ell,
-    )
+        family, rule, notes = FULL_CORONA, "formula:full-corona", _single_vertex_notes(n, base)
+    else:  # one rule for every ell < n; only its label names ell = 1
+        family, notes = L_CORONA, ()
+        rule = "formula:single-attach" if ell == 1 else "formula:multi-attach"
+    return _corona_report(family, rule, n, ell, 1, base, notes, n=n, ell=ell)
 
 
 def depth_reg_corona_cm_closed(b_graph: Graph, base: BaseInvariants) -> InvariantReport:
@@ -426,7 +407,7 @@ def depth_reg_corona_cm_closed(b_graph: Graph, base: BaseInvariants) -> Invarian
         )
     else:
         rule, notes = "formula:cm-closed-corona", ()
-    return _every_vertex_report(CM_CLOSED, b, base, rule, alpha, notes=notes, b=b)
+    return _corona_report(CM_CLOSED, rule, b, b, alpha, base, notes, b=b)
 
 
 def depth_reg_corona_path(n: int, base: BaseInvariants) -> InvariantReport:
@@ -434,4 +415,4 @@ def depth_reg_corona_path(n: int, base: BaseInvariants) -> InvariantReport:
     never built: P_1 and P_2 are complete, and alpha(P_n) = ceil(n / 2)."""
     if n < 1:
         raise ValueError("path length must be at least 1")
-    return _every_vertex_report(PATH, n, base, "formula:path-corona", (n + 1) // 2, n=n)
+    return _corona_report(PATH, "formula:path-corona", n, n, (n + 1) // 2, base, (), n=n)

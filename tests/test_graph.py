@@ -263,3 +263,23 @@ def test_independence_number_of_every_small_clique_path():
         assert independence_number(g) == independence_number(relabelled) == want, g.edges()
     with pytest.raises(ValueError, match="not a chordal graph"):
         independence_number(bei.cycle_graph(4))
+
+
+def test_independence_number_retests_a_vertex_only_when_a_neighbour_drops(monkeypatch):
+    # a shuffled labelling would cost a label-order sweep per vertex taken;
+    # the worklist makes at most n + 2m simplicial tests on any labelling
+    n = 2000
+    perm = list(range(n))
+    random.Random(1).shuffle(perm)
+    g = bei.Graph(n, [(perm[i], perm[i + 1]) for i in range(n - 1)])
+    calls = 0
+    is_clique = bei.graph._is_clique
+
+    def counted(adj, mask):
+        nonlocal calls
+        calls += 1
+        return is_clique(adj, mask)
+
+    monkeypatch.setattr(bei.graph, "_is_clique", counted)
+    assert independence_number(g) == n // 2
+    assert calls <= n + 2 * len(g.edges())

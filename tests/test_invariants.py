@@ -293,7 +293,7 @@ def test_cm_closed_without_pendant_graph_has_the_formula_dimension():
     rep = bei.depth_reg_corona_cm_closed(bei.path_graph(3), p3)
     # 3 * dim P_3 + alpha(P_3), as the oracle gives for P_3 o P_3
     assert (rep.dim_q, rep.cmdef) == (14, 2)
-    assert rep.dim_provenance == "formula:l-corona-dimension"
+    assert rep.to_json()["dim"]["provenance"] == "formula:l-corona-dimension"
 
 
 def test_cm_closed_over_the_bound_builds_no_product(monkeypatch):
@@ -306,7 +306,7 @@ def test_cm_closed_over_the_bound_builds_no_product(monkeypatch):
     rep = bei.depth_reg_corona_cm_closed(bei.path_graph(7), p3)
     assert 7 * 4 > bei.DEFAULT_BOUND
     assert rep.dim_q == 7 * 4 + 4 == 32  # alpha(P_7) = 4
-    assert rep.dim_provenance == "formula:l-corona-dimension"
+    assert rep.to_json()["dim"]["provenance"] == "formula:l-corona-dimension"
 
 
 def test_cm_closed_complete_base_matches_full_corona():
@@ -478,6 +478,42 @@ def test_clique_path_dimension_formula_matches_the_oracle():
     assert products == 321
 
 
+def test_every_family_with_a_complete_pendant_matches_its_block_graph_record():
+    # a corona with a complete pendant is a block graph, so its own record
+    # gives depth and reg by the block-graph rules (Ene-Herzog-Hibi) and dim
+    # and the verdicts by enumeration: an independent check of every branch
+    # for K_1, K_2 and K_3 pendants, with at most 20 product vertices
+    clique_paths = [g for g in connected_atlas(6) if bei.is_cm_closed(g)]
+    products = 0
+    for h in (1, 2, 3):
+        pendant = bei.complete_graph(h)
+        rec = block(pendant)
+        cases = [
+            (bei.depth_reg_corona_complete(n, ell, rec),
+             bei.l_corona(bei.CoronaSpec(bei.complete_graph(n), (1 << ell) - 1, pendant)))
+            for n in range(1, 6)
+            for ell in range(1, n + 1)
+        ]
+        cases += [
+            (bei.depth_reg_corona_path(n, rec), bei.corona(bei.path_graph(n), pendant))
+            for n in range(1, 6)
+        ]
+        cases += [
+            (bei.depth_reg_corona_cm_closed(b_graph, rec), bei.corona(b_graph, pendant))
+            for b_graph in clique_paths
+            if b_graph.n * (1 + h) <= 20
+        ]
+        for rep, product in cases:
+            want = block(product)
+            got = (rep.dim_q, rep.depth_q, rep.reg_q,
+                   *(rep.verdicts[k].value for k in ("unmixed", "accessible", "cm")))
+            assert got == (want.dim_q, want.depth_q, want.reg_q,
+                           want.is_unmixed, want.is_accessible, want.is_cm), (
+                rep.family, bei.to_graph6(product))
+            products += 1
+    assert products == 119
+
+
 def test_report_json_shape():
     rep = bei.depth_reg_corona_complete(2, 2, block(bei.path_graph(3)))
     js = rep.to_json()
@@ -504,7 +540,6 @@ def test_report_rejects_a_wrong_defect(keywords):
         "extremal_position": None,
         "verdicts": rep.verdicts,
         "rule": rep.rule,
-        "dim_provenance": rep.dim_provenance,
     }
 
     def build(**changes):
@@ -514,6 +549,11 @@ def test_report_rejects_a_wrong_defect(keywords):
         return bei.InvariantReport(*values.values())
 
     assert build().cmdef == rep.cmdef
+    # every report's dimension has the one provenance, which is not stored
+    assert build().to_json()["dim"] == rep.to_json()["dim"] == {
+        "value": rep.dim_q,
+        "provenance": "formula:l-corona-dimension",
+    }
     with pytest.raises(ValueError, match="negative"):
         build(dim_q=rep.depth_q - 1)
     flipped = {**rep.verdicts, "cm": bei.Verdict(not rep.verdicts["cm"].value, "flipped")}
