@@ -30,7 +30,6 @@ _EXPORTS = {
             "internal_vertex_count",
             "is_block_graph",
             "is_cm_closed",
-            "is_complete",
             "is_connected",
             "iter_members",
             "members",

@@ -3,8 +3,14 @@
 Verbs: construct, cutsets, check, invariants, gadget, scan, export.  Graph
 arguments accept inline names (K5, P3, C4), file paths, or ``-`` for stdin.
 A name always stands for the named graph (a file called ``K3`` is given as
-``./K3``) and takes no ``--format``; a file's format is sniffed from its
-extension and content unless ``--format`` is given.  A JSON file with
+``./K3``).  Any other input states its format: a ``.g6`` or ``.graph6``
+suffix means graph6 and ``.json`` JSON.  With neither, text that starts
+with ``{`` and holds ``"`` is JSON, a first nonblank line that is one word
+of graph6 characters (after an optional ``>>graph6<<`` header) is graph6,
+and anything else is an edge list.  No valid input fits two of these: a
+JSON graph's keys are quoted, no graph6 character is ``"``, and an
+edge-list line holds two words.  A graph6 input of more than one graph is
+refused; ``bei scan`` reads a corpus.  A JSON file with
 ``base``/``L``/``pendant`` keys is a corona specification and stands for its
 constructed product.  Validation and bound errors exit nonzero with a
 machine-readable JSON object on stderr.
@@ -68,64 +74,51 @@ from .io import (
     graph_from_json,
     graph_from_name,
     graph_to_json,
+    is_graph6_word,
     is_graph_name,
     parse_edge_list,
     to_dot,
     to_graph6,
 )
 
-GRAPH_FORMATS = ("graph6", "edgelist", "json")
 
-
-def _sniff_format(source: str, text: str) -> str:
-    lower = source.lower()
-    if lower.endswith((".g6", ".graph6")):
-        return "graph6"
-    if lower.endswith(".json"):
-        return "json"
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return "json"
-    first = next((ln for ln in text.splitlines() if ln.strip()), "")
-    if " " in first.strip() or "\t" in first:
-        return "edgelist"
-    return "graph6"
-
-
-def _graph_arg(
-    token: str, fmt: str | None = None, check_n: Callable[[int], None] | None = None
-) -> Graph:
+def _graph_arg(token: str, check_n: Callable[[int], None] | None = None) -> Graph:
     """Resolve a graph argument: inline name, file path, or '-' for stdin.
-    ``check_n`` sees the vertex count a graph name, a graph6 line, a JSON
-    object (a corona spec's product included) or an edge list of indices
-    declares before a graph of that size is built."""
+    A ``.g6``/``.graph6`` suffix means graph6 and ``.json`` JSON; else text
+    that starts with ``{`` and holds ``"`` is JSON, a first nonblank line
+    that is one word of graph6 characters is graph6 (of one line only), and
+    the rest is an edge list.  ``check_n`` sees the vertex count a graph
+    name, a graph6 line, a JSON object (a corona spec's product included)
+    or an edge list of indices declares before a graph of that size is
+    built."""
     if is_graph_name(token):
-        if fmt is not None:
-            raise ValueError(f"--format applies only to a file or -: give a file {token} as ./{token}")
         return graph_from_name(token, check_n)
     if token == "-":
-        text = sys.stdin.read()
-        source = "<stdin>"
+        text, source = sys.stdin.read(), "stdin"
     else:
         path = Path(token)
         if not path.exists():
             raise ValueError(f"no such file or graph name: {token}")
-        text = path.read_text()
-        source = token
-    fmt = fmt or _sniff_format(source, text)
-    if fmt == "graph6":
-        line = next((ln for ln in text.splitlines() if ln.strip()), "")
-        return from_graph6(line, check_n)
-    if fmt == "edgelist":
-        return parse_edge_list(text, check_n)
-    if fmt == "json":
+        text, source = path.read_text(), token
+    lines = [line for line in text.splitlines() if line.strip()]
+    if not lines:
+        raise ValueError(f"{source} holds no graph")
+    lower = token.lower()
+    g6_suffix = lower.endswith((".g6", ".graph6"))
+    if lower.endswith(".json") or (not g6_suffix and text.lstrip().startswith("{") and '"' in text):
         obj = json.loads(text)
         if not isinstance(obj, dict):
             raise ValueError(f"JSON graph input must be an object, got {type(obj).__name__}")
         if {"base", "L", "pendant"} <= obj.keys():
             return l_corona(corona_spec_from_json(obj, check_n))
         return graph_from_json(obj, check_n)
-    raise ValueError(f"unknown input format {fmt!r}")
+    if g6_suffix or is_graph6_word(lines[0]):
+        if len(lines) > 1:
+            raise ValueError(
+                f"{source} holds {len(lines)} graph6 lines, not one graph: a corpus is read by bei scan"
+            )
+        return from_graph6(lines[0], check_n)
+    return parse_edge_list(text, check_n)
 
 
 def _input_graph(args, searches: bool = True, where: str = "") -> Graph:
@@ -134,7 +127,7 @@ def _input_graph(args, searches: bool = True, where: str = "") -> Graph:
     ``--bound`` itself is refused, as applying only to ``where``."""
     _applies_only(args, "--bound", searches, where)
     check_n = (lambda n: check_bound(n, args.bound)) if searches else None
-    return _graph_arg(args.input, args.format, check_n)
+    return _graph_arg(args.input, check_n)
 
 
 def _opened(out: str | None):
@@ -253,18 +246,15 @@ def _cmd_construct(args) -> int:
     mode = _one_of(args, "--corona", "--l-corona", "--cone")
     _applies_only(args, "--attach", mode == "--l-corona", "--l-corona")
     if mode == "--corona":
-        base = _graph_arg(args.corona[0], args.format)
-        pend = _graph_arg(args.corona[1], args.format)
-        g = corona(base, pend)
+        g = corona(*map(_graph_arg, args.corona))
     elif mode == "--l-corona":
-        base = _graph_arg(args.l_corona[0], args.format)
-        pend = _graph_arg(args.l_corona[1], args.format)
+        base, pend = map(_graph_arg, args.l_corona)
         if not args.attach:
             raise ValueError("--l-corona needs --attach with base vertex indices")
         attach = checked_vset(_int_list(args.attach, "--attach"), "--attach", base.n)
         g = l_corona(CoronaSpec(base, attach, pend))
     else:
-        g = cone(_graph_arg(args.cone, args.format))
+        g = cone(_graph_arg(args.cone))
     _write_out(_render_graph(g, args.out), args.output)
     return 0
 
@@ -333,9 +323,9 @@ def _base_record(args) -> tuple[BaseInvariants, Graph | None]:
     source = _one_of(args, "--pendant-block-graph", "--pendant-base-json")
     pendant_graph = block_graph = None
     if args.pendant_graph:
-        pendant_graph = _graph_arg(args.pendant_graph, args.format)
+        pendant_graph = _graph_arg(args.pendant_graph)
     if source == "--pendant-block-graph":
-        block_graph = _graph_arg(args.pendant_block_graph, args.format)
+        block_graph = _graph_arg(args.pendant_block_graph)
         base = base_invariants_block_graph(block_graph, bound=args.bound)
     else:
         obj = json.loads(Path(args.pendant_base_json).read_text())
@@ -361,7 +351,7 @@ def _cmd_invariants(args) -> int:
     if family == "cm-closed":
         if not args.b_graph:
             raise ValueError("--family cm-closed needs --b-graph")
-        b_graph = _graph_arg(args.b_graph, args.format)
+        b_graph = _graph_arg(args.b_graph)
     elif family == "l-corona" and (args.n is None or args.ell is None):
         raise ValueError("--family l-corona needs --n and --ell")
     elif args.n is None:
@@ -491,14 +481,17 @@ def _cmd_export(args) -> int:
 def _add_common(
     p: argparse.ArgumentParser,
     input_flag: bool = True,
-    format_flag: bool = True,
     bound_flag: bool = True,
 ) -> None:
     """The shared options; a verb that never reads one does not register it."""
     if input_flag:
-        p.add_argument("--input", "-i", required=True, help="graph: name, file, or -")
-    if format_flag:
-        p.add_argument("--format", choices=GRAPH_FORMATS, help="force the format of a file or -")
+        p.add_argument(
+            "--input",
+            "-i",
+            required=True,
+            help='graph: name, file, or -; JSON if .json or {..."...}, one graph6 line if .g6, '
+            ".graph6 or a graph6 word, else an edge list",
+        )
     if bound_flag:
         p.add_argument(
             "--bound",
@@ -588,7 +581,8 @@ def _scan_args(p: argparse.ArgumentParser) -> None:
         help="upper bound on worker processes, used only once the in-process "
         "work passes a fixed threshold (default: 1)",
     )
-    _add_common(p, format_flag=False)  # a scan reads graph6 lines only
+    p.add_argument("--input", "-i", required=True, help="graph6 corpus, one graph a line: file, or -")
+    _add_common(p, input_flag=False)
 
 
 def _export_args(p: argparse.ArgumentParser) -> None:

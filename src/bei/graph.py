@@ -298,11 +298,6 @@ def internal_vertex_count(g: Graph) -> int:
     return g.n - simplicial_vertices(g).bit_count()
 
 
-def is_complete(g: Graph) -> bool:
-    full = g.full_mask
-    return all(g.adj[v] == full ^ (1 << v) for v in range(g.n))
-
-
 def independence_number(g: Graph) -> int:
     """The most pairwise non-adjacent vertices of a chordal graph (a clique
     path among them).  A simplicial vertex lies in some largest independent

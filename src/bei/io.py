@@ -11,6 +11,14 @@ _G6_HEADER = ">>graph6<<"
 _G6_CHARS = "".join(map(chr, range(63, 127)))
 
 
+def is_graph6_word(line: str) -> bool:
+    """Whether ``line`` is one word of graph6 characters, after an optional
+    ``>>graph6<<`` header: the shape of a graph6 line, which no edge-list
+    line (two words) has."""
+    s = line.strip().removeprefix(_G6_HEADER)
+    return bool(s) and not s.lstrip(_G6_CHARS)
+
+
 def _g6_encode_n(n: int) -> str:
     if n < 0:
         raise ValueError("vertex count must be nonnegative")

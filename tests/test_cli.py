@@ -22,8 +22,17 @@ from pathlib import Path
 import pytest
 
 import bei
-from bei import complete_graph, cycle_graph, enumerate_cutsets, members, path_graph, to_graph6
-from bei.cli import GRAPH_FORMATS, _report_pieces, build_parser, main
+from bei import (
+    complete_graph,
+    cycle_graph,
+    enumerate_cutsets,
+    format_edge_list,
+    graph_to_json,
+    members,
+    path_graph,
+    to_graph6,
+)
+from bei.cli import _report_pieces, build_parser, main
 
 from conftest import atlas, factors_pendants, python_env, run_python
 
@@ -61,6 +70,8 @@ def test_non_object_json_input_is_invalid(tmp_path, capsys, text):
     code, out, err = run(["cutsets", "--input", str(path)], capsys)
     assert out == ""
     assert_invalid_input(code, err)
+    if not text.startswith("{"):
+        assert json.loads(err)["error"].startswith("JSON graph input must be an object")
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])
@@ -77,13 +88,26 @@ def test_scan_rejects_jobs_below_one(tmp_path, capsys, jobs):
     assert not output.exists()
 
 
+# the input states its format, so no verb takes --format
+FORMAT_CALLS = {
+    "construct": ["construct", "--cone", "-", "--format", "graph6"],
+    "cutsets": ["cutsets", "--input", "-", "--format", "graph6"],
+    "check": ["check", "--cm-closed", "--input", "-", "--format", "edgelist"],
+    "invariants": ["invariants", "--family", "cm-closed", "--b-graph", "-",
+                   "--pendant-block-graph", "P3", "--format", "graph6"],
+    "gadget": ["gadget", "--kind", "d2", "--input", "-", "--format", "json"],
+    "scan": ["scan", "--input", "corpus.g6", "--format", "json"],
+    "export": ["export", "--input", "-", "--format", "graph6"],
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["construct", "--corona", "K2", "K1", "--bound", "1"],  # construct never enumerates
-        ["scan", "--input", "corpus.g6", "--format", "json"],  # a scan reads graph6 only
+        *FORMAT_CALLS.values(),
     ],
-    ids=["construct-bound", "scan-format"],
+    ids=["construct-bound", *(f"{verb}-format" for verb in FORMAT_CALLS)],
 )
 def test_options_a_verb_never_reads_are_refused(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -258,21 +282,75 @@ def test_a_vertex_count_too_large_to_index_is_invalid_input(capsys, monkeypatch,
     assert json.loads(err)["error"] == f"vertex count {count} is too large for a graph"
 
 
-def test_a_graph_name_is_the_named_graph_and_takes_no_format(tmp_path, capsys, monkeypatch):
+def test_a_graph_name_is_the_named_graph(tmp_path, capsys, monkeypatch):
     # before and after a file named K3 exists; it is read through a path
     # that is not a name
     monkeypatch.chdir(tmp_path)
     for _ in range(2):
-        for fmt in GRAPH_FORMATS:
-            code, out, err = run(["export", "-i", "K3", "--format", fmt], capsys)
-            assert out == ""
-            assert_invalid_input(code, err)
-            assert "./K3" in json.loads(err)["error"]
         code, out, _ = run(["export", "-i", "K3"], capsys)
         assert code == 0 and out == "Bw\n"
         (tmp_path / "K3").write_text("0 1\n1 2\n")
-    code, out, _ = run(["export", "-i", "./K3", "--format", "edgelist"], capsys)
+    code, out, _ = run(["export", "-i", "./K3"], capsys)
     assert code == 0 and out == to_graph6(path_graph(3)) + "\n"
+
+
+# K3oP2, and P60, whose graph6 starts with "{" (63 + 60) but is not JSON
+FORMAT_GRAPHS = [bei.corona(complete_graph(3), path_graph(2)), path_graph(60)]
+
+
+def format_texts(g):
+    """(format, suffixes that name it, text) for each input format of ``g``."""
+    g6 = to_graph6(g)
+    return [
+        ("graph6", (".g6", ".graph6"), g6 + "\n"),
+        ("graph6-header", (".g6",), f"\n>>graph6<<{g6}\n\n"),
+        ("json", (".json",), json.dumps(graph_to_json(g))),
+        ("json-indented", (".json",), json.dumps(graph_to_json(g), indent=2)),
+        ("edgelist", (".txt",), "# a comment\n" + format_edge_list(g)),
+    ]
+
+
+@pytest.mark.parametrize("g", FORMAT_GRAPHS, ids=["k3op2", "p60"])
+def test_a_graph_input_states_its_format(tmp_path, capsys, monkeypatch, g):
+    # with its suffix, without one, and on stdin
+    expected = to_graph6(g) + "\n"
+    for name, suffixes, text in format_texts(g):
+        for suffix in (*suffixes, ""):
+            path = tmp_path / f"graph{suffix}"
+            path.write_text(text)
+            assert run(["export", "-i", str(path)], capsys) == (0, expected, ""), (name, suffix)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert run(["export", "-i", "-"], capsys) == (0, expected, ""), name
+
+
+@pytest.mark.parametrize("verb", ["cutsets", "export"])
+@pytest.mark.parametrize("source", ["two.g6", "two", "-"])
+def test_a_graph6_input_of_several_graphs_is_refused(tmp_path, capsys, monkeypatch, verb, source):
+    text = "Bw\n\nCF\n"
+    if source == "-":
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    else:
+        source = str(tmp_path / source)
+        Path(source).write_text(text)
+    code, out, err = run([verb, "-i", source], capsys)
+    assert out == ""
+    assert_invalid_input(code, err)
+    message = json.loads(err)["error"]
+    assert "2 graph6 lines" in message and "bei scan" in message
+
+
+@pytest.mark.parametrize("source", ["empty.g6", "empty.graph6", "empty.json", "empty", "-"])
+@pytest.mark.parametrize("text", ["", " \n\n\t\n"], ids=["empty", "blank"])
+def test_an_input_with_no_graph_is_refused(tmp_path, capsys, monkeypatch, source, text):
+    if source == "-":
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    else:
+        source = str(tmp_path / source)
+        Path(source).write_text(text)
+    code, out, err = run(["export", "-i", source], capsys)
+    assert out == ""
+    assert_invalid_input(code, err)
+    assert json.loads(err)["error"].endswith("holds no graph")
 
 
 @pytest.mark.parametrize(

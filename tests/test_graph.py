@@ -130,12 +130,6 @@ def test_simplicial_vertices_and_iv():
     assert bei.simplicial_vertices(bei.path_graph(3)) == vset([0, 2])
 
 
-def test_is_complete():
-    assert bei.is_complete(bei.complete_graph(4))
-    assert bei.is_complete(bei.complete_graph(1))
-    assert not bei.is_complete(bei.path_graph(3))
-
-
 def block_structure(g):
     """(is a block graph, is a clique path) from networkx's biconnected
     components and articulation points."""

@@ -220,7 +220,7 @@ def test_single_vertex_base_complete_pendant_is_complete_product():
     for h in (1, 2, 3):
         rep = bei.depth_reg_corona_complete(1, 1, block(bei.complete_graph(h)))
         prod = bei.corona(bei.complete_graph(1), bei.complete_graph(h))
-        assert bei.is_complete(prod)
+        assert prod == bei.complete_graph(prod.n)
         assert rep.reg_q == 1 == bei.internal_vertex_count(prod) + 1
         assert rep.depth_q == prod.n + 1
 
@@ -437,7 +437,7 @@ def oracle_record(h_graph):
         h=h,
         dim_q=bei.dimension_oracle(h_graph),
         depth_q=h + 1,
-        reg_q=1 if bei.is_complete(h_graph) else 2,
+        reg_q=1 if h_graph == bei.complete_graph(h) else 2,
     )
 
 

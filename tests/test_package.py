@@ -15,7 +15,7 @@ PUBLIC = {
     "graph": (
         "Graph", "VertexSet", "complete_graph", "cone", "cycle_graph", "diameter",
         "distances_from", "internal_vertex_count", "is_block_graph", "is_cm_closed",
-        "is_complete", "is_connected", "iter_members", "members", "path_graph",
+        "is_connected", "iter_members", "members", "path_graph",
         "simplicial_vertices", "vset",
     ),
     "io": (
