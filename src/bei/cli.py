@@ -1,7 +1,10 @@
 """Command-line front end.
 
-Verbs: construct, cutsets, check, invariants, gadget, scan, export.  Graph
-arguments accept inline names (K5, P3, C4), file paths, or ``-`` for stdin.
+Verbs: construct, cutsets, check, invariants, gadget, scan, export.
+``construct --corona BASE PENDANT [--attach L]`` builds every product: the
+L-corona, with L every base vertex unless given.  A cone over G is
+``--corona K1 G``, its apex vertex 0.  Graph arguments accept inline names
+(K5, P3, C4), file paths, or ``-`` for stdin.
 A name always stands for the named graph (a file called ``K3`` is given as
 ``./K3``).  Any other input states its format: a ``.g6`` or ``.graph6``
 suffix means graph6 and ``.json`` JSON.  With neither, text that starts
@@ -32,14 +35,7 @@ from typing import Callable, Iterable, Iterator
 from . import __version__
 from .bms import bms_scan, verify_reduction_d2, verify_reduction_d3
 from .cas import emit_cas_script
-from .corona import (
-    CoronaSpec,
-    corona,
-    corona_spec_from_json,
-    gadget_d2,
-    gadget_d3,
-    l_corona,
-)
+from .corona import CoronaSpec, corona_spec_from_json, gadget_d2, gadget_d3, l_corona
 from .cutsets import (
     DEFAULT_BOUND,
     CutsetReport,
@@ -48,14 +44,12 @@ from .cutsets import (
     check_bound,
     enumerate_cutsets,
     is_cutset,
-    iter_cutsets,
     unmixed_report,
 )
 from .graph import (
     Graph,
     checked_vset,
     complete_graph,
-    cone,
     is_cm_closed,
     is_connected,
     members,
@@ -157,12 +151,18 @@ def _render_graph(g: Graph, fmt: str) -> str:
     raise ValueError(f"unknown output format {fmt!r}")
 
 
+def _listed(report: CutsetReport, size_cap: int | None) -> int | None:
+    """How many of the report's cutsets a ``size_cap`` lists: those of at
+    most that size, a prefix of the family sorted by size; None lists all."""
+    return None if size_cap is None else bisect_right(report.cutsets, size_cap, key=int.bit_count)
+
+
 def _report_pieces(report: CutsetReport, size_cap: int | None) -> Iterator[str]:
     """The ``bei cutsets`` JSON report (key order, labels and all) as
     ``json.dumps(..., indent=2)`` writes it, a row a piece.  A ``size_cap``
-    lists only the cutsets of at most that size, a prefix of the sorted
-    family; the verdicts and the dimension describe the whole family."""
-    listed = None if size_cap is None else bisect_right(report.cutsets, size_cap, key=int.bit_count)
+    lists only the cutsets of at most that size (``_listed``); the verdicts
+    and the dimension describe the whole family."""
+    listed = _listed(report, size_cap)
     connected = report.connected
     fields = [
         ("n", report.n),
@@ -243,35 +243,25 @@ def _not_negative(value: int | None, name: str) -> None:
 
 
 def _cmd_construct(args) -> int:
-    mode = _one_of(args, "--corona", "--l-corona", "--cone")
-    _applies_only(args, "--attach", mode == "--l-corona", "--l-corona")
-    if mode == "--corona":
-        g = corona(*map(_graph_arg, args.corona))
-    elif mode == "--l-corona":
-        base, pend = map(_graph_arg, args.l_corona)
-        if not args.attach:
-            raise ValueError("--l-corona needs --attach with base vertex indices")
+    base, pend = map(_graph_arg, args.corona)
+    attach = base.full_mask
+    if args.attach is not None:
         attach = checked_vset(_int_list(args.attach, "--attach"), "--attach", base.n)
-        g = l_corona(CoronaSpec(base, attach, pend))
-    else:
-        g = cone(_graph_arg(args.cone))
-    _write_out(_render_graph(g, args.out), args.output)
+    _write_out(_render_graph(l_corona(CoronaSpec(base, attach, pend)), args.out), args.output)
     return 0
 
 
 def _cmd_cutsets(args) -> int:
     cap = args.size_cap
     _not_negative(cap, "--size-cap")
-    g = _input_graph(args)
+    report = enumerate_cutsets(_input_graph(args), bound=args.bound)
     if args.out == "jsonl":
-        lines = (
-            json.dumps({"cutset": members(mask), "components": w}) + "\n"
-            for mask, w in sorted(iter_cutsets(g, args.bound))
-            if cap is None or mask.bit_count() <= cap
-        )
+        listed = _listed(report, cap)
+        rows = zip(report.cutsets[:listed], report.per_cutset_components[:listed])
+        lines = (json.dumps({"cutset": members(mask), "components": w}) + "\n" for mask, w in rows)
         _write_out(lines, args.output)
         return 0
-    _write_out(_report_pieces(enumerate_cutsets(g, bound=args.bound), cap), args.output)
+    _write_out(_report_pieces(report, cap), args.output)
     return 0
 
 
@@ -502,10 +492,17 @@ def _add_common(
 
 
 def _construct_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--corona", nargs=2, metavar=("BASE", "PENDANT"))
-    p.add_argument("--l-corona", nargs=2, metavar=("BASE", "PENDANT"))
-    p.add_argument("--attach", help="comma-separated base vertices carrying copies")
-    p.add_argument("--cone", metavar="GRAPH")
+    p.add_argument(
+        "--corona",
+        required=True,
+        nargs=2,
+        metavar=("BASE", "PENDANT"),
+        help="a copy of PENDANT joined to each attach vertex of BASE; a cone over G is --corona K1 G",
+    )
+    p.add_argument(
+        "--attach",
+        help="comma-separated base vertices carrying copies (default: every base vertex)",
+    )
     p.add_argument("--out", choices=("graph6", "dot", "edgelist", "json"), default="graph6")
     _add_common(p, input_flag=False, bound_flag=False)  # construct never enumerates
 
@@ -521,7 +518,8 @@ def _cutsets_args(p: argparse.ArgumentParser) -> None:
         "--out",
         choices=("json", "jsonl"),
         default="json",
-        help="json: one report; jsonl: one line per cutset, in ascending mask order",
+        help="json: one report; jsonl: one line per cutset of the report, in its order "
+        "(by size, then by members)",
     )
     _add_common(p)
 
@@ -594,7 +592,7 @@ def _export_args(p: argparse.ArgumentParser) -> None:
 
 # verb, its help line, the function adding its arguments, and its command
 _VERBS = (
-    ("construct", "build corona products and cones", _construct_args, _cmd_construct),
+    ("construct", "build corona products (a cone over G is --corona K1 G)", _construct_args, _cmd_construct),
     ("cutsets", "enumerate all cutsets with verdicts", _cutsets_args, _cmd_cutsets),
     ("check", "combinatorial verdicts for one graph", _check_args, _cmd_check),
     ("invariants", "closed-form invariant reports", _invariants_args, _cmd_invariants),

@@ -34,7 +34,7 @@ from bei import (
 )
 from bei.cli import _report_pieces, build_parser, main
 
-from conftest import atlas, factors_pendants, python_env, run_python
+from conftest import atlas, connected_atlas, factors_pendants, python_env, run_python, to_nx
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -90,7 +90,7 @@ def test_scan_rejects_jobs_below_one(tmp_path, capsys, jobs):
 
 # the input states its format, so no verb takes --format
 FORMAT_CALLS = {
-    "construct": ["construct", "--cone", "-", "--format", "graph6"],
+    "construct": ["construct", "--corona", "K1", "-", "--format", "graph6"],
     "cutsets": ["cutsets", "--input", "-", "--format", "graph6"],
     "check": ["check", "--cm-closed", "--input", "-", "--format", "edgelist"],
     "invariants": ["invariants", "--family", "cm-closed", "--b-graph", "-",
@@ -105,9 +105,14 @@ FORMAT_CALLS = {
     "argv",
     [
         ["construct", "--corona", "K2", "K1", "--bound", "1"],  # construct never enumerates
+        # one product form: a cone is --corona K1 G, an L-corona takes --attach
+        ["construct", "--cone", "K3"],
+        ["construct", "--l-corona", "K3", "P3", "--attach", "0"],
+        ["construct"],
         *FORMAT_CALLS.values(),
     ],
-    ids=["construct-bound", *(f"{verb}-format" for verb in FORMAT_CALLS)],
+    ids=["construct-bound", "construct-cone", "construct-l-corona", "construct-no-product",
+         *(f"{verb}-format" for verb in FORMAT_CALLS)],
 )
 def test_options_a_verb_never_reads_are_refused(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -157,9 +162,6 @@ INVARIANTS_BOUND = "--bound applies only to --pendant-block-graph"
         (["check", "--cm-closed", "--chain", "-i", "P4"], "--chain applies only to --cutset"),
         (["check", "-i", "P4"],
          "choose one of --unmixed, --accessible, --accessible-system, --cutset, --cm-closed"),
-        (["construct", "--corona", "K2", "K1", "--cone", "K3"],
-         "give one of --corona and --cone, not both"),
-        (["construct", "--cone", "K2", "--attach", "0"], "--attach applies only to --l-corona"),
         (["invariants", "--family", "path", "--n", "2"],
          "choose one of --pendant-block-graph, --pendant-base-json"),
         (["invariants", "--family", "path", "--n", "2", "--ell", "0", "--pendant-block-graph", "P3"],
@@ -202,7 +204,7 @@ INVARIANTS_BOUND = "--bound applies only to --pendant-block-graph"
         (["scan", "-i", "corpus.g6", "--max-n", "-3"], "--max-n must be at least 0, got -3"),
     ],
     ids=["check-two-modes", "check-three-modes", "check-chain", "check-no-mode",
-         "construct-two-modes", "construct-attach", "invariants-no-pendant",
+         "invariants-no-pendant",
          "invariants-ell", "invariants-b-graph", "invariants-n", "export-oracle-expected",
          "check-cutset-bound", "check-cm-closed-bound", "gadget-bound", "export-bound",
          "invariants-full-corona-bound", "invariants-path-bound",
@@ -233,12 +235,37 @@ def test_gadget_verify_builds_the_wrapper_once(capsys, monkeypatch):
 
 
 def test_construct_rejects_repeated_attach_vertex(capsys):
-    argv = ["construct", "--l-corona", "K3", "P3", "--attach", "0,0"]
+    argv = ["construct", "--corona", "K3", "P3", "--attach", "0,0"]
     code, out, err = run(argv, capsys)
     assert out == ""
     assert_invalid_input(code, err)
-    code, out, _ = run(["construct", "--l-corona", "K3", "P3", "--attach", "0,2"], capsys)
+    code, out, _ = run(["construct", "--corona", "K3", "P3", "--attach", "0,2"], capsys)
     assert code == 0 and out.strip()
+
+
+@pytest.mark.parametrize("base", ["K3", "C4", "P4"])
+def test_construct_attaches_at_every_base_vertex_by_default(capsys, base):
+    every = ",".join(map(str, range(bei.graph_from_name(base).n)))
+    plain = run(["construct", "--corona", base, "P3"], capsys)
+    assert plain[0] == 0 and plain[1].strip()
+    assert run(["construct", "--corona", base, "P3", "--attach", every], capsys) == plain
+
+
+def test_a_cone_is_the_corona_over_k1(capsys, monkeypatch):
+    nx = pytest.importorskip("networkx")
+    for g in connected_atlas(5):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(to_graph6(g) + "\n"))
+        code, out, _ = run(["construct", "--corona", "K1", "-"], capsys)
+        assert code == 0
+        assert nx.is_isomorphic(to_nx(bei.from_graph6(out.strip())), to_nx(bei.cone(g))), out
+
+
+@pytest.mark.parametrize("h", ["K1", "P3", "C5"])
+def test_the_d3_gadget_is_the_corona_over_k3_at_two_vertices(capsys, h):
+    # the paper's diameter-3 wrapper, byte for byte
+    gadget = run(["gadget", "--kind", "d3", "-i", h], capsys)
+    assert gadget[0] == 0
+    assert run(["construct", "--corona", "K3", h, "--attach", "0,1"], capsys) == gadget
 
 
 HUGE = "99999999999999999999"  # above any C long: shifting 1 by it overflows
@@ -249,8 +276,8 @@ HUGE = "99999999999999999999"  # above any C long: shifting 1 by it overflows
     [
         ["check", "--cutset", HUGE, "-i", "P3"],
         ["check", "--cutset", "5000000000", "-i", "P3"],  # 1 << 5000000000 takes 625 MB
-        ["construct", "--l-corona", "K3", "P2", "--attach", HUGE],
-        ["construct", "--cone", "-"],  # the corona spec on stdin
+        ["construct", "--corona", "K3", "P2", "--attach", HUGE],
+        ["construct", "--corona", "K1", "-"],  # the corona spec on stdin
     ],
 )
 def test_a_vertex_index_out_of_range_is_refused_before_it_is_shifted(capsys, monkeypatch, argv):
@@ -269,7 +296,7 @@ def test_a_vertex_index_out_of_range_is_refused_before_it_is_shifted(capsys, mon
         (["export", "-i", "-"], f'{{"n": {HUGE}}}', int(HUGE)),
         (["construct", "--corona", f"K{HUGE}", "P2"], "", int(HUGE)),
         (["construct", "--corona", f"P{HUGE}", "P2"], "", int(HUGE)),
-        (["construct", "--cone", f"C{HUGE}"], "", int(HUGE)),
+        (["construct", "--corona", "K1", f"C{HUGE}"], "", int(HUGE)),
     ],
     ids=["edge-list", "json-object", "name", "path-name", "cycle-name"],
 )
@@ -358,7 +385,7 @@ def test_an_input_with_no_graph_is_refused(tmp_path, capsys, monkeypatch, source
     [
         (["check", "-i", "P3", "--cutset"], "--cutset"),
         (["scan", "-i", "-", "--diameter"], "--diameter"),
-        (["construct", "--l-corona", "K3", "P2", "--attach"], "--attach"),
+        (["construct", "--corona", "K3", "P2", "--attach"], "--attach"),
     ],
     ids=["cutset", "diameter", "attach"],
 )
@@ -539,21 +566,20 @@ def test_cutsets_json_is_the_indented_report(tmp_path, capsys, monkeypatch):
             assert out == indented(reports.pop(), cap)
 
 
-def test_cutsets_jsonl_lists_a_factored_family_in_ascending_mask_order(tmp_path, capsys):
+def test_cutsets_jsonl_lists_the_json_reports_rows(tmp_path, capsys):
+    # a factored family, in the report's order and under the same cap
     product = bei.corona(complete_graph(2), cycle_graph(8))
     assert factors_pendants(product)
     path = tmp_path / "k2oc8.g6"
     path.write_text(to_graph6(product) + "\n")
-    code, out, _ = run(["cutsets", "--input", str(path), "--out", "jsonl"], capsys)
-    assert code == 0
-    lines = map(json.loads, out.splitlines())
-    listed = [(bei.vset(obj["cutset"]), obj["components"]) for obj in lines]
-    assert all(a < b for (a, _), (b, _) in zip(listed, listed[1:]))
-    code, out, _ = run(["cutsets", "--input", str(path), "--out", "json"], capsys)
-    report = json.loads(out)
-    assert code == 0 and report["size_cap"] is None
-    whole = zip(map(bei.vset, report["cutsets"]), report["per_cutset_components"])
-    assert listed == sorted(whole)
+    for cap in ([], ["--size-cap", "0"], ["--size-cap", "2"]):
+        code, out, _ = run(["cutsets", "--input", str(path), "--out", "jsonl", *cap], capsys)
+        assert code == 0
+        listed = [(obj["cutset"], obj["components"]) for obj in map(json.loads, out.splitlines())]
+        code, out, _ = run(["cutsets", "--input", str(path), "--out", "json", *cap], capsys)
+        report = json.loads(out)
+        assert code == 0 and listed
+        assert listed == list(zip(report["cutsets"], report["per_cutset_components"]))
 
 
 @pytest.mark.parametrize("out", ["json", "jsonl"])
