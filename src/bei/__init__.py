@@ -6,10 +6,11 @@ corona-type graph products.
 to its submodule, and only an eager ``from .corona import corona`` does
 that.  Every other public name, and every submodule, is loaded on first use
 by the module ``__getattr__`` (PEP 562), so a program loads only what it
-uses.  A ``bei`` command then compiles ``bei.cli``, the largest module,
-while only those three are resident, which lowers its peak memory.  The
-names are looked up afresh on each access, never cached here, so a name
-rebound in its submodule is seen through ``bei`` too.
+uses.  A ``bei`` command then compiles ``bei.cli`` while only those three
+are resident, which lowers its peak memory, and of the verb modules
+``bei._verb_<verb>`` it compiles only the one it runs.  The names are
+looked up afresh on each access, never cached here, so a name rebound in
+its submodule is seen through ``bei`` too.
 """
 
 from importlib import import_module as _import_module

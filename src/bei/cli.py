@@ -17,51 +17,29 @@ refused; ``bei scan`` reads a corpus.  A JSON file with
 ``base``/``L``/``pendant`` keys is a corona specification and stands for its
 constructed product.  Validation and bound errors exit nonzero with a
 machine-readable JSON object on stderr.
+
+Each verb's arguments, command and own helpers live in ``bei._verb_<verb>``
+(``bei._verb_cutsets`` and so on), which exposes ``add_arguments(p)`` and
+``run(args)`` and is imported only when that verb is dispatched, so a call
+compiles only the verb it runs.  This module keeps the parser, the dispatch
+and its error mapping, and the helpers that two or more verbs share.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import io
 import json
-import os
 import sys
-from bisect import bisect_right
+from importlib import import_module
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from . import __version__
-from .bms import bms_scan, verify_reduction_d2, verify_reduction_d3
-from .cas import emit_cas_script
-from .corona import CoronaSpec, corona_spec_from_json, gadget_d2, gadget_d3, l_corona
-from .cutsets import (
-    DEFAULT_BOUND,
-    CutsetReport,
-    EnumerationBoundError,
-    accessibility_witness_chain,
-    check_bound,
-    enumerate_cutsets,
-    is_cutset,
-    unmixed_report,
-)
-from .graph import (
-    Graph,
-    checked_vset,
-    complete_graph,
-    is_cm_closed,
-    is_connected,
-    members,
-    path_graph,
-)
-from .invariants import (
-    BaseInvariants,
-    base_invariants_block_graph,
-    depth_reg_corona_cm_closed,
-    depth_reg_corona_complete,
-    depth_reg_corona_path,
-)
+from .corona import corona_spec_from_json, l_corona
+from .cutsets import DEFAULT_BOUND, EnumerationBoundError, check_bound
+from .graph import Graph
 from .io import (
     format_edge_list,
     from_graph6,
@@ -74,6 +52,13 @@ from .io import (
     to_dot,
     to_graph6,
 )
+
+# no shared helper uses these: the traced benchmark wraps their functions
+# after ``import bei.cli``, and reads their import times from
+# ``python -X importtime``, which logs only import statements
+from .bms import bms_scan  # noqa: F401
+from .cas import emit_cas_script  # noqa: F401
+from .invariants import BaseInvariants  # noqa: F401
 
 
 def _graph_arg(token: str, check_n: Callable[[int], None] | None = None) -> Graph:
@@ -91,8 +76,9 @@ def _graph_arg(token: str, check_n: Callable[[int], None] | None = None) -> Grap
         text, source = sys.stdin.read(), "stdin"
     else:
         path = Path(token)
-        if not path.exists():
-            raise ValueError(f"no such file or graph name: {token}")
+        # Path("") is ".", a directory the user never named
+        if not token or not path.exists():
+            raise ValueError(f"no such file or graph name: {token or repr(token)}")
         text, source = path.read_text(), token
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
@@ -151,51 +137,6 @@ def _render_graph(g: Graph, fmt: str) -> str:
     raise ValueError(f"unknown output format {fmt!r}")
 
 
-def _listed(report: CutsetReport, size_cap: int | None) -> int | None:
-    """How many of the report's cutsets a ``size_cap`` lists: those of at
-    most that size, a prefix of the family sorted by size; None lists all."""
-    return None if size_cap is None else bisect_right(report.cutsets, size_cap, key=int.bit_count)
-
-
-def _report_pieces(report: CutsetReport, size_cap: int | None) -> Iterator[str]:
-    """The ``bei cutsets`` JSON report (key order, labels and all) as
-    ``json.dumps(..., indent=2)`` writes it, a row a piece.  A ``size_cap``
-    lists only the cutsets of at most that size (``_listed``); the verdicts
-    and the dimension describe the whole family."""
-    listed = _listed(report, size_cap)
-    connected = report.connected
-    fields = [
-        ("n", report.n),
-        ("connected", connected),
-        ("cutsets", report.cutsets[:listed]),
-        ("per_cutset_components", report.per_cutset_components[:listed]),
-        ("is_unmixed", report.is_unmixed),
-        ("is_accessible_system", report.is_accessible_system),
-        ("oracle_dimension", report.oracle_dimension),
-        ("size_cap", size_cap),
-        ("unmixedness_definition", "standard" if connected else "disconnected-extension"),
-    ]
-    sep = "{"
-    for key, value in fields:
-        yield f"{sep}\n  {json.dumps(key)}: "
-        sep = ","
-        if not isinstance(value, tuple):
-            yield json.dumps(value)
-            continue
-        # never empty: the empty set, of size 0, is always listed
-        if key == "cutsets":
-            value = (
-                "[\n      " + ",\n      ".join(map(str, members(m))) + "\n    ]" if m else "[]"
-                for m in value
-            )
-        row = "[\n    "
-        for x in value:
-            yield f"{row}{x}"
-            row = ",\n    "
-        yield "\n  ]"
-    yield "\n}\n"
-
-
 def _int_list(text: str, flag: str) -> list[int]:
     """The integers of the comma-separated list given to ``flag``; empty
     tokens are skipped, so ``""`` is the empty list."""
@@ -203,10 +144,6 @@ def _int_list(text: str, flag: str) -> list[int]:
         return [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise ValueError(f"{flag} takes comma-separated integers, got {text!r}") from None
-
-
-def _labels(g: Graph, mask: int) -> list[str]:
-    return [g.label(v) for v in members(mask)]
 
 
 def _given(args, flag: str) -> bool:
@@ -239,232 +176,6 @@ def _not_negative(value: int | None, name: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# verbs
-
-
-def _cmd_construct(args) -> int:
-    base, pend = map(_graph_arg, args.corona)
-    attach = base.full_mask
-    if args.attach is not None:
-        attach = checked_vset(_int_list(args.attach, "--attach"), "--attach", base.n)
-    _write_out(_render_graph(l_corona(CoronaSpec(base, attach, pend)), args.out), args.output)
-    return 0
-
-
-def _cmd_cutsets(args) -> int:
-    cap = args.size_cap
-    _not_negative(cap, "--size-cap")
-    report = enumerate_cutsets(_input_graph(args), bound=args.bound)
-    if args.out == "jsonl":
-        listed = _listed(report, cap)
-        rows = zip(report.cutsets[:listed], report.per_cutset_components[:listed])
-        lines = (json.dumps({"cutset": members(mask), "components": w}) + "\n" for mask, w in rows)
-        _write_out(lines, args.output)
-        return 0
-    _write_out(_report_pieces(report, cap), args.output)
-    return 0
-
-
-def _cmd_check(args) -> int:
-    mode = _one_of(args, "--unmixed", "--accessible", "--accessible-system", "--cutset", "--cm-closed")
-    _applies_only(args, "--chain", mode == "--cutset", "--cutset")
-    searches = mode in ("--unmixed", "--accessible", "--accessible-system")
-    g = _input_graph(args, searches, "--unmixed, --accessible and --accessible-system")
-    if mode == "--unmixed":
-        report = enumerate_cutsets(g, bound=args.bound)
-        violation = report.unmixed_violation
-        result = {"check": "unmixed", "value": violation is None}
-        if violation is not None:
-            mask, w = violation
-            result["witness"] = _labels(g, mask)
-            result["witness_components"] = w
-            result["expected_components"] = mask.bit_count() + report.base_components
-    elif mode == "--accessible":
-        report = unmixed_report(g, bound=args.bound)
-        stuck = None if report is None else report.stuck_cutset
-        result = {"check": "accessible", "value": report is not None and stuck is None}
-        if report is None:
-            result["reason"] = "not-unmixed"
-        elif stuck is not None:
-            result["reason"] = "no-removable-vertex"
-            result["witness"] = _labels(g, stuck)
-    elif mode == "--accessible-system":
-        stuck = enumerate_cutsets(g, bound=args.bound).stuck_cutset
-        result = {"check": "accessible-system", "value": stuck is None}
-        if stuck is not None:
-            result["witness"] = _labels(g, stuck)
-    elif mode == "--cutset":
-        mask = checked_vset(_int_list(args.cutset, "--cutset"), "--cutset", g.n)
-        value = is_cutset(g, mask)
-        result = {"check": "cutset", "set": _labels(g, mask), "value": value}
-        if value and args.chain:
-            chain = accessibility_witness_chain(g, mask)
-            result["witness_chain"] = None if chain is None else [g.label(v) for v in chain]
-    else:
-        result = {"check": "cm-closed", "value": is_cm_closed(g)}
-    _write_out(json.dumps(result, indent=2) + "\n", args.output)
-    return 0
-
-
-def _base_record(args) -> tuple[BaseInvariants, Graph | None]:
-    """The pendant record and the pendant graph, if any, checked against
-    each other: a block graph must be the pendant graph itself, a JSON
-    record must match its size, and the pendant graph must be connected."""
-    source = _one_of(args, "--pendant-block-graph", "--pendant-base-json")
-    pendant_graph = block_graph = None
-    if args.pendant_graph:
-        pendant_graph = _graph_arg(args.pendant_graph)
-    if source == "--pendant-block-graph":
-        block_graph = _graph_arg(args.pendant_block_graph)
-        base = base_invariants_block_graph(block_graph, bound=args.bound)
-    else:
-        obj = json.loads(Path(args.pendant_base_json).read_text())
-        if not isinstance(obj, dict):
-            raise ValueError(f"pendant record must be a JSON object, got {type(obj).__name__}")
-        base = BaseInvariants.from_json(obj)
-    if pendant_graph is None:
-        return base, block_graph
-    if pendant_graph.n != base.h or block_graph not in (None, pendant_graph):
-        raise ValueError("pendant graph disagrees with the pendant invariants")
-    if not is_connected(pendant_graph):
-        raise ValueError("pendant graph must be connected")
-    return base, pendant_graph
-
-
-def _cmd_invariants(args) -> int:
-    family = args.family
-    _applies_only(args, "--n", family != "cm-closed", "--family full-corona, l-corona and path")
-    _applies_only(args, "--ell", family == "l-corona", "--family l-corona")
-    _applies_only(args, "--b-graph", family == "cm-closed", "--family cm-closed")
-    _applies_only(args, "--dialect", _given(args, "--emit-cas"), "--emit-cas")
-    b_graph = None
-    if family == "cm-closed":
-        if not args.b_graph:
-            raise ValueError("--family cm-closed needs --b-graph")
-        b_graph = _graph_arg(args.b_graph)
-    elif family == "l-corona" and (args.n is None or args.ell is None):
-        raise ValueError("--family l-corona needs --n and --ell")
-    elif args.n is None:
-        raise ValueError(f"--family {family} needs --n")
-    # the block-graph record is the only cutset search
-    _applies_only(args, "--bound", _given(args, "--pendant-block-graph"), "--pendant-block-graph")
-    base, pendant_graph = _base_record(args)
-    if family == "cm-closed":
-        report = depth_reg_corona_cm_closed(b_graph, base)
-    elif family == "path":
-        report = depth_reg_corona_path(args.n, base)
-    else:
-        ell = args.ell if family == "l-corona" else args.n
-        report = depth_reg_corona_complete(args.n, ell, base)
-    values = report.to_json()
-
-    if args.emit_cas:
-        # only the script needs the product, and so the base graph
-        if pendant_graph is None:
-            raise ValueError("--emit-cas needs a pendant graph (--pendant-block-graph or --pendant-graph)")
-        if b_graph is None:
-            b_graph = (path_graph if family == "path" else complete_graph)(args.n)
-        attach = (1 << args.ell) - 1 if family == "l-corona" else b_graph.full_mask
-        expected = {"family": report.family}
-        for key, entry in [
-            *((key, values[key]) for key in ("dim", "depth", "reg", "pd", "cmdef")),
-            *values["verdicts"].items(),
-        ]:
-            if entry["value"] is not None:
-                expected[key] = entry["value"]
-        product = l_corona(CoronaSpec(b_graph, attach, pendant_graph))
-        script = emit_cas_script(product, dialect=args.dialect or "m2", expected=expected)
-        Path(args.emit_cas).write_text(script)
-
-    _write_out(json.dumps(values, indent=2) + "\n", args.output)
-    return 0
-
-
-def _cmd_gadget(args) -> int:
-    _applies_only(args, "--out", not args.verify, "a gadget built without --verify")
-    h = _input_graph(args, args.verify, "--verify")
-    if args.verify:
-        verify = verify_reduction_d2 if args.kind == "d2" else verify_reduction_d3
-        fields = verify(h, args.bound)._asdict().items()
-        payload = {"kind": args.kind, **{k: v for k, v in fields if v is not None}}
-        _write_out(json.dumps(payload, indent=2) + "\n", args.output)
-        return 0
-    build = gadget_d2 if args.kind == "d2" else gadget_d3
-    _write_out(_render_graph(build(h), args.out or "graph6"), args.output)
-    return 0
-
-
-def _reads_from(corpus, path: str) -> bool:
-    """Whether the open input ``corpus``, a file or stdin, is the file at
-    ``path``: a scan reads as it writes, so writing there would truncate it."""
-    try:
-        return os.path.samestat(os.fstat(corpus.fileno()), os.stat(path))
-    except (io.UnsupportedOperation, FileNotFoundError):  # no descriptor, or no such file
-        return False
-
-
-def _cmd_scan(args) -> int:
-    _not_negative(args.max_n, "--max-n")
-    _applies_only(args, "--dialect", _given(args, "--scripts-dir"), "--scripts-dir")
-    diameters = None
-    if args.diameter is not None:
-        diameters = set(_int_list(args.diameter, "--diameter"))
-        if not diameters:
-            raise ValueError(f"--diameter takes at least one integer, got {args.diameter!r}")
-
-    def on_error(lineno: int, message: str) -> None:
-        sys.stderr.write(json.dumps({"line": lineno, "error": message}) + "\n")
-
-    out = args.output
-    with contextlib.nullcontext(sys.stdin) if args.input == "-" else open(args.input) as corpus:
-        if out not in (None, "-") and _reads_from(corpus, out):
-            raise ValueError("--output is the input file, which the scan reads as it writes")
-        # split as str.splitlines splits the whole text, so error records
-        # keep their line numbers
-        lines = (line for physical in corpus for line in physical.splitlines())
-        records = bms_scan(
-            lines,
-            diameters=diameters,
-            max_n=args.max_n,
-            bound=args.bound,
-            script_dir=args.scripts_dir,
-            dialect=args.dialect or "m2",
-            jobs=args.jobs,
-            on_error=on_error,
-        )
-        # each record is written and flushed as the scan yields it, so a pipe
-        # reader gets it while the input is still open; the first is taken
-        # before an output file is opened, so a refused --jobs leaves none behind
-        record = next(records, None)
-        with _opened(out) as f:
-            while record is not None:
-                f.write(json.dumps(record.to_json()) + "\n")
-                f.flush()
-                record = next(records, None)
-    return 0
-
-
-def _cmd_export(args) -> int:
-    _applies_only(args, "--oracle-expected", args.out == "cas", "--out cas")
-    _applies_only(args, "--dialect", args.out == "cas", "--out cas")
-    g = _input_graph(args, args.oracle_expected, "--oracle-expected")
-    if args.out == "cas":
-        expected = None
-        if args.oracle_expected:
-            report = enumerate_cutsets(g, bound=args.bound)
-            unmixed = report.is_unmixed
-            expected = {
-                "dim": report.oracle_dimension,
-                "unmixed": unmixed,
-                "accessible": unmixed and report.is_accessible_system,
-            }
-        _write_out(emit_cas_script(g, dialect=args.dialect or "m2", expected=expected), args.output)
-        return 0
-    _write_out(_render_graph(g, args.out), args.output)
-    return 0
-
-
-# ---------------------------------------------------------------------------
 # parser
 
 
@@ -491,139 +202,43 @@ def _add_common(
     p.add_argument("--output", "-o", help="output file (default: stdout)")
 
 
-def _construct_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--corona",
-        required=True,
-        nargs=2,
-        metavar=("BASE", "PENDANT"),
-        help="a copy of PENDANT joined to each attach vertex of BASE; a cone over G is --corona K1 G",
-    )
-    p.add_argument(
-        "--attach",
-        help="comma-separated base vertices carrying copies (default: every base vertex)",
-    )
-    p.add_argument("--out", choices=("graph6", "dot", "edgelist", "json"), default="graph6")
-    _add_common(p, input_flag=False, bound_flag=False)  # construct never enumerates
-
-
-def _cutsets_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--size-cap",
-        type=int,
-        help="list only the cutsets of at most this size (the verdicts and the "
-        "dimension still describe the whole family)",
-    )
-    p.add_argument(
-        "--out",
-        choices=("json", "jsonl"),
-        default="json",
-        help="json: one report; jsonl: one line per cutset of the report, in its order "
-        "(by size, then by members)",
-    )
-    _add_common(p)
-
-
-def _check_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--unmixed", action="store_true")
-    p.add_argument("--accessible", action="store_true")
-    p.add_argument("--accessible-system", action="store_true")
-    p.add_argument("--cutset", help="comma-separated vertices to test")
-    p.add_argument("--chain", action="store_true", help="with --cutset: also search a removal chain")
-    p.add_argument("--cm-closed", action="store_true")
-    _add_common(p)
-
-
-def _invariants_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", required=True, choices=("full-corona", "l-corona", "cm-closed", "path"))
-    p.add_argument("--n", type=int)
-    p.add_argument("--ell", type=int)
-    p.add_argument("--b-graph", help="clique-path base graph (cm-closed family)")
-    p.add_argument("--pendant-block-graph", help="pendant graph with block-graph closed forms")
-    p.add_argument(
-        "--pendant-base-json",
-        help="user-supplied pendant invariants (JSON file); pd, is_complete and is_cm "
-        "follow from h, dim, depth and reg (2h - depth, reg = 1, depth = dim) and must agree",
-    )
-    p.add_argument(
-        "--pendant-graph",
-        help="pendant graph for --emit-cas, checked against the pendant record",
-    )
-    p.add_argument("--emit-cas", help="also write a verification script for the product")
-    p.add_argument("--dialect", choices=("m2", "singular"), help="with --emit-cas: script dialect (default: m2)")
-    _add_common(p, input_flag=False)
-
-
-def _gadget_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--kind", required=True, choices=("d2", "d3"))
-    p.add_argument("--verify", action="store_true")
-    p.add_argument(
-        "--out",
-        choices=("graph6", "dot", "edgelist", "json"),
-        help="without --verify: output format (default: graph6)",
-    )
-    _add_common(p)
-
-
-def _scan_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--diameter", help="comma-separated diameters to keep")
-    p.add_argument("--max-n", type=int)
-    p.add_argument("--scripts-dir", help="emit a verification script per accessible graph")
-    p.add_argument(
-        "--dialect", choices=("m2", "singular"), help="with --scripts-dir: script dialect (default: m2)"
-    )
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="upper bound on worker processes, used only once the in-process "
-        "work passes a fixed threshold (default: 1)",
-    )
-    p.add_argument("--input", "-i", required=True, help="graph6 corpus, one graph a line: file, or -")
-    _add_common(p, input_flag=False)
-
-
-def _export_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", choices=("graph6", "dot", "edgelist", "json", "cas"), default="graph6", required=False)
-    p.add_argument("--dialect", choices=("m2", "singular"), help="with --out cas: script dialect (default: m2)")
-    p.add_argument("--oracle-expected", action="store_true", help="with --out cas: embed oracle verdicts")
-    _add_common(p)
-
-
-# verb, its help line, the function adding its arguments, and its command
+# each verb and its help line; ``bei._verb_<verb>`` adds its arguments and runs it
 _VERBS = (
-    ("construct", "build corona products (a cone over G is --corona K1 G)", _construct_args, _cmd_construct),
-    ("cutsets", "enumerate all cutsets with verdicts", _cutsets_args, _cmd_cutsets),
-    ("check", "combinatorial verdicts for one graph", _check_args, _cmd_check),
-    ("invariants", "closed-form invariant reports", _invariants_args, _cmd_invariants),
-    ("gadget", "diameter-2/3 wrappers and their verification", _gadget_args, _cmd_gadget),
-    ("scan", "classify a graph6 corpus (JSON lines out)", _scan_args, _cmd_scan),
-    ("export", "convert a graph between formats", _export_args, _cmd_export),
+    ("construct", "build corona products (a cone over G is --corona K1 G)"),
+    ("cutsets", "enumerate all cutsets with verdicts"),
+    ("check", "combinatorial verdicts for one graph"),
+    ("invariants", "closed-form invariant reports"),
+    ("gadget", "diameter-2/3 wrappers and their verification"),
+    ("scan", "classify a graph6 corpus (JSON lines out)"),
+    ("export", "convert a graph between formats"),
 )
 
 
 def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
     """The ``bei`` parser with every verb registered; only ``verb``'s
-    subparser, or every one when ``verb`` is None, gets its arguments."""
+    subparser, or every one when ``verb`` is None, gets its arguments, and
+    only its module is imported."""
     parser = argparse.ArgumentParser(
         prog="bei",
         description="Cutset combinatorics and invariant formulas for binomial edge ideals of corona-type products.",
     )
     parser.add_argument("--version", action="version", version=f"bei {__version__}")
     sub = parser.add_subparsers(dest="verb", required=True)
-    for name, help_line, add_arguments, command in _VERBS:
+    for name, help_line in _VERBS:
         p = sub.add_parser(name, help=help_line)
         if verb is None or verb == name:
-            add_arguments(p)
-        p.set_defaults(func=command)
+            module = import_module(f"._verb_{name}", __package__)
+            module.add_arguments(p)
+            p.set_defaults(func=module.run)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # the top-level options take no value, so the first other word names the verb
-    verb = next((word for word in argv if not word.startswith("-")), None)
+    # the top-level options take no value, so the first other word names the
+    # verb; with none, as in ``bei --help``, no verb's arguments are built
+    verb = next((word for word in argv if not word.startswith("-")), "")
     args = build_parser(verb).parse_args(argv)
     try:
         _not_negative(getattr(args, "bound", None), "--bound")
@@ -653,4 +268,7 @@ def console_main() -> None:
 
 
 if __name__ == "__main__":
+    # run as ``python -m bei.cli``: a verb module's ``from .cli import`` must
+    # find this module, not compile and run cli.py a second time
+    sys.modules["bei.cli"] = sys.modules[__name__]
     console_main()

@@ -32,7 +32,8 @@ from bei import (
     path_graph,
     to_graph6,
 )
-from bei.cli import _report_pieces, build_parser, main
+from bei._verb_cutsets import _report_pieces
+from bei.cli import build_parser, main
 
 from conftest import atlas, connected_atlas, factors_pendants, python_env, run_python, to_nx
 
@@ -552,7 +553,7 @@ def test_cutsets_json_is_the_indented_report(tmp_path, capsys, monkeypatch):
         reports.append(enumerate_cutsets(g, **kwargs))
         return reports[-1]
 
-    monkeypatch.setattr(bei.cli, "enumerate_cutsets", recording)
+    monkeypatch.setattr(bei._verb_cutsets, "enumerate_cutsets", recording)
     for base, pendant in BENCH_PRODUCTS:
         path = tmp_path / f"{base}o{pendant}.g6"
         product = bei.corona(bei.graph_from_name(base), bei.graph_from_name(pendant))
@@ -806,7 +807,7 @@ def test_without_a_pendant_graph_or_a_script_no_family_builds_its_base(capsys, m
     def no_graph(n):
         raise AssertionError(f"a base graph on {n} vertices was built")
 
-    for module in (bei.invariants, bei.cli):
+    for module in (bei.invariants, importlib.import_module("bei._verb_invariants")):
         for name in ("complete_graph", "path_graph"):
             monkeypatch.setattr(module, name, no_graph, raising=False)
     for family in (
@@ -837,6 +838,55 @@ def test_invariants_over_a_pendant_record_enumerate_nothing(capsys, monkeypatch,
         code, out, err = run(argv, capsys)
         assert code == 0 and err == ""
         assert json.loads(out)["dim"]["provenance"] == "formula:l-corona-dimension"
+
+
+def loaded_verb_modules(argv):
+    """The verb modules that a fresh interpreter has loaded after
+    ``main(argv)``."""
+    code = (
+        "import contextlib, io, json, sys; from bei.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):\n"
+        f"    main({argv!r})\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('bei._verb_'))))"
+    )
+    proc = run_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [(["cutsets", "-i", "C4"], ["bei._verb_cutsets"]), (["--help"], [])],
+    ids=["cutsets", "help"],
+)
+def test_a_call_loads_only_its_verbs_module(argv, loaded):
+    assert loaded_verb_modules(argv) == loaded
+
+
+# a call of each verb that exits 0
+VERB_CALLS = {
+    "construct": ["--corona", "K3", "P3"],
+    "cutsets": ["-i", "C4"],
+    "check": ["--cm-closed", "-i", "P4"],
+    "invariants": ["--family", "path", "--n", "2", "--pendant-base-json", P3_BASE],
+    "gadget": ["--kind", "d2", "-i", "P3"],
+    "scan": ["-i", str(GOLDEN / "inputs" / "corpus.g6")],
+    "export": ["-i", "P3"],
+}
+
+
+@pytest.mark.parametrize("verb", VERB_NAMES)
+def test_running_the_cli_module_compiles_it_once(verb):
+    # under python -m bei.cli, cli.py runs as __main__: a verb module's
+    # ``from .cli import`` must find it there, not import bei.cli afresh
+    proc = run_python(["-X", "importtime", "-m", "bei.cli", verb, *VERB_CALLS[verb]])
+    assert proc.returncode == 0, proc.stderr
+    imported = [
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    ]
+    assert "bei.cutsets" in imported and "bei.cli" not in imported
 
 
 def capture(argv):

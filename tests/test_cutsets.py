@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import bei
 from bei import cutsets, members, vset
-from bei.cli import _report_pieces
+from bei._verb_cutsets import _report_pieces
 
 from conftest import (
     assert_early_stop_agrees,

@@ -35,3 +35,14 @@ def test_importing_the_cli_loads_every_traced_module():
     assert proc.returncode == 0, proc.stderr
     loaded = set(json.loads(proc.stdout))
     assert {modname for modname, _, _ in load_spans().TARGETS} <= loaded
+
+
+def test_the_import_log_names_the_modules_the_benchmark_reads():
+    """``bench/run.py`` reads the import times of ``bei.graph``, ``bei.bms``
+    and ``bei.cli`` from ``python -X importtime -c "import bei.cli"``, which
+    logs only import statements: a module loaded through
+    ``importlib.import_module`` or ``bei.__getattr__`` is missing there."""
+    proc = run_python(["-X", "importtime", "-c", "import bei.cli"])
+    assert proc.returncode == 0, proc.stderr
+    logged = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if "|" in line}
+    assert {"bei.graph", "bei.bms", "bei.cli"} <= logged
