@@ -40,19 +40,27 @@ def add_arguments(p: argparse.ArgumentParser) -> None:
     _add_common(p, input_flag=False)
 
 
+def _named_file(value: str, flag: str) -> Path:
+    """The file a path option names.  ``Path("")`` is ``.``, a directory
+    the user never named, so an empty name is refused, as ``-i ''`` is."""
+    if not value:
+        raise ValueError(f"{flag} needs a file name, got ''")
+    return Path(value)
+
+
 def _base_record(args) -> tuple[BaseInvariants, Graph | None]:
     """The pendant record and the pendant graph, if any, checked against
     each other: a block graph must be the pendant graph itself, a JSON
     record must match its size, and the pendant graph must be connected."""
     source = _one_of(args, "--pendant-block-graph", "--pendant-base-json")
     pendant_graph = block_graph = None
-    if args.pendant_graph:
+    if args.pendant_graph is not None:
         pendant_graph = _graph_arg(args.pendant_graph)
     if source == "--pendant-block-graph":
         block_graph = _graph_arg(args.pendant_block_graph)
         base = base_invariants_block_graph(block_graph, bound=args.bound)
     else:
-        obj = json.loads(Path(args.pendant_base_json).read_text())
+        obj = json.loads(_named_file(args.pendant_base_json, "--pendant-base-json").read_text())
         if not isinstance(obj, dict):
             raise ValueError(f"pendant record must be a JSON object, got {type(obj).__name__}")
         base = BaseInvariants.from_json(obj)
@@ -92,7 +100,8 @@ def run(args) -> int:
         report = depth_reg_corona_complete(args.n, ell, base)
     values = report.to_json()
 
-    if args.emit_cas:
+    if args.emit_cas is not None:
+        target = _named_file(args.emit_cas, "--emit-cas")
         # only the script needs the product, and so the base graph
         if pendant_graph is None:
             raise ValueError("--emit-cas needs a pendant graph (--pendant-block-graph or --pendant-graph)")
@@ -108,7 +117,7 @@ def run(args) -> int:
                 expected[key] = entry["value"]
         product = l_corona(CoronaSpec(b_graph, attach, pendant_graph))
         script = emit_cas_script(product, dialect=args.dialect or "m2", expected=expected)
-        Path(args.emit_cas).write_text(script)
+        target.write_text(script)
 
     _write_out(json.dumps(values, indent=2) + "\n", args.output)
     return 0

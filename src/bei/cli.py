@@ -32,7 +32,7 @@ import contextlib
 import json
 import sys
 from importlib import import_module
-from itertools import islice
+from io import DEFAULT_BUFFER_SIZE
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -116,13 +116,22 @@ def _opened(out: str | None):
 
 
 def _write_out(text: str | Iterable[str], out: str | None) -> None:
-    """Write ``text``, or its pieces a thousand to a ``write``, to
-    ``_opened(out)``: a long listing is never held whole, nor written a row
-    per syscall when unbuffered."""
-    pieces = iter([text] if isinstance(text, str) else text)
+    """Write ``text``, or its pieces, to ``_opened(out)``.  Pieces are
+    joined until they reach ``io.DEFAULT_BUFFER_SIZE`` characters, then
+    written: a long listing is never held whole, a write holds about one
+    buffer's worth however long or short the rows are, and no row is a
+    syscall of its own when unbuffered."""
+    chunk: list[str] = []
+    size = 0
     with _opened(out) as f:
-        for chunk in iter(lambda: "".join(islice(pieces, 1000)), ""):
-            f.write(chunk)
+        for piece in [text] if isinstance(text, str) else text:
+            chunk.append(piece)
+            size += len(piece)
+            if size >= DEFAULT_BUFFER_SIZE:
+                f.write("".join(chunk))
+                chunk.clear()
+                size = 0
+        f.write("".join(chunk))
 
 
 def _render_graph(g: Graph, fmt: str) -> str:

@@ -42,11 +42,12 @@ These are exact conditions in both directions, so the family is the core
 search's sets T0 (apexes exempt from the test) times each apex's pendant
 families.  In a corona G o H with H not complete, each copy of H is a
 pendant under its base vertex, so the search runs over the base alone, and
-each copy's family is listed once.  The clique prune stays exact on the core, since a non-apex
-member's outside neighbourhood does not change when pendant parts are
-added.  Every graph takes this one path: one without a non-complete cone
-pendant has no apex, so its core is the whole graph and each core set is
-yielded as it is.
+each copy's family is listed once, the first time its base vertex enters a
+core set; the products are streamed, not built.  The clique prune stays
+exact on the core, since a non-apex member's outside neighbourhood does not
+change when pendant parts are added.  Every graph takes this one path: one
+without a non-complete cone pendant has no apex, so its core is the whole
+graph and each core set is yielded as it is.
 
 Quotient-ring facts read off the cutset family: the Krull dimension of the
 quotient by the binomial edge ideal is ``n + max(components - |T|)`` over
@@ -54,7 +55,10 @@ cutsets, and (for connected graphs) unmixedness says every cutset satisfies
 ``components == |T| + 1``.  A ``CutsetReport`` stores only the family, by
 size, then by member lists, sorted on one integer per mask m:
 ``(|m| << n) - r``, with r the n bits of m reversed (proof in
-``_report``).  Its witnesses, verdicts and dimension are read off the
+``_report``).  ``_report`` packs each cutset into one int,
+``((key << n | m) << s) | w`` with ``s = n.bit_length()``: a component
+count w is at most n, so s bits hold it, and the family sorts as plain
+ints, held once.  Its witnesses, verdicts and dimension are read off the
 family on each access, so a report cannot contradict itself.  Two entry
 points build it:
 
@@ -88,6 +92,7 @@ environment variable changes it.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Iterable, Iterator, NamedTuple
 
 from .graph import (
@@ -158,36 +163,51 @@ def _nonempty_cutsets(
 
     The core search runs outside the cone pendants with every apex exempt,
     and each core set is expanded by its apexes' pendant cutsets; without
-    pendants the core is the whole graph and its sets pass unchanged.
+    pendants the core is the whole graph and its sets pass unchanged.  A
+    pendant's family is listed when its apex first enters a core set, and
+    the products are streamed, so a caller that stops early pays only for
+    what it took.
     """
     apexes = inside = 0
-    # apex -> its pendants, each with its own family as (mask, components - 1)
-    parts: dict[int, list[tuple[VertexSet, list[tuple[VertexSet, int]]]]] = {}
+    pendants: dict[int, list[VertexSet]] = {}
     for v, c in _cone_pendants(adj, full, cand):
         apexes |= 1 << v
         inside |= c
-        sub = tuple(row & c for row in adj)
-        # a vertex of c has v and its neighbours in c as neighbours, and v
-        # is adjacent to all of c: it is simplicial in G[c] iff in G.  c is
-        # a component of G - v, so its empty part leaves one component
-        family = [(0, 0)]
-        family += [(m, w - 1) for m, w in _nonempty_cutsets(sub, c, cand & c)]
-        parts.setdefault(v, []).append((c, family))
+        pendants.setdefault(v, []).append(c)
+    # pendant -> its family as (mask, components - 1), the empty part first
+    families: dict[VertexSet, tuple[tuple[VertexSet, int], ...]] = {}
     for s, w in _search(adj, full, cand & ~inside, apexes):
-        combos = [(s, w)]
+        chosen = []
         t = s & apexes
         while t:
             b = t & -t
             t ^= b
             v = b.bit_length() - 1
-            pieces = parts[v]
-            for c, family in pieces:
+            pieces = pendants[v]
+            for c in pieces:
+                family = families.get(c)
+                if family is None:
+                    # a vertex of c has v and its neighbours in c as
+                    # neighbours, and v is adjacent to all of c: it is
+                    # simplicial in G[c] iff in G.  c is a component of
+                    # G - v, so its empty part leaves one component
+                    sub = tuple(row & c for row in adj)
+                    family = (0, 0), *((m, x - 1) for m, x in _nonempty_cutsets(sub, c, cand & c))
+                    families[c] = family
                 if len(pieces) == 1 and adj[v] & ~s & ~c == 0:
                     # v touches only this pendant: the empty part (listed
                     # first) would leave v inside one component
                     family = family[1:]
-                combos = [(m | pm, x + pw) for m, x in combos for pm, pw in family]
-        yield from combos
+                chosen.append(family)
+        # the first pendant varies slowest, as when the products were
+        # built one pendant at a time; a set with no apex is its own one
+        # product
+        for combo in product(*chosen):
+            m, x = s, w
+            for pm, pw in combo:
+                m |= pm
+                x += pw
+            yield m, x
 
 
 def _cone_pendants(
@@ -312,9 +332,17 @@ class CutsetReport(NamedTuple):
 
     @property
     def stuck_cutset(self) -> VertexSet | None:
-        listed = set(self.cutsets)
-        stuck = (m for m in self.cutsets if m and all(m ^ (1 << v) not in listed for v in iter_members(m)))
-        return next(stuck, None)
+        # the family is sorted by size, so a cutset's one-smaller subsets
+        # can only lie in the size class just before its own: two classes
+        # are held, never the whole family
+        below, here, size = set(), set(), 0
+        for m in self.cutsets:
+            if m.bit_count() != size:
+                below, here, size = here, set(), m.bit_count()
+            if m and all(m ^ (1 << v) not in below for v in iter_members(m)):
+                return m
+            here.add(m)
+        return None
 
     @property
     def oracle_dimension(self) -> int:
@@ -336,10 +364,10 @@ def _dimension(n: int, pairs: Iterable[tuple[VertexSet, int]]) -> int:
 
 def enumerate_cutsets(g: Graph, bound: int | None = None) -> CutsetReport:
     """All cutsets and their component counts, in report order."""
-    return _report(g, list(iter_cutsets(g, bound)))
+    return _report(g, iter_cutsets(g, bound))
 
 
-def _report(g: Graph, found: list[tuple[VertexSet, int]]) -> CutsetReport:
+def _report(g: Graph, found: Iterable[tuple[VertexSet, int]]) -> CutsetReport:
     """Sort ``(mask, components)`` pairs by size, then by ascending member
     lists, and split them into the report's two stored tuples.
 
@@ -349,10 +377,21 @@ def _report(g: Graph, found: list[tuple[VertexSet, int]]) -> CutsetReport:
     symmetric difference, and the list holding it is the smaller; that
     vertex is the highest bit where the reversals differ, so that list has
     the larger r and the smaller key.
+
+    Each pair is packed as ``((key << n | m) << s) | w``: w is at most n,
+    so ``s = n.bit_length()`` bits hold it, and no two masks share a key.
+    The ints sort with no key list beside them, so the family is held once
+    until the two tuples are read off it.
     """
     n = g.n
-    found.sort(key=lambda mw: (mw[0].bit_count() << n) - int(f"{mw[0]:0{n}b}"[::-1], 2))
-    return CutsetReport(n, tuple(m for m, _ in found), tuple(w for _, w in found))
+    s = n.bit_length()
+    packed = [
+        ((((m.bit_count() << n) - int(f"{m:0{n}b}"[::-1], 2)) << n | m) << s) | w
+        for m, w in found
+    ]
+    packed.sort()
+    full, low = g.full_mask, (1 << s) - 1
+    return CutsetReport(n, tuple(p >> s & full for p in packed), tuple(p & low for p in packed))
 
 
 def _neighbourhood_violation(
@@ -394,15 +433,16 @@ def unmixed_report(g: Graph, bound: int | None = None) -> CutsetReport | None:
     cutsets up to that one.
     """
     cutsets = iter_cutsets(g, bound)
-    found = [next(cutsets)]  # the empty set, with the component count of G
-    w0 = found[0][1]
+    _, w0 = next(cutsets)  # the empty set, with the component count of G
     if _neighbourhood_violation(g.adj, g.full_mask, w0) is not None:
         return None
+    # every cutset kept has w0 + |T| components, so its mask alone is kept
+    masks = [0]
     for mask, w in cutsets:
         if w != mask.bit_count() + w0:
             return None
-        found.append((mask, w))
-    return _report(g, found)
+        masks.append(mask)
+    return _report(g, ((m, m.bit_count() + w0) for m in masks))
 
 
 def is_accessible(g: Graph, bound: int | None = None) -> bool:

@@ -367,6 +367,26 @@ def test_a_graph6_input_of_several_graphs_is_refused(tmp_path, capsys, monkeypat
     assert "2 graph6 lines" in message and "bei scan" in message
 
 
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        (["--pendant-base-json", ""], "--pendant-base-json needs a file name, got ''"),
+        (["--pendant-block-graph", "P3", "--emit-cas", ""], "--emit-cas needs a file name, got ''"),
+        (["--pendant-block-graph", "P3", "--pendant-graph", ""], "no such file or graph name: ''"),
+    ],
+    ids=["pendant-base-json", "emit-cas", "pendant-graph"],
+)
+def test_an_empty_path_option_is_refused(tmp_path, capsys, monkeypatch, option, message):
+    # Path("") is ".", which names no file: an empty value is neither read
+    # as the current directory nor dropped as not given
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(["invariants", "--family", "path", "--n", "2", *option], capsys)
+    assert out == ""
+    assert_invalid_input(code, err)
+    assert json.loads(err)["error"] == message
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("source", ["empty.g6", "empty.graph6", "empty.json", "empty", "-"])
 @pytest.mark.parametrize("text", ["", " \n\n\t\n"], ids=["empty", "blank"])
 def test_an_input_with_no_graph_is_refused(tmp_path, capsys, monkeypatch, source, text):

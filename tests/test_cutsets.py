@@ -2,6 +2,9 @@
 
 import itertools
 import json
+import random
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +26,7 @@ from conftest import (
     naive_is_accessible_system,
     naive_is_unmixed,
     naive_ncomp,
+    random_connected_graph,
 )
 
 
@@ -335,6 +339,102 @@ def test_report_order_key_is_size_then_member_lists():
     for n in range(11):
         report = cutsets._report(bei.Graph(n), [(m, 0) for m in range(1 << n)])
         assert report.cutsets == tuple(sorted(range(1 << n), key=lambda m: (m.bit_count(), members(m))))
+
+
+def definitional_order(g, bound=None):
+    """``iter_cutsets`` sorted by size, then by member lists."""
+    return sorted(bei.iter_cutsets(g, bound), key=lambda mw: (mw[0].bit_count(), members(mw[0])))
+
+
+def test_packed_report_order_is_the_definitional_order():
+    # seeded random graphs (connected ones on 8-12 vertices, sparse ones on
+    # 12-16 that mostly are not), a disjoint union, and n = 0 and 1
+    rng = random.Random(31)
+    graphs = [
+        *(random_connected_graph(rng, n) for n in range(8, 13) for _ in range(4)),
+        *(
+            bei.Graph(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < 0.12])
+            for n in range(12, 17)
+            for _ in range(4)
+        ),
+        bei.Graph(7, [(0, 1), (1, 2), (3, 4), (5, 6)]),
+        bei.Graph(0),
+        bei.Graph(1),
+    ]
+    for g in graphs:
+        report = bei.enumerate_cutsets(g)
+        assert list(zip(report.cutsets, report.per_cutset_components)) == definitional_order(g)
+
+
+def test_packed_report_order_holds_wide_masks_and_many_components():
+    # K_{1,39} centred on vertex 39: its masks reach 2^39, beyond 31 bits,
+    # and removing the centre leaves 39 >= 32 components, which must fit in
+    # the n.bit_length() = 6 bits packed below each mask
+    star = bei.Graph(40, [(v, 39) for v in range(39)])
+    report = bei.enumerate_cutsets(star, bound=40)
+    assert report.cutsets == (0, 1 << 39) and report.per_cutset_components == (1, 39)
+    assert list(zip(report.cutsets, report.per_cutset_components)) == definitional_order(star, 40)
+
+
+def whole_family_stuck_cutset(report):
+    """The first nonempty cutset, in report order, from which no single
+    removal leaves a cutset, tested against a set of the whole family."""
+    listed = set(report.cutsets)
+    stuck = (m for m in report.cutsets if m and all(m ^ (1 << v) not in listed for v in members(m)))
+    return next(stuck, None)
+
+
+def test_per_size_stuck_cutset_is_the_whole_family_rule():
+    for g in (*connected_atlas(7), bei.from_graph6("FFwc?")):
+        report = bei.enumerate_cutsets(g)
+        assert report.stuck_cutset == whole_family_stuck_cutset(report)
+    assert bei.enumerate_cutsets(bei.from_graph6("FFwc?")).stuck_cutset is not None
+
+
+def test_stuck_cutset_holds_no_copy_of_the_family():
+    # the rule holds two size classes, not a set of every mask: C20's first
+    # pair of non-adjacent vertices is stuck, so it allocates next to
+    # nothing against the report's own size
+    report = bei.enumerate_cutsets(bei.cycle_graph(20))
+    size = sys.getsizeof(report.cutsets) + sys.getsizeof(report.per_cutset_components)
+    size += sum(map(sys.getsizeof, report.cutsets))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert report.stuck_cutset == vset([0, 2])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < size / 10
+
+
+def test_a_pendant_family_is_listed_when_its_apex_enters_a_core_set(monkeypatch):
+    # K2 o C8: the core search runs over the base {0, 1} and yields {0}
+    # first, so the copy under vertex 1 is listed only after every cutset
+    # whose core is {0}, and each copy once; a pendant's family is a nested
+    # _nonempty_cutsets call (C8 has no pendant of its own)
+    g = bei.corona(bei.complete_graph(2), bei.cycle_graph(8))
+    listed = []
+    nonempty_cutsets = cutsets._nonempty_cutsets
+
+    def counting(adj, full, cand):
+        listed.append(full)
+        return nonempty_cutsets(adj, full, cand)
+
+    monkeypatch.setattr(cutsets, "_nonempty_cutsets", counting)
+    cuts = bei.iter_cutsets(g)
+    assert next(cuts) == (0, 1) and not listed
+    first = next(cuts)
+    assert first[0] & 0b11 == 0b01 and listed == [g.full_mask, copy_mask(g, 0)]
+    rest = list(cuts)
+    assert listed == [g.full_mask, copy_mask(g, 0), copy_mask(g, 1)] and len(rest) + 2 == 1523
+
+
+def copy_mask(g, v):
+    """The vertex mask of the pendant copy under base vertex ``v`` of a
+    corona over K2 (the copies follow the two base vertices)."""
+    h = (g.n - 2) // 2
+    return ((1 << h) - 1) << (2 + v * h)
 
 
 def test_report_size_cap():
