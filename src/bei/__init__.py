@@ -24,7 +24,6 @@ _EXPORTS = {
             "Graph",
             "VertexSet",
             "complete_graph",
-            "cone",
             "cycle_graph",
             "diameter",
             "distances_from",

@@ -1,5 +1,7 @@
 """``bei gadget``: the diameter-2 and diameter-3 wrappers of a graph, or a
-check of what the reduction claims for them."""
+check of what the reduction claims for them.  Each wrapper is the L-corona
+that ``construct`` prints: d2 is ``--corona K2 H --attach 0`` (apex 0,
+companion 1, the copy of H at 2..h+1), d3 ``--corona K3 H --attach 0,1``."""
 
 from __future__ import annotations
 

@@ -5,10 +5,9 @@ from __future__ import annotations
 
 import argparse
 import json
-from pathlib import Path
 
 from .cas import emit_cas_script
-from .cli import _add_common, _applies_only, _given, _graph_arg, _one_of, _write_out
+from .cli import _add_common, _applies_only, _given, _graph_arg, _named_file, _one_of, _write_out
 from .corona import CoronaSpec, l_corona
 from .graph import Graph, complete_graph, is_connected, path_graph
 from .invariants import (
@@ -38,14 +37,6 @@ def add_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--emit-cas", help="also write a verification script for the product")
     p.add_argument("--dialect", choices=("m2", "singular"), help="with --emit-cas: script dialect (default: m2)")
     _add_common(p, input_flag=False)
-
-
-def _named_file(value: str, flag: str) -> Path:
-    """The file a path option names.  ``Path("")`` is ``.``, a directory
-    the user never named, so an empty name is refused, as ``-i ''`` is."""
-    if not value:
-        raise ValueError(f"{flag} needs a file name, got ''")
-    return Path(value)
 
 
 def _base_record(args) -> tuple[BaseInvariants, Graph | None]:

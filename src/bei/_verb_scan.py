@@ -11,7 +11,7 @@ import os
 import sys
 
 from .bms import bms_scan
-from .cli import _add_common, _applies_only, _given, _int_list, _not_negative, _opened
+from .cli import _add_common, _applies_only, _given, _int_list, _named_file, _not_negative, _opened
 
 
 def add_arguments(p: argparse.ArgumentParser) -> None:
@@ -42,6 +42,9 @@ def _reads_from(corpus, path: str) -> bool:
 
 
 def run(args) -> int:
+    _named_file(args.input, "--input")
+    if args.scripts_dir is not None:
+        _named_file(args.scripts_dir, "--scripts-dir")
     _not_negative(args.max_n, "--max-n")
     _applies_only(args, "--dialect", _given(args, "--scripts-dir"), "--scripts-dir")
     diameters = None

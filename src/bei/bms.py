@@ -2,9 +2,10 @@
 diameter, for small accessible graphs.
 
 The wrappers embed an arbitrary connected graph into a graph of diameter
-exactly 2 (cone over the graph plus an isolated companion) or exactly 3
-(triangle with two pendant copies) while transporting accessibility; the
-scanner classifies graph6 corpora by diameter and the combinatorial
+exactly 2 (an edge with one pendant copy: the cone over the graph plus an
+isolated companion) or exactly 3 (a triangle with two pendant copies) while
+transporting accessibility.  Both are L-coronas, built by ``l_corona``.
+The scanner classifies graph6 corpora by diameter and the combinatorial
 verdicts, optionally emitting a verification script per accessible graph.
 Cohen-Macaulayness is never claimed by the scanner: records carry only
 what the cutset combinatorics decides, the scripts cover the rest.

@@ -110,6 +110,15 @@ def _input_graph(args, searches: bool = True, where: str = "") -> Graph:
     return _graph_arg(args.input, check_n)
 
 
+def _named_file(value: str, flag: str) -> Path:
+    """The file a path option names.  ``Path("")`` is ``.``, a directory
+    the user never named, and ``open("")`` fails only once the work is
+    done, so an empty name is refused, as ``-i ''`` is."""
+    if not value:
+        raise ValueError(f"{flag} needs a file name, got ''")
+    return Path(value)
+
+
 def _opened(out: str | None):
     """stdout, or the file ``out`` opened for writing."""
     return contextlib.nullcontext(sys.stdout) if out in (None, "-") else open(out, "w")
@@ -251,6 +260,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser(verb).parse_args(argv)
     try:
         _not_negative(getattr(args, "bound", None), "--bound")
+        if args.output is not None:
+            _named_file(args.output, "--output")
         return args.func(args)
     except EnumerationBoundError as exc:
         sys.stderr.write(json.dumps({"error": str(exc), "kind": "bound-exceeded"}) + "\n")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
-from .graph import Graph, VertexSet, checked_vset, complete_graph, cone, is_connected, members
+from .graph import Graph, VertexSet, checked_vset, complete_graph, is_connected, members
 from .io import _graph6_checked, _graph6_decode, _is_json_int
 
 
@@ -72,23 +72,20 @@ class CoronaSpec(_CoronaSpecFields):
 
 
 def l_corona(spec: CoronaSpec) -> Graph:
-    """Construct the product for ``spec`` in the layout above."""
+    """Construct the product for ``spec`` in the layout above: the one
+    builder of every product and gadget."""
     base, pend = spec.base, spec.pendant
     h = pend.n
+    pend_edges = list(pend.edges())
     edges = list(base.edges())
+    labelled = base.labels is not None or pend.labels is not None
+    labels = [base.label(v) for v in range(base.n)] if labelled else None
     for v in spec.attach_vertices():
         start = spec.copy_start(v)
-        for a, b in pend.edges():
-            edges.append((start + a, start + b))
-        for j in range(h):
-            edges.append((v, start + j))
-    labels = None
-    if base.labels is not None or pend.labels is not None:
-        lab = [base.label(v) for v in range(base.n)]
-        for v in spec.attach_vertices():
-            for j in range(h):
-                lab.append(f"{pend.label(j)}@{base.label(v)}")
-        labels = lab
+        edges += [(start + a, start + b) for a, b in pend_edges]
+        edges += [(v, start + j) for j in range(h)]
+        if labelled:
+            labels += [f"{pend.label(j)}@{base.label(v)}" for j in range(h)]
     return Graph(spec.product_vertices, edges, labels)
 
 
@@ -102,18 +99,15 @@ def corona(g: Graph, h: Graph) -> Graph:
 
 
 def gadget_d2(h: Graph) -> Graph:
-    """Cone over ``h`` plus one isolated companion vertex: a diameter-2
-    wrapper.  Layout: h at 0..h.n-1, companion next, apex last."""
-    if h.n < 1 or not is_connected(h):
-        raise ValueError("pendant graph must be connected and nonempty")
-    return cone(Graph(h.n + 1, h.edges()))
+    """Edge with a pendant copy of ``h`` at one end: the cone over ``h``
+    plus an isolated companion vertex, a diameter-2 wrapper.  Layout: apex
+    0, companion 1, the copy of ``h`` at 2..h.n+1."""
+    return l_corona(CoronaSpec(complete_graph(2), 0b01, h))
 
 
 def gadget_d3(h: Graph) -> Graph:
     """Triangle with pendant copies of ``h`` at two of its vertices: a
     diameter-3 wrapper.  Base triangle at 0,1,2 with copies at 0 and 1."""
-    if h.n < 1 or not is_connected(h):
-        raise ValueError("pendant graph must be connected and nonempty")
     return l_corona(CoronaSpec(complete_graph(3), 0b011, h))
 
 

@@ -6,8 +6,8 @@ int used as a bitmask (bit ``i`` set <=> vertex ``i`` in the set); the alias
 make union, difference and cardinality one machine operation per word, which
 is what keeps exhaustive subset enumeration tolerable in pure Python.
 
-Graphs are immutable: constructors such as ``cone`` return a new value, so
-graphs may be shared freely across threads.
+Graphs are immutable: every constructor returns a new value, so graphs may
+be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -250,22 +250,6 @@ def diameter(g: Graph) -> int | float:
         if d > best:
             best = d
     return best
-
-
-# ---------------------------------------------------------------------------
-# cones
-
-
-def cone(g: Graph) -> Graph:
-    """New vertex adjacent to every vertex of ``g``; the apex gets the top
-    index, and the label ``apex`` when ``g`` is labelled."""
-    n = g.n
-    apex_bit = 1 << n
-    adj = tuple(row | apex_bit for row in g.adj) + ((1 << n) - 1,)
-    labels = None
-    if g.labels is not None:
-        labels = tuple(g.label(i) for i in range(n)) + ("apex",)
-    return Graph._from_adj(adj, labels)
 
 
 # ---------------------------------------------------------------------------

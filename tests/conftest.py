@@ -308,6 +308,12 @@ def connected_atlas(max_n: int) -> tuple[bei.Graph, ...]:
     return tuple(g for g in atlas() if 0 < g.n <= max_n and naive_ncomp(g, set()) == 1)
 
 
+def cone_over(g: bei.Graph) -> bei.Graph:
+    """A new vertex, ``g.n``, joined to every vertex of ``g``, which may be
+    disconnected or empty, as no ``CoronaSpec`` pendant may be."""
+    return bei.Graph(g.n + 1, [*g.edges(), *((v, g.n) for v in range(g.n))])
+
+
 def to_nx(g: bei.Graph):
     """The same graph as a networkx graph, for ``networkx.is_isomorphic``."""
     import networkx as nx

@@ -10,7 +10,7 @@ import bei
 from bei import bms
 from bei.bms import _expected_d3_distance
 
-from conftest import connected_atlas
+from conftest import connected_atlas, to_nx
 
 
 def test_verify_reduction_d2():
@@ -19,6 +19,17 @@ def test_verify_reduction_d2():
         assert check.gadget_vertices == h.n + 2
         assert check.diameter_ok and check.accessible_transfer_ok
         assert check.distance_cases_ok is None
+
+
+def test_the_d2_gadget_of_every_accessible_atlas_graph_is_a_cone_over_h_plus_k1():
+    nx = pytest.importorskip("networkx")
+    accessible = [h for h in connected_atlas(7) if bei.is_accessible(h)]
+    assert len(accessible) == 82
+    for h in accessible:
+        assert bei.verify_reduction_d2(h) == (h.n + 2, True, True, None)
+        cone = nx.disjoint_union(to_nx(h), nx.empty_graph(1))
+        cone.add_edges_from((h.n + 1, v) for v in range(h.n + 1))
+        assert nx.is_isomorphic(to_nx(bei.gadget_d2(h)), cone), bei.to_graph6(h)
 
 
 def test_verify_reduction_d3():

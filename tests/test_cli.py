@@ -35,7 +35,7 @@ from bei import (
 from bei._verb_cutsets import _report_pieces
 from bei.cli import build_parser, main
 
-from conftest import atlas, connected_atlas, factors_pendants, python_env, run_python, to_nx
+from conftest import atlas, cone_over, connected_atlas, factors_pendants, python_env, run_python, to_nx
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -258,7 +258,7 @@ def test_a_cone_is_the_corona_over_k1(capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.StringIO(to_graph6(g) + "\n"))
         code, out, _ = run(["construct", "--corona", "K1", "-"], capsys)
         assert code == 0
-        assert nx.is_isomorphic(to_nx(bei.from_graph6(out.strip())), to_nx(bei.cone(g))), out
+        assert nx.is_isomorphic(to_nx(bei.from_graph6(out.strip())), to_nx(cone_over(g))), out
 
 
 @pytest.mark.parametrize("h", ["K1", "P3", "C5"])
@@ -267,6 +267,14 @@ def test_the_d3_gadget_is_the_corona_over_k3_at_two_vertices(capsys, h):
     gadget = run(["gadget", "--kind", "d3", "-i", h], capsys)
     assert gadget[0] == 0
     assert run(["construct", "--corona", "K3", h, "--attach", "0,1"], capsys) == gadget
+
+
+@pytest.mark.parametrize("h", ["K1", "P3", "C5"])
+def test_the_d2_gadget_is_the_corona_over_k2_at_one_vertex(capsys, h):
+    # the cone over H + K1, byte for byte: apex 0, companion 1, H at 2..h+1
+    gadget = run(["gadget", "--kind", "d2", "-i", h], capsys)
+    assert gadget[0] == 0
+    assert run(["construct", "--corona", "K2", h, "--attach", "0"], capsys) == gadget
 
 
 HUGE = "99999999999999999999"  # above any C long: shifting 1 by it overflows
@@ -907,6 +915,22 @@ def test_running_the_cli_module_compiles_it_once(verb):
         if line.startswith("import time:")
     ]
     assert "bei.cutsets" in imported and "bei.cli" not in imported
+
+
+@pytest.mark.parametrize("verb", VERB_NAMES)
+def test_an_empty_output_is_refused_before_any_work(tmp_path, capsys, monkeypatch, verb):
+    # open("") would fail only once the work is done: the refusal comes
+    # before the verb runs
+    def not_run(args):
+        raise AssertionError(f"{verb} ran")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(importlib.import_module(f"bei._verb_{verb}"), "run", not_run)
+    code, out, err = run([verb, *VERB_CALLS[verb], "-o", ""], capsys)
+    assert out == ""
+    assert_invalid_input(code, err)
+    assert json.loads(err)["error"] == "--output needs a file name, got ''"
+    assert not any(tmp_path.iterdir())
 
 
 def capture(argv):

@@ -13,6 +13,7 @@ from bei import members, vset
 from conftest import (
     assert_matches_naive,
     check_cutset_structure,
+    cone_over,
     decompose_cutset,
     factors_pendants,
     naive_ncomp,
@@ -89,7 +90,7 @@ def test_l_corona_single_attach_is_cone():
             bei.complete_graph(n - 1).edges()
             + [(u + n - 1, v + n - 1) for u, v in h.edges()],
         )
-        assert nx.is_isomorphic(to_nx(prod), to_nx(bei.cone(union)))
+        assert nx.is_isomorphic(to_nx(prod), to_nx(cone_over(union)))
 
 
 def test_spec_validation():
@@ -198,7 +199,9 @@ def test_check_cutset_structure_rejects_non_cutsets(square_leaves_spec):
 
 
 def test_gadget_d2():
-    assert bei.gadget_d2(bei.complete_graph(1)) == bei.Graph(3, [(0, 2), (1, 2)])
+    assert bei.gadget_d2(bei.complete_graph(1)) == bei.Graph(3, [(0, 1), (0, 2)])
+    labelled = bei.gadget_d2(bei.Graph(2, [(0, 1)], labels=["x", "y"]))
+    assert labelled.labels == ("0", "1", "x@0", "y@0")
     g = bei.gadget_d2(bei.path_graph(3))
     assert g.n == 5 and bei.diameter(g) == 2
     for h in (bei.complete_graph(2), bei.path_graph(4), bei.cycle_graph(5)):
@@ -228,7 +231,7 @@ def test_cutsets_of_nested_coronas_match_naive():
         # the pendant is itself factored again
         bei.corona(bei.complete_graph(1), inner),
         # two apexes, each inside the other's pendant
-        bei.cone(bei.cone(inner)),
+        cone_over(cone_over(inner)),
         bei.corona(bei.complete_graph(2), bei.corona(bei.complete_graph(1), c4)),
     ]
     for g in graphs:
@@ -260,7 +263,7 @@ def test_cutsets_of_a_cone_over_a_disconnected_graph_match_naive():
 
     c4, c5 = bei.cycle_graph(4), bei.cycle_graph(5)
     for h in (union(c4, c4), union(c5, c4, bei.complete_graph(2))):
-        g = bei.cone(h)
+        g = cone_over(h)
         assert factors_pendants(g)
         assert_matches_naive(g)
 

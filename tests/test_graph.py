@@ -1,5 +1,4 @@
-"""Graph primitives: components, diameter, cones, simplicial and block
-structure."""
+"""Graph primitives: components, diameter, simplicial and block structure."""
 
 import math
 import random
@@ -96,26 +95,6 @@ def test_distances_from():
     assert bei.distances_from(p4, 0) == [0, 1, 2, 3]
     g = bei.Graph(3, [(0, 1)])
     assert bei.distances_from(g, 0) == [0, 1, math.inf]
-
-
-def test_union_cone_join():
-    assert bei.cone(bei.complete_graph(1)) == bei.complete_graph(2)
-    assert bei.cone(bei.complete_graph(3)) == bei.complete_graph(4)
-    # cone over K_{n-1} + H is the complete base with one copy attached
-    n = 4
-    h = bei.path_graph(3)
-    union = bei.Graph(
-        n - 1 + h.n,
-        bei.complete_graph(n - 1).edges() + [(u + n - 1, v + n - 1) for u, v in h.edges()],
-    )
-    via_cone = bei.cone(union)
-    via_corona = bei.l_corona(bei.CoronaSpec(bei.complete_graph(n), 1, h))
-    assert nx.is_isomorphic(to_nx(via_cone), to_nx(via_corona))
-
-
-def test_cone_diameter_at_most_two():
-    for g in (bei.path_graph(5), bei.Graph(4, [(0, 1)]), bei.Graph(3)):
-        assert bei.diameter(bei.cone(g)) <= 2
 
 
 def test_simplicial_vertices_and_iv():

@@ -13,7 +13,7 @@ from conftest import run_python
 # the submodule that defines each
 PUBLIC = {
     "graph": (
-        "Graph", "VertexSet", "complete_graph", "cone", "cycle_graph", "diameter",
+        "Graph", "VertexSet", "complete_graph", "cycle_graph", "diameter",
         "distances_from", "internal_vertex_count", "is_block_graph", "is_cm_closed",
         "is_connected", "iter_members", "members", "path_graph",
         "simplicial_vertices", "vset",
