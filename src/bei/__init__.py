@@ -68,7 +68,7 @@ _EXPORTS = {
         "cutsets",
     ),
     **dict.fromkeys(
-        ("CoronaSpec", "corona", "corona_spec_from_json", "gadget_d2", "gadget_d3", "l_corona"),
+        ("CoronaSpec", "corona", "corona_spec_from_json", "gadget", "l_corona"),
         "corona",
     ),
     **dict.fromkeys(

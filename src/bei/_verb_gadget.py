@@ -1,7 +1,7 @@
-"""``bei gadget``: the diameter-2 and diameter-3 wrappers of a graph, or a
-check of what the reduction claims for them.  Each wrapper is the L-corona
-that ``construct`` prints: d2 is ``--corona K2 H --attach 0`` (apex 0,
-companion 1, the copy of H at 2..h+1), d3 ``--corona K3 H --attach 0,1``."""
+"""``bei gadget``: the diameter-d wrapper of a graph H, d in {2, 3}, or a
+check of what the reduction claims for it.  The wrapper is K_d with a copy
+of H at each of its first d-1 vertices: the L-corona that ``construct
+--corona K<d> H --attach 0,..,d-2`` prints."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import json
 
 from .bms import verify_reduction_d2, verify_reduction_d3
 from .cli import _add_common, _applies_only, _input_graph, _render_graph, _write_out
-from .corona import gadget_d2, gadget_d3
+from .corona import gadget
 
 
 def add_arguments(p: argparse.ArgumentParser) -> None:
@@ -29,10 +29,8 @@ def run(args) -> int:
     h = _input_graph(args, args.verify, "--verify")
     if args.verify:
         verify = verify_reduction_d2 if args.kind == "d2" else verify_reduction_d3
-        fields = verify(h, args.bound)._asdict().items()
-        payload = {"kind": args.kind, **{k: v for k, v in fields if v is not None}}
+        payload = {"kind": args.kind, **verify(h, args.bound)._asdict()}
         _write_out(json.dumps(payload, indent=2) + "\n", args.output)
         return 0
-    build = gadget_d2 if args.kind == "d2" else gadget_d3
-    _write_out(_render_graph(build(h), args.out or "graph6"), args.output)
+    _write_out(_render_graph(gadget(h, int(args.kind[1])), args.out or "graph6"), args.output)
     return 0

@@ -1,10 +1,12 @@
-"""The two diameter-reduction wrappers and corpus scanning, filtered by
+"""The diameter-reduction wrappers and corpus scanning, filtered by
 diameter, for small accessible graphs.
 
-The wrappers embed an arbitrary connected graph into a graph of diameter
-exactly 2 (an edge with one pendant copy: the cone over the graph plus an
-isolated companion) or exactly 3 (a triangle with two pendant copies) while
-transporting accessibility.  Both are L-coronas, built by ``l_corona``.
+The wrappers form one family: for d in {2, 3}, K_d with a pendant copy of
+a connected graph H at each of its first d-1 vertices, the L-corona that
+``corona.gadget(h, d)`` builds.  It has diameter exactly d (for d = 2 it
+is the cone over H plus an isolated companion) and transports
+accessibility; ``verify_reduction_d2`` and ``verify_reduction_d3`` check
+both claims, and every distance, through one body.
 The scanner classifies graph6 corpora by diameter and the combinatorial
 verdicts, optionally emitting a verification script per accessible graph.
 Cohen-Macaulayness is never claimed by the scanner: records carry only
@@ -35,7 +37,7 @@ from itertools import islice
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .cas import emit_cas_script
-from .corona import gadget_d2, gadget_d3
+from .corona import _gadget_spec, l_corona
 from .cutsets import check_bound, is_accessible, unmixed_report
 from .graph import Graph, diameter, distances_from
 from .io import canonical_graph6, from_graph6
@@ -45,68 +47,52 @@ class ReductionCheck(NamedTuple):
     gadget_vertices: int
     diameter_ok: bool
     accessible_transfer_ok: bool
-    distance_cases_ok: bool | None = None
+    distance_cases_ok: bool
 
 
-def _require_accessible(h: Graph, bound: int | None) -> None:
+def _verify(h: Graph, d: int, bound: int | None) -> ReductionCheck:
+    """For accessible ``h``: the diameter-``d`` wrapper has diameter ``d``,
+    is accessible, and keeps the L-corona-over-K_d distances (1 inside K_d;
+    1 from a base vertex to its own copy, 2 to another; 1 or 2 inside a
+    copy, as ``h`` has the edge; 3 between copies), all read off one BFS
+    table.  An empty or disconnected pendant, or a wrapper above ``bound``,
+    is refused before any cutset search."""
+    spec = _gadget_spec(h, d)
+    check_bound(spec.product_vertices, bound)
     if not is_accessible(h, bound):
         raise ValueError("pendant graph must be accessible")
+    g = l_corona(spec)
+    table = [distances_from(g, u) for u in range(g.n)]
+
+    def expected(u: int, v: int) -> int:  # u < v; copy r hangs at vertex r
+        if v < d:
+            return 1
+        cv, iv = divmod(v - d, h.n)
+        if u < d:
+            return 1 if u == cv else 2
+        cu, iu = divmod(u - d, h.n)
+        if cu != cv:
+            return 3
+        return 1 if h.has_edge(iu, iv) else 2
+
+    return ReductionCheck(
+        gadget_vertices=g.n,
+        diameter_ok=max(map(max, table)) == d,
+        accessible_transfer_ok=is_accessible(g, bound),
+        distance_cases_ok=all(
+            table[u][v] == expected(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+        ),
+    )
 
 
 def verify_reduction_d2(h: Graph, bound: int | None = None) -> ReductionCheck:
-    """For accessible ``h``: the diameter-2 wrapper has diameter exactly 2
-    and is accessible again."""
-    _require_accessible(h, bound)
-    g = gadget_d2(h)
-    return ReductionCheck(
-        gadget_vertices=g.n,
-        diameter_ok=diameter(g) == 2,
-        accessible_transfer_ok=is_accessible(g, bound),
-    )
-
-
-def _expected_d3_distance(h: Graph, u: int, v: int) -> int:
-    """Piecewise distance in the diameter-3 wrapper (copies at 0 and 1,
-    bare triangle vertex 2, copy of h at 0 first).  The case split refines
-    the four-way one: a carrier vertex and the opposite copy sit at
-    distance 2, not 1."""
-    hn = h.n
-
-    def copy_of(x: int) -> int | None:
-        if x < 3:
-            return None
-        return 0 if x < 3 + hn else 1
-
-    cu, cv = copy_of(u), copy_of(v)
-    if cu is not None and cv is not None:
-        if cu != cv:
-            return 3
-        iu = u - 3 - cu * hn
-        iv = v - 3 - cv * hn
-        return 1 if h.has_edge(iu, iv) else 2
-    if cu is None and cv is None:
-        return 1  # base triangle
-    base, cx = (u, cv) if cu is None else (v, cu)
-    if base == 2:
-        return 2
-    return 1 if base == cx else 2
+    """``_verify`` of the diameter-2 wrapper."""
+    return _verify(h, 2, bound)
 
 
 def verify_reduction_d3(h: Graph, bound: int | None = None) -> ReductionCheck:
-    """For accessible ``h``: the diameter-3 wrapper has diameter exactly 3,
-    is accessible again, and its pairwise distances match the piecewise
-    formula.  Both distance checks read one table, a BFS from each vertex."""
-    _require_accessible(h, bound)
-    g = gadget_d3(h)
-    table = [distances_from(g, u) for u in range(g.n)]
-    return ReductionCheck(
-        gadget_vertices=g.n,
-        diameter_ok=max(map(max, table)) == 3,
-        accessible_transfer_ok=is_accessible(g, bound),
-        distance_cases_ok=all(
-            table[u][v] == _expected_d3_distance(h, u, v) for u in range(g.n) for v in range(u + 1, g.n)
-        ),
-    )
+    """``_verify`` of the diameter-3 wrapper."""
+    return _verify(h, 3, bound)
 
 
 # ---------------------------------------------------------------------------

@@ -98,17 +98,20 @@ def corona(g: Graph, h: Graph) -> Graph:
 # diameter-reduction gadgets
 
 
-def gadget_d2(h: Graph) -> Graph:
-    """Edge with a pendant copy of ``h`` at one end: the cone over ``h``
-    plus an isolated companion vertex, a diameter-2 wrapper.  Layout: apex
-    0, companion 1, the copy of ``h`` at 2..h.n+1."""
-    return l_corona(CoronaSpec(complete_graph(2), 0b01, h))
+def _gadget_spec(h: Graph, d: int) -> CoronaSpec:
+    """The spec of ``gadget(h, d)``: K_d, attach set {0..d-2}, pendant ``h``."""
+    if d not in (2, 3):
+        raise ValueError(f"a diameter wrapper has diameter 2 or 3, got {d}")
+    return CoronaSpec(complete_graph(d), (1 << d - 1) - 1, h)
 
 
-def gadget_d3(h: Graph) -> Graph:
-    """Triangle with pendant copies of ``h`` at two of its vertices: a
-    diameter-3 wrapper.  Base triangle at 0,1,2 with copies at 0 and 1."""
-    return l_corona(CoronaSpec(complete_graph(3), 0b011, h))
+def gadget(h: Graph, d: int) -> Graph:
+    """The diameter-``d`` wrapper of ``h``, for d in {2, 3}: K_d with a
+    pendant copy of ``h`` at each of its first d-1 vertices.  d = 2: apex
+    0 with the copy of ``h`` at 2..h.n+1, companion 1 (the cone over ``h``
+    plus an isolated vertex).  d = 3: triangle 0,1,2 with the copy at 0 on
+    3..h.n+2, the copy at 1 on h.n+3..2h.n+2, and 2 bare."""
+    return l_corona(_gadget_spec(h, d))
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +125,11 @@ def corona_spec_from_json(
     a field of the wrong type, or a negative, repeated or out-of-range ``L``
     entry, is a ValueError.  The base's graph6 string is checked first, for
     the range of ``L``, then the pendant's; ``check_n``, when given, sees
-    the product's declared vertex count before either graph is decoded."""
+    the product's declared vertex count before either graph is decoded.
+    An unknown key (a misspelt field) is a ValueError naming it."""
+    for key in obj:
+        if key not in ("base", "L", "pendant"):
+            raise ValueError(f"corona spec has an unknown field {key!r}")
     base, attach, pend = obj["base"], obj["L"], obj["pendant"]
     if not isinstance(base, str) or not isinstance(pend, str):
         raise ValueError("corona spec fields 'base' and 'pendant' must be graph6 strings")

@@ -91,6 +91,10 @@ class Graph:
         lab = None if labels is None else tuple(str(x) for x in labels)
         if lab is not None and len(lab) != n:
             raise ValueError("labels length must equal vertex count")
+        if lab is not None and len(set(lab)) < n:
+            last = {x: v for v, x in enumerate(lab)}
+            repeated = next(x for v, x in enumerate(lab) if last[x] != v)
+            raise ValueError(f"vertex label {repeated!r} is repeated")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", tuple(adj))
         object.__setattr__(self, "labels", lab)

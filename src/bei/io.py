@@ -248,8 +248,12 @@ def _is_json_int(value) -> bool:
 
 def graph_from_json(obj: dict, check_n: Callable[[int], None] | None = None) -> Graph:
     """Graph from ``{"n": int, "edges": [[u, v], ...], "labels": [...]}``;
-    a field of the wrong type is a ValueError.  ``check_n``, when given,
-    sees the declared vertex count before a graph of that size is built."""
+    a field of the wrong type, or an unknown key (a misspelt field), is a
+    ValueError.  ``check_n``, when given, sees the declared vertex count
+    before a graph of that size is built."""
+    for key in obj:
+        if key not in ("n", "edges", "labels"):
+            raise ValueError(f"JSON graph has an unknown field {key!r}")
     n, edges, labels = obj["n"], obj.get("edges", []), obj.get("labels")
     if not _is_json_int(n):
         raise ValueError(f"JSON graph field 'n' must be an integer, got {n!r}")

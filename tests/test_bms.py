@@ -1,6 +1,7 @@
 """Diameter wrappers, their verification records, and corpus scanning."""
 
 import concurrent.futures
+import functools
 import itertools
 import json
 
@@ -8,69 +9,118 @@ import pytest
 
 import bei
 from bei import bms
-from bei.bms import _expected_d3_distance
 
 from conftest import connected_atlas, to_nx
 
 
+VERIFY = {2: bei.verify_reduction_d2, 3: bei.verify_reduction_d3}
+
+
+@functools.cache
+def accessible_atlas():
+    return [h for h in connected_atlas(7) if bei.is_accessible(h)]
+
+
 def test_verify_reduction_d2():
     for h in (bei.complete_graph(1), bei.complete_graph(2), bei.path_graph(4)):
-        check = bei.verify_reduction_d2(h)
-        assert check.gadget_vertices == h.n + 2
-        assert check.diameter_ok and check.accessible_transfer_ok
-        assert check.distance_cases_ok is None
-
-
-def test_the_d2_gadget_of_every_accessible_atlas_graph_is_a_cone_over_h_plus_k1():
-    nx = pytest.importorskip("networkx")
-    accessible = [h for h in connected_atlas(7) if bei.is_accessible(h)]
-    assert len(accessible) == 82
-    for h in accessible:
-        assert bei.verify_reduction_d2(h) == (h.n + 2, True, True, None)
-        cone = nx.disjoint_union(to_nx(h), nx.empty_graph(1))
-        cone.add_edges_from((h.n + 1, v) for v in range(h.n + 1))
-        assert nx.is_isomorphic(to_nx(bei.gadget_d2(h)), cone), bei.to_graph6(h)
+        assert bei.verify_reduction_d2(h) == (h.n + 2, True, True, True)
 
 
 def test_verify_reduction_d3():
     for h in (bei.complete_graph(2), bei.path_graph(3), bei.path_graph(4)):
-        check = bei.verify_reduction_d3(h)
-        assert check.gadget_vertices == 3 + 2 * h.n
-        assert check.diameter_ok
-        assert check.accessible_transfer_ok
-        assert check.distance_cases_ok
+        assert bei.verify_reduction_d3(h) == (3 + 2 * h.n, True, True, True)
+
+
+def test_the_d2_gadget_of_every_accessible_atlas_graph_is_a_cone_over_h_plus_k1():
+    nx = pytest.importorskip("networkx")
+    assert len(accessible_atlas()) == 82
+    for h in accessible_atlas():
+        assert bei.verify_reduction_d2(h) == (h.n + 2, True, True, True)
+        cone = nx.disjoint_union(to_nx(h), nx.empty_graph(1))
+        cone.add_edges_from((h.n + 1, v) for v in range(h.n + 1))
+        assert nx.is_isomorphic(to_nx(bei.gadget(h, 2)), cone), bei.to_graph6(h)
+
+
+def test_the_d3_gadget_of_every_accessible_atlas_graph_passes_its_check():
+    assert len(accessible_atlas()) == 82
+    for h in accessible_atlas():
+        assert bei.verify_reduction_d3(h) == (3 + 2 * h.n, True, True, True)
 
 
 def test_verify_rejects_inaccessible_pendants():
     star = bei.Graph(4, [(0, 1), (0, 2), (0, 3)])  # not unmixed
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="pendant graph must be accessible"):
         bei.verify_reduction_d2(star)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="pendant graph must be accessible"):
         bei.verify_reduction_d3(bei.cycle_graph(4))  # fails the system
 
 
-def test_d3_distance_formula_matches_bfs_exhaustively():
+@pytest.mark.parametrize("d", [2, 3])
+def test_verify_refuses_a_disconnected_pendant_before_any_cutset_search(monkeypatch, d):
+    def searched(*args):
+        raise AssertionError("a cutset search ran")
+
+    monkeypatch.setattr(bms, "is_accessible", searched)
+    two_c10 = bei.Graph(20, [*bei.cycle_graph(10).edges(), *((u + 10, v + 10) for u, v in bei.cycle_graph(10).edges())])
+    with pytest.raises(ValueError, match="pendant graph must be connected"):
+        VERIFY[d](two_c10)
+    with pytest.raises(ValueError, match="at least one vertex"):
+        VERIFY[d](bei.Graph(0))
+
+
+def test_verify_refuses_an_over_bound_wrapper_before_any_cutset_search(monkeypatch):
+    def searched(*args):
+        raise AssertionError("a cutset search ran")
+
+    monkeypatch.setattr(bms, "is_accessible", searched)
+    # P23 is within the default bound of 24, its d2 wrapper is not
+    with pytest.raises(bei.EnumerationBoundError, match="25 vertices exceeds the enumeration bound 24"):
+        bei.verify_reduction_d2(bei.path_graph(23))
+    with pytest.raises(bei.EnumerationBoundError, match="11 vertices exceeds the enumeration bound 10"):
+        bei.verify_reduction_d3(bei.path_graph(4), bound=10)
+
+
+def expected_distance(h, d, u, v):
+    """Distance between vertices ``u != v`` of ``gadget(h, d)``, read off
+    the vertex each one hangs from: K_d's vertex itself, or the base vertex
+    carrying its copy of ``h``."""
+    def hangs_from(x):
+        return x if x < d else (x - d) // h.n
+
+    if u < d and v < d:
+        return 1  # inside K_d
+    if u < d or v < d:
+        base, other = (u, v) if u < d else (v, u)
+        return 1 if hangs_from(other) == base else 2
+    if hangs_from(u) != hangs_from(v):
+        return 3  # two copies, through their carriers
+    return 1 if h.has_edge((u - d) % h.n, (v - d) % h.n) else 2
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_wrapper_distances_match_bfs_exhaustively(d):
     for h in connected_atlas(4):
-        g = bei.gadget_d3(h)
+        g = bei.gadget(h, d)
         for u in range(g.n):
             du = bei.distances_from(g, u)
-            for v in range(u + 1, g.n):
-                assert du[v] == _expected_d3_distance(h, u, v)
+            for v in range(g.n):
+                if v != u:
+                    assert du[v] == expected_distance(h, d, u, v), (bei.to_graph6(h), u, v)
 
 
-def test_d3_distance_cases_spotchecks():
-    h = bei.path_graph(3)
-    hn = h.n
-    # vertices in different pendant copies sit at distance 3
-    assert _expected_d3_distance(h, 3, 3 + hn) == 3
-    # same copy, non-adjacent: 2; same copy, adjacent: 1
-    assert _expected_d3_distance(h, 3, 5) == 2
-    assert _expected_d3_distance(h, 3, 4) == 1
-    # the bare triangle vertex sits at distance 2 from every copy vertex
-    assert _expected_d3_distance(h, 2, 4) == 2
-    # a carrier and the opposite copy: 2
-    assert _expected_d3_distance(h, 0, 3 + hn) == 2
-    assert _expected_d3_distance(h, 0, 3) == 1
+@pytest.mark.parametrize("d", [2, 3])
+def test_the_distance_check_sees_a_wrong_wrapper(monkeypatch, d):
+    # an edge from K_d's last vertex, which carries no copy, into the first
+    # copy keeps the diameter at d but breaks the distance rule
+    real = bms.l_corona
+
+    def miswired(spec):
+        g = real(spec)
+        return bei.Graph(g.n, [*g.edges(), (d - 1, d)])
+
+    monkeypatch.setattr(bms, "l_corona", miswired)
+    check = VERIFY[d](bei.path_graph(3))
+    assert check.diameter_ok and not check.distance_cases_ok
 
 
 def scan_lines(graphs):

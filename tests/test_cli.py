@@ -221,18 +221,41 @@ def test_a_mode_or_modifier_that_would_be_ignored_is_refused(capsys, argv, error
 
 
 def test_gadget_verify_builds_the_wrapper_once(capsys, monkeypatch):
-    corona_module = importlib.import_module("bei.corona")  # bei.corona is the function
-    real = corona_module.l_corona
+    bms_module = importlib.import_module("bei.bms")
+    real = bms_module.l_corona
     calls = []
 
     def counting(spec):
         calls.append(spec)
         return real(spec)
 
-    monkeypatch.setattr(corona_module, "l_corona", counting)
-    code, out, _ = run(["gadget", "--kind", "d3", "--verify", "-i", "P4"], capsys)
-    assert code == 0 and json.loads(out)["gadget_vertices"] == 11
-    assert len(calls) == 1
+    monkeypatch.setattr(bms_module, "l_corona", counting)
+    for kind, size in (("d2", 6), ("d3", 11)):
+        calls.clear()
+        code, out, _ = run(["gadget", "--kind", kind, "--verify", "-i", "P4"], capsys)
+        assert code == 0 and json.loads(out)["gadget_vertices"] == size
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kind", ["d2", "d3"])
+def test_gadget_verify_refuses_a_disconnected_pendant(capsys, monkeypatch, kind):
+    c10 = cycle_graph(10).edges()
+    two_c10 = format_edge_list(bei.Graph(20, [*c10, *((u + 10, v + 10) for u, v in c10)]))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(two_c10))
+    code, out, err = run(["gadget", "--kind", kind, "--verify", "-i", "-"], capsys)
+    assert out == ""
+    assert_invalid_input(code, err)
+    assert json.loads(err)["error"] == "pendant graph must be connected"
+
+
+def test_construct_refuses_a_product_label_that_repeats_a_base_label(tmp_path, capsys):
+    # the copy of K1 at base vertex "a" is labelled "0@a", a base label
+    base = tmp_path / "base.txt"
+    base.write_text("0@a a\n")
+    code, out, err = run(["construct", "--corona", str(base), "K1", "--out", "edgelist"], capsys)
+    assert out == ""
+    assert_invalid_input(code, err)
+    assert json.loads(err)["error"] == "vertex label '0@a' is repeated"
 
 
 def test_construct_rejects_repeated_attach_vertex(capsys):

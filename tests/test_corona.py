@@ -199,29 +199,33 @@ def test_check_cutset_structure_rejects_non_cutsets(square_leaves_spec):
 
 
 def test_gadget_d2():
-    assert bei.gadget_d2(bei.complete_graph(1)) == bei.Graph(3, [(0, 1), (0, 2)])
-    labelled = bei.gadget_d2(bei.Graph(2, [(0, 1)], labels=["x", "y"]))
+    assert bei.gadget(bei.complete_graph(1), 2) == bei.Graph(3, [(0, 1), (0, 2)])
+    labelled = bei.gadget(bei.Graph(2, [(0, 1)], labels=["x", "y"]), 2)
     assert labelled.labels == ("0", "1", "x@0", "y@0")
-    g = bei.gadget_d2(bei.path_graph(3))
-    assert g.n == 5 and bei.diameter(g) == 2
-    for h in (bei.complete_graph(2), bei.path_graph(4), bei.cycle_graph(5)):
-        gg = bei.gadget_d2(h)
-        assert gg.n == h.n + 2
-        assert bei.diameter(gg) == 2
-    with pytest.raises(ValueError):
-        bei.gadget_d2(bei.Graph(3, [(0, 1)]))
+    for h in (bei.complete_graph(2), bei.path_graph(3), bei.path_graph(4), bei.cycle_graph(5)):
+        g = bei.gadget(h, 2)
+        assert g.n == h.n + 2
+        assert bei.diameter(g) == 2
+    with pytest.raises(ValueError, match="pendant graph must be connected"):
+        bei.gadget(bei.Graph(3, [(0, 1)]), 2)
 
 
 def test_gadget_d3():
-    g = bei.gadget_d3(bei.complete_graph(1))
-    assert g.n == 5 and bei.diameter(g) == 3
-    assert bei.gadget_d3(bei.path_graph(2)).n == 7
-    for h in (bei.complete_graph(2), bei.path_graph(3), bei.cycle_graph(4)):
-        gg = bei.gadget_d3(h)
-        assert gg.n == 3 + 2 * h.n
-        assert bei.diameter(gg) == 3
-    with pytest.raises(ValueError):
-        bei.gadget_d3(bei.Graph(2))
+    assert bei.gadget(bei.complete_graph(1), 3) == bei.Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4)])
+    labelled = bei.gadget(bei.Graph(2, [(0, 1)], labels=["x", "y"]), 3)
+    assert labelled.labels == ("0", "1", "2", "x@0", "y@0", "x@1", "y@1")
+    for h in (bei.complete_graph(1), bei.complete_graph(2), bei.path_graph(3), bei.cycle_graph(4)):
+        g = bei.gadget(h, 3)
+        assert g.n == 3 + 2 * h.n
+        assert bei.diameter(g) == 3
+    with pytest.raises(ValueError, match="at least one vertex"):
+        bei.gadget(bei.Graph(0), 3)
+
+
+@pytest.mark.parametrize("d", [1, 4])
+def test_gadget_refuses_other_diameters(d):
+    with pytest.raises(ValueError, match="diameter 2 or 3"):
+        bei.gadget(bei.path_graph(3), d)
 
 
 def test_cutsets_of_nested_coronas_match_naive():
@@ -241,10 +245,10 @@ def test_cutsets_of_nested_coronas_match_naive():
 
 def test_cutsets_of_gadgets_match_naive():
     graphs = [
-        bei.gadget_d2(bei.cycle_graph(7)),
-        bei.gadget_d2(bei.corona(bei.complete_graph(2), bei.cycle_graph(4))),
-        bei.gadget_d3(bei.cycle_graph(4)),
-        bei.gadget_d3(bei.cycle_graph(5)),
+        bei.gadget(bei.cycle_graph(7), 2),
+        bei.gadget(bei.corona(bei.complete_graph(2), bei.cycle_graph(4)), 2),
+        bei.gadget(bei.cycle_graph(4), 3),
+        bei.gadget(bei.cycle_graph(5), 3),
     ]
     for g in graphs:
         assert factors_pendants(g)
@@ -279,3 +283,8 @@ def test_spec_json_roundtrip(square_leaves_spec):
     assert back.base == square_leaves_spec.base
     assert back.attach_set == square_leaves_spec.attach_set
     assert back.pendant == square_leaves_spec.pendant
+
+
+def test_spec_json_refuses_an_unknown_field():
+    with pytest.raises(ValueError, match="corona spec has an unknown field 'n'"):
+        bei.corona_spec_from_json({"base": "Bw", "L": [0], "pendant": "@", "n": 4})

@@ -34,6 +34,14 @@ def test_graph_rejects_bad_edges():
         bei.Graph(2, [], labels=["a"])
 
 
+def test_graph_refuses_a_repeated_label():
+    # an edge list names vertices by label, so "a a" would read back as a self-loop
+    with pytest.raises(ValueError, match="vertex label 'a' is repeated"):
+        bei.Graph(3, [(0, 1)], labels=["a", "b", "a"])
+    with pytest.raises(ValueError, match="vertex label '1' is repeated"):
+        bei.Graph(2, [(0, 1)], labels=[1, "1"])
+
+
 def test_graph_is_immutable():
     g = bei.path_graph(3)
     with pytest.raises(AttributeError):

@@ -180,3 +180,10 @@ def test_graph_json_roundtrip():
     obj = graph_to_json(g)
     back = graph_from_json(obj)
     assert back == g and back.labels == g.labels
+
+
+@pytest.mark.parametrize("key", ["edge", "lables", "base"])
+def test_graph_json_refuses_an_unknown_field(key):
+    obj = {"n": 2, "edges": [[0, 1]], key: [[0, 1]]}
+    with pytest.raises(ValueError, match=f"JSON graph has an unknown field '{key}'"):
+        graph_from_json(obj)

@@ -28,7 +28,7 @@ PUBLIC = {
         "is_accessible", "is_cutset", "iter_cutsets", "unmixed_report",
     ),
     "corona": (
-        "CoronaSpec", "corona", "corona_spec_from_json", "gadget_d2", "gadget_d3", "l_corona",
+        "CoronaSpec", "corona", "corona_spec_from_json", "gadget", "l_corona",
     ),
     "invariants": (
         "BaseInvariants", "InvariantReport", "Verdict", "base_invariants_block_graph",

@@ -18,7 +18,7 @@ def one_of_each():
     p3 = bei.path_graph(3)
     spec = bei.CoronaSpec(bei.complete_graph(2), vset([0]), p3)
     return [
-        (bei.ReductionCheck(5, True, True), "diameter_ok"),
+        (bei.ReductionCheck(5, True, True, True), "diameter_ok"),
         (next(bei.bms_scan(["Bw"])), "n"),
         (spec, "base"),
         (decompose_cutset(spec, vset([0])), "t0"),
