@@ -52,8 +52,6 @@ def _base_record(args) -> tuple[BaseInvariants, Graph | None]:
         base = base_invariants_block_graph(block_graph, bound=args.bound)
     else:
         obj = json.loads(_named_file(args.pendant_base_json, "--pendant-base-json").read_text())
-        if not isinstance(obj, dict):
-            raise ValueError(f"pendant record must be a JSON object, got {type(obj).__name__}")
         base = BaseInvariants.from_json(obj)
     if pendant_graph is None:
         return base, block_graph

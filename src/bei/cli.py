@@ -13,10 +13,10 @@ of graph6 characters (after an optional ``>>graph6<<`` header) is graph6,
 and anything else is an edge list.  No valid input fits two of these: a
 JSON graph's keys are quoted, no graph6 character is ``"``, and an
 edge-list line holds two words.  A graph6 input of more than one graph is
-refused; ``bei scan`` reads a corpus.  A JSON file with
-``base``/``L``/``pendant`` keys is a corona specification and stands for its
-constructed product.  Validation and bound errors exit nonzero with a
-machine-readable JSON object on stderr.
+refused; ``bei scan`` reads a corpus.  A JSON object with any of the keys
+``base``, ``L`` and ``pendant`` is a corona specification, which stands for
+its constructed product and must hold all three.  Validation and bound
+errors exit nonzero with a machine-readable JSON object on stderr.
 
 Each verb's arguments, command and own helpers live in ``bei._verb_<verb>``
 (``bei._verb_cutsets`` and so on), which exposes ``add_arguments(p)`` and
@@ -66,10 +66,10 @@ def _graph_arg(token: str, check_n: Callable[[int], None] | None = None) -> Grap
     A ``.g6``/``.graph6`` suffix means graph6 and ``.json`` JSON; else text
     that starts with ``{`` and holds ``"`` is JSON, a first nonblank line
     that is one word of graph6 characters is graph6 (of one line only), and
-    the rest is an edge list.  ``check_n`` sees the vertex count a graph
-    name, a graph6 line, a JSON object (a corona spec's product included)
-    or an edge list of indices declares before a graph of that size is
-    built."""
+    the rest is an edge list.  A JSON object with any of ``base``, ``L`` and
+    ``pendant`` is a corona spec.  ``check_n`` sees the vertex count a graph
+    name, graph6 line, JSON object (a spec's product included) or edge list
+    of indices declares before a graph of that size is built."""
     if is_graph_name(token):
         return graph_from_name(token, check_n)
     if token == "-":
@@ -87,9 +87,7 @@ def _graph_arg(token: str, check_n: Callable[[int], None] | None = None) -> Grap
     g6_suffix = lower.endswith((".g6", ".graph6"))
     if lower.endswith(".json") or (not g6_suffix and text.lstrip().startswith("{") and '"' in text):
         obj = json.loads(text)
-        if not isinstance(obj, dict):
-            raise ValueError(f"JSON graph input must be an object, got {type(obj).__name__}")
-        if {"base", "L", "pendant"} <= obj.keys():
+        if isinstance(obj, dict) and not obj.keys().isdisjoint(("base", "L", "pendant")):
             return l_corona(corona_spec_from_json(obj, check_n))
         return graph_from_json(obj, check_n)
     if g6_suffix or is_graph6_word(lines[0]):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 from .graph import Graph, VertexSet, checked_vset, complete_graph, is_connected, members
-from .io import _graph6_checked, _graph6_decode, _is_json_int
+from .io import _graph6_checked, _graph6_decode, _is_int_list, _json_fields
 
 
 def _checked_make(cls, iterable):
@@ -118,23 +118,18 @@ def gadget(h: Graph, d: int) -> Graph:
 # wire format
 
 
+_GRAPH6 = (lambda value: isinstance(value, str), "a graph6 string")
+_SPEC_FIELDS = {"base": _GRAPH6, "L": (_is_int_list, "a list of base vertex indices"), "pendant": _GRAPH6}
+
+
 def corona_spec_from_json(
     obj: dict, check_n: Callable[[int], None] | None = None
 ) -> CoronaSpec:
-    """Spec from ``{"base": graph6, "L": [vertex, ...], "pendant": graph6}``;
-    a field of the wrong type, or a negative, repeated or out-of-range ``L``
-    entry, is a ValueError.  The base's graph6 string is checked first, for
-    the range of ``L``, then the pendant's; ``check_n``, when given, sees
-    the product's declared vertex count before either graph is decoded.
-    An unknown key (a misspelt field) is a ValueError naming it."""
-    for key in obj:
-        if key not in ("base", "L", "pendant"):
-            raise ValueError(f"corona spec has an unknown field {key!r}")
-    base, attach, pend = obj["base"], obj["L"], obj["pendant"]
-    if not isinstance(base, str) or not isinstance(pend, str):
-        raise ValueError("corona spec fields 'base' and 'pendant' must be graph6 strings")
-    if not isinstance(attach, list) or not all(map(_is_json_int, attach)):
-        raise ValueError("corona spec field 'L' must be a list of base vertex indices")
+    """Spec from ``{"base": graph6, "L": [vertex, ...], "pendant": graph6}``.
+    The base's graph6 string is checked first, for the range of ``L`` (no
+    entry may be negative, repeated or out of range), then the pendant's;
+    ``check_n`` sees the product's vertex count before either is decoded."""
+    base, attach, pend = _json_fields(obj, "corona spec", _SPEC_FIELDS)
     n_base, base_body = _graph6_checked(base)
     mask = checked_vset(attach, "corona spec field 'L'", n_base)
     n_pend, pend_body = _graph6_checked(pend)

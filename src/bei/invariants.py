@@ -33,7 +33,7 @@ from typing import NamedTuple
 from .corona import _checked_make
 from .cutsets import enumerate_cutsets
 from .graph import Graph, independence_number, internal_vertex_count, is_block_graph, is_cm_closed
-from .io import _is_json_int
+from .io import _is_json_int, _json_fields
 
 L_CORONA = "l_corona_complete"
 FULL_CORONA = "full_corona_complete"
@@ -135,48 +135,32 @@ class BaseInvariants(_BaseInvariantsFields):
 
     @classmethod
     def from_json(cls, obj: dict) -> "BaseInvariants":
-        """The record ``to_json`` writes.  An unknown key (a misspelt field)
-        is a ValueError naming it; a missing required field is a KeyError; a
-        field of the wrong JSON type, or a derived field that disagrees with
-        the stored ones, is a ValueError naming it."""
-        known = ("h", "dim", "depth", "reg", "pd", "is_complete", "is_unmixed", "is_cm",
-                 "is_accessible", "r_extremal", "provenance")
-        for key in obj:
-            if key not in known:
-                raise ValueError(f"pendant record has an unknown field {key!r}")
-
-        def field(key: str, ok, kind: str, *default):
-            value = obj.get(key, *default) if default else obj[key]
-            if not ok(value):
-                raise ValueError(
-                    f"pendant record field {key!r} must be {kind}, got {json.dumps(value)}"
-                )
-            return value
-
-        def integer(key: str) -> int:
-            return field(key, _is_json_int, "an integer")
-
-        def verdict(key: str) -> bool | None:
-            return field(key, lambda v: v is None or isinstance(v, bool), "a boolean or null", None)
-
-        h, dim, depth, reg = (integer(key) for key in ("h", "dim", "depth", "reg"))
-        stored = (
-            verdict("is_unmixed"),
-            verdict("is_accessible"),
-            field("r_extremal", lambda v: v is None or _is_json_int(v), "an integer or null", None),
-            field("provenance", lambda v: isinstance(v, str), "a string", "user-supplied"),
-        )
-        integer("pd")
-        field("is_complete", lambda v: isinstance(v, bool), "a boolean")
-        verdict("is_cm")
+        """The record ``to_json`` writes; a derived field that disagrees with
+        the stored ones is a ValueError naming it, as a bad field is."""
+        h, dim, depth, reg, *stored, pd, complete, cm = _json_fields(obj, "pendant record", _RECORD_FIELDS)
         # a derived field that disagrees is named before the checks of __new__
-        for key, derived, rule in (
-            ("pd", 2 * h - depth, "2h - depth"),
-            ("is_complete", reg == 1, "complete exactly when reg = 1"),
-            ("is_cm", depth == dim, "Cohen-Macaulay exactly when depth = dim"),
+        for key, value, derived, rule in (
+            ("pd", pd, 2 * h - depth, "2h - depth"),
+            ("is_complete", complete, reg == 1, "complete exactly when reg = 1"),
+            ("is_cm", cm, depth == dim, "Cohen-Macaulay exactly when depth = dim"),
         ):
-            field(key, lambda v: v in (None, derived), f"{json.dumps(derived)} ({rule})", None)
+            if value not in (None, derived):
+                must = f"{json.dumps(derived)} ({rule})"
+                raise ValueError(f"pendant record field {key!r} must be {must}, got {json.dumps(value)}")
         return cls(h, dim, depth, reg, *stored)
+
+
+_VERDICT = (lambda v: v is None or isinstance(v, bool), "a boolean or null", None)
+# the stored fields in the order of BaseInvariants, then the derived ones
+_RECORD_FIELDS = {
+    **dict.fromkeys(("h", "dim", "depth", "reg"), (_is_json_int, "an integer")),
+    **dict.fromkeys(("is_unmixed", "is_accessible"), _VERDICT),
+    "r_extremal": (lambda v: v is None or _is_json_int(v), "an integer or null", None),
+    "provenance": (lambda v: isinstance(v, str), "a string", "user-supplied"),
+    "pd": (_is_json_int, "an integer"),
+    "is_complete": (lambda v: isinstance(v, bool), "a boolean"),
+    "is_cm": _VERDICT,
+}
 
 
 def base_invariants_block_graph(g: Graph, bound: int | None = None) -> BaseInvariants:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import re
 from typing import Callable
 
@@ -246,23 +247,46 @@ def _is_json_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def graph_from_json(obj: dict, check_n: Callable[[int], None] | None = None) -> Graph:
-    """Graph from ``{"n": int, "edges": [[u, v], ...], "labels": [...]}``;
-    a field of the wrong type, or an unknown key (a misspelt field), is a
-    ValueError.  ``check_n``, when given, sees the declared vertex count
-    before a graph of that size is built."""
+def _list_of(ok: Callable[[object], bool]) -> Callable[[object], bool]:
+    return lambda value: isinstance(value, list) and all(map(ok, value))
+
+
+def _json_fields(obj, what: str, fields: dict) -> list:
+    """The values of ``obj``, a JSON record called ``what``, in the order of
+    ``fields``: each key maps to ``(check, kind)``, or to ``(check, kind,
+    default)`` if it may be left out.  A non-object, an unknown or missing
+    key, or a failing value is a ValueError naming ``what`` and the key; a
+    list, object or long value is shown by its type, not its whole text."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
     for key in obj:
-        if key not in ("n", "edges", "labels"):
-            raise ValueError(f"JSON graph has an unknown field {key!r}")
-    n, edges, labels = obj["n"], obj.get("edges", []), obj.get("labels")
-    if not _is_json_int(n):
-        raise ValueError(f"JSON graph field 'n' must be an integer, got {n!r}")
-    if not isinstance(edges, list) or not all(
-        isinstance(e, list) and len(e) == 2 and all(map(_is_json_int, e)) for e in edges
-    ):
-        raise ValueError("JSON graph field 'edges' must be a list of [u, v] integer pairs")
-    if labels is not None and not isinstance(labels, list):
-        raise ValueError("JSON graph field 'labels' must be a list")
+        if key not in fields:
+            raise ValueError(f"{what} has an unknown field {key!r}")
+    values = []
+    for key, (check, kind, *default) in fields.items():
+        if key not in obj and not default:
+            raise ValueError(f"{what} has no field {key!r}")
+        value = obj.get(key, *default)
+        if key in obj and not check(value):
+            shown = type(value).__name__ if isinstance(value, (list, dict)) else json.dumps(value)
+            shown = shown if len(shown) <= 40 else type(value).__name__
+            raise ValueError(f"{what} field {key!r} must be {kind}, got {shown}")
+        values.append(value)
+    return values
+
+
+_is_int_list = _list_of(_is_json_int)
+_GRAPH_FIELDS = {
+    "n": (_is_json_int, "an integer"),
+    "edges": (_list_of(lambda e: _is_int_list(e) and len(e) == 2), "a list of [u, v] integer pairs", ()),
+    "labels": (_list_of(lambda x: isinstance(x, str)), "a list of strings", None),
+}
+
+
+def graph_from_json(obj: dict, check_n: Callable[[int], None] | None = None) -> Graph:
+    """Graph from ``{"n": int, "edges": [[u, v], ...], "labels": [str, ...]}``;
+    ``check_n``, when given, sees ``n`` before a graph of that size is built."""
+    n, edges, labels = _json_fields(obj, "JSON graph", _GRAPH_FIELDS)
     if check_n is not None:
         check_n(n)
     return Graph(n, edges, labels=labels)

@@ -72,7 +72,7 @@ def test_non_object_json_input_is_invalid(tmp_path, capsys, text):
     assert out == ""
     assert_invalid_input(code, err)
     if not text.startswith("{"):
-        assert json.loads(err)["error"].startswith("JSON graph input must be an object")
+        assert json.loads(err)["error"].startswith("JSON graph must be a JSON object, got ")
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])

@@ -47,7 +47,7 @@ def test_base_invariants_json_roundtrip():
     assert bei.BaseInvariants.from_json(P3_RECORD) == rec._replace(provenance="user-supplied")
     # the derived fields may be left out, except the required pd and is_complete
     assert bei.BaseInvariants.from_json({**P3_RECORD, "is_cm": None}).is_cm is True
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="^pendant record has no field 'pd'$"):
         bei.BaseInvariants.from_json({k: v for k, v in P3_RECORD.items() if k != "pd"})
 
 

@@ -187,3 +187,61 @@ def test_graph_json_refuses_an_unknown_field(key):
     obj = {"n": 2, "edges": [[0, 1]], key: [[0, 1]]}
     with pytest.raises(ValueError, match=f"JSON graph has an unknown field '{key}'"):
         graph_from_json(obj)
+
+
+# each JSON record reader: its name in errors, a good record, a required key
+# and a value of the wrong type for some key
+READERS = {
+    "graph": (graph_from_json, "JSON graph", {"n": 2, "edges": [[0, 1]], "labels": ["a", "b"]},
+              "n", ("labels", [None, "a"])),
+    "spec": (bei.corona_spec_from_json, "corona spec", {"base": "Bw", "L": [0], "pendant": "@"},
+             "pendant", ("L", [0.5])),
+    "record": (bei.BaseInvariants.from_json, "pendant record",
+               {"h": 3, "dim": 4, "depth": 4, "reg": 2, "pd": 2, "is_complete": False},
+               "reg", ("is_unmixed", "yes")),
+}
+
+
+@pytest.mark.parametrize("fault", ["not-an-object", "unknown-key", "missing-key", "wrong-type"])
+@pytest.mark.parametrize("reader", READERS)
+def test_every_json_reader_refuses_a_bad_record_by_name_and_key(reader, fault):
+    read, what, good, required, (key, bad) = READERS[reader]
+    read(good)
+    obj, expected = {
+        "not-an-object": ([good], f"{what} must be a JSON object, got list"),
+        "unknown-key": ({**good, "colour": 1}, f"{what} has an unknown field 'colour'"),
+        "missing-key": ({k: v for k, v in good.items() if k != required},
+                        f"{what} has no field '{required}'"),
+        "wrong-type": ({**good, key: bad}, f"{what} field '{key}' must be "),
+    }[fault]
+    with pytest.raises(ValueError) as exc:
+        read(obj)
+    assert str(exc.value).startswith(expected)
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_a_json_record_missing_any_keys_is_read_or_refused_with_a_value_error(reader):
+    read, _, good, _, _ = READERS[reader]
+    keys = list(good)
+    for mask in range(1 << len(keys)):
+        obj = {k: good[k] for i, k in enumerate(keys) if mask >> i & 1}
+        try:
+            read(obj)
+        except ValueError:
+            pass
+
+
+def test_a_bad_value_is_shown_by_its_type_not_its_text():
+    edges = [[i, i + 1] for i in range(100_000)]
+    edges[-1] = [0, None]
+    with pytest.raises(ValueError) as exc:
+        graph_from_json({"n": 100_001, "edges": edges})
+    assert str(exc.value) == (
+        "JSON graph field 'edges' must be a list of [u, v] integer pairs, got list"
+    )
+    with pytest.raises(ValueError, match="'n' must be an integer, got dict$"):
+        graph_from_json({"n": {"a": 1}})
+    with pytest.raises(ValueError, match="'n' must be an integer, got null$"):
+        graph_from_json({"n": None})
+    with pytest.raises(ValueError, match="'n' must be an integer, got str$"):
+        graph_from_json({"n": "x" * 1_000_000})
