@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import argparse
 
-from .cas import emit_cas_script
+from .cas import DIALECTS, emit_cas_script
 from .cli import _add_common, _applies_only, _input_graph, _render_graph, _write_out
 from .cutsets import enumerate_cutsets
 
 
 def add_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", choices=("graph6", "dot", "edgelist", "json", "cas"), default="graph6", required=False)
-    p.add_argument("--dialect", choices=("m2", "singular"), help="with --out cas: script dialect (default: m2)")
+    p.add_argument("--dialect", choices=DIALECTS, help="with --out cas: script dialect (default: m2)")
     p.add_argument("--oracle-expected", action="store_true", help="with --out cas: embed oracle verdicts")
     _add_common(p)
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import argparse
 import json
 
-from .cas import emit_cas_script
+from .cas import DIALECTS, emit_cas_script
 from .cli import _add_common, _applies_only, _given, _graph_arg, _named_file, _one_of, _write_out
 from .corona import CoronaSpec, l_corona
 from .graph import Graph, complete_graph, is_connected, path_graph
@@ -35,7 +35,7 @@ def add_arguments(p: argparse.ArgumentParser) -> None:
         help="pendant graph for --emit-cas, checked against the pendant record",
     )
     p.add_argument("--emit-cas", help="also write a verification script for the product")
-    p.add_argument("--dialect", choices=("m2", "singular"), help="with --emit-cas: script dialect (default: m2)")
+    p.add_argument("--dialect", choices=DIALECTS, help="with --emit-cas: script dialect (default: m2)")
     _add_common(p, input_flag=False)
 
 

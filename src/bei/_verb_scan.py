@@ -11,16 +11,15 @@ import os
 import sys
 
 from .bms import bms_scan
+from .cas import DIALECTS
 from .cli import _add_common, _applies_only, _given, _int_list, _named_file, _not_negative, _opened
 
 
 def add_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--diameter", help="comma-separated diameters to keep")
     p.add_argument("--max-n", type=int)
-    p.add_argument("--scripts-dir", help="emit a verification script per accessible graph")
-    p.add_argument(
-        "--dialect", choices=("m2", "singular"), help="with --scripts-dir: script dialect (default: m2)"
-    )
+    p.add_argument("--scripts-dir", help="write scripts for accessible graphs on at least one vertex")
+    p.add_argument("--dialect", choices=DIALECTS, help="with --scripts-dir: script dialect (default: m2)")
     p.add_argument(
         "--jobs",
         type=int,

@@ -8,7 +8,8 @@ is the cone over H plus an isolated companion) and transports
 accessibility; ``verify_reduction_d2`` and ``verify_reduction_d3`` check
 both claims, and every distance, through one body.
 The scanner classifies graph6 corpora by diameter and the combinatorial
-verdicts, optionally emitting a verification script per accessible graph.
+verdicts, optionally writing verification scripts for accessible graphs on
+at least one vertex.
 Cohen-Macaulayness is never claimed by the scanner: records carry only
 what the cutset combinatorics decides, the scripts cover the rest.
 
@@ -36,7 +37,7 @@ import time
 from itertools import islice
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .cas import emit_cas_script
+from .cas import _dialect, emit_cas_script
 from .corona import _gadget_spec, l_corona
 from .cutsets import check_bound, is_accessible, unmixed_report
 from .graph import Graph, diameter, distances_from
@@ -168,9 +169,10 @@ def bms_scan(
     their 1-based line number and skipped; the scan continues.  Graphs above
     ``max_n``, and graphs whose diameter (None when disconnected) is not in
     ``diameters``, are filtered silently before their verdicts are computed.
-    When ``script_dir`` is set, each accessible graph gets a verification
-    script named after its line number.  Both name the graph by the
-    validated line's canonical text, ``to_graph6`` of its graph.
+    When ``script_dir`` is set, it gets scripts for accessible graphs on at
+    least one vertex, named by line number and the dialect's suffix (the
+    empty graph's record has no ``cas_script_path``).  Both name the graph
+    by the validated line's canonical text, ``to_graph6`` of its graph.
 
     Each line is parsed once and its graph analysed in-process.  ``jobs`` is
     an upper bound on the worker processes: only once the in-process
@@ -185,6 +187,7 @@ def bms_scan(
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     check_bound(0, bound)  # a negative bound is refused once, before any line
+    suffix = _dialect(dialect).suffix  # and so is an unknown dialect
 
     def check_n(n: int) -> None:
         if max_n is not None and n > max_n:
@@ -212,9 +215,8 @@ def bms_scan(
     def record(lineno: int, g6: str, g: Graph, diam: int | None, result: tuple) -> ScanRecord:
         unmixed, accessible, dim = result
         script_path = None
-        if accessible and script_dir is not None:
-            ext = "m2" if dialect == "m2" else "sing"
-            script_path = os.path.join(script_dir, f"{lineno:06d}.{ext}")
+        if accessible and script_dir is not None and g.n:
+            script_path = os.path.join(script_dir, f"{lineno:06d}.{suffix}")
             expected = {"dim": dim, "unmixed": unmixed, "accessible": accessible}
             script = emit_cas_script(
                 g, dialect=dialect, expected=expected, name=f"scan line {lineno}", graph6=g6

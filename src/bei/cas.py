@@ -5,44 +5,78 @@ generators ``xi*yj - xj*yi`` (1-based, i < j, ascending edge order) of the
 edge ideal, and dimension / depth / regularity / Betti-table queries.
 ``emit_cas_script`` returns the script as text, byte-stable: identical
 inputs yield identical output bytes.
+
+One body renders every dialect from its row of ``_DIALECTS``, and no other
+module names a dialect: the CLI offers the keys, ``DIALECTS``, and a scan
+names its script files by the row's ``suffix``.  A new dialect is one more
+row that fills every field of ``_Dialect``: the comment mark, the ring
+line, the ideal's opening and closing, the zero ideal, the query lines and
+the file suffix.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .graph import Graph
 from .io import to_graph6
 
-DIALECTS = ("m2", "singular")
 
-_EXPECTED_KEY_ORDER = (
-    "dim",
-    "depth",
-    "reg",
-    "pd",
-    "cmdef",
-    "unmixed",
-    "accessible",
-    "cm",
-    "family",
-)
+class _Dialect(NamedTuple):
+    comment: str  # opens each header line
+    ring: str  # declares R in ``{variables}``
+    ideal_open: str  # the line before the generators
+    ideal_close: str  # ends the last generator; the others end in ","
+    zero_ideal: str  # J of a graph with no edge
+    queries: tuple[str, ...]  # ``{nvars}`` is the variable count
+    suffix: str  # of a script file
 
 
-def _fmt_expected(expected: Mapping[str, object]) -> list[str]:
-    lines = []
-    keys = [k for k in _EXPECTED_KEY_ORDER if k in expected]
-    keys += sorted(k for k in expected if k not in _EXPECTED_KEY_ORDER)
-    for k in keys:
-        v = expected[k]
-        if isinstance(v, bool):
-            v = "true" if v else "false"
-        lines.append(f"expected {k} = {v}")
-    return lines
+_DIALECTS = {
+    "m2": _Dialect(
+        "-- ", "R = QQ[{variables}];", "J = ideal(", ");", "J = ideal(0_R);",
+        (
+            "Q = R^1/J;",
+            '<< "dim = " << dim Q << endl;',
+            '<< "pd = " << pdim Q << endl;',
+            '<< "depth = " << (numgens R - pdim Q) << endl;',
+            '<< "reg = " << regularity Q << endl;',
+            '<< "betti table:" << endl;',
+            "<< betti res Q << endl;",
+        ),
+        "m2",
+    ),
+    "singular": _Dialect(
+        "// ", "ring R = 0, ({variables}), dp;", "ideal J =", ";", "ideal J = 0;",
+        (
+            "ideal Jstd = std(J);",
+            '"dim =", dim(Jstd);',
+            "def FR = mres(J, 0);",
+            "intmat B = betti(FR);",
+            '"pd =", ncols(B) - 1;',
+            '"depth =", {nvars} - (ncols(B) - 1);',
+            '"reg =", nrows(B) - 1;',
+            '"betti table:";',
+            'print(B, "betti");',
+            "exit;",
+        ),
+        "sing",
+    ),
+}
+DIALECTS = tuple(_DIALECTS)
+
+_EXPECTED_KEY_ORDER = ("dim", "depth", "reg", "pd", "cmdef", "unmixed", "accessible", "cm", "family")
 
 
-def _generators(g: Graph) -> list[str]:
-    return [f"x{u + 1}*y{v + 1}-x{v + 1}*y{u + 1}" for u, v in g.edges()]
+def _dialect(name: str) -> _Dialect:
+    """The row of dialect ``name``; an unknown name is a ValueError."""
+    if name not in _DIALECTS:
+        raise ValueError(f"unknown dialect {name!r} (choose from {DIALECTS})")
+    return _DIALECTS[name]
+
+
+def _shown(value: object) -> str:
+    return str(value).lower() if isinstance(value, bool) else str(value)
 
 
 def emit_cas_script(
@@ -53,71 +87,30 @@ def emit_cas_script(
     graph6: str | None = None,
 ) -> str:
     """The text of a standalone verification script for the binomial edge
-    ideal of ``g`` in the chosen dialect (``m2`` or ``singular``).  A caller
-    that holds the graph6 of ``g`` passes it as ``graph6`` to skip encoding
-    it again."""
+    ideal of ``g`` in the chosen dialect, one of ``DIALECTS``.  ``expected``
+    values become comment lines in ``_EXPECTED_KEY_ORDER``, and any other
+    key is a ValueError that names it.  A caller that holds the graph6 of
+    ``g`` passes it as ``graph6`` to skip encoding it again."""
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
-    if dialect not in DIALECTS:
-        raise ValueError(f"unknown dialect {dialect!r} (choose from {DIALECTS})")
+    row = _dialect(dialect)
+    expected = expected or {}
+    for key in expected:
+        if key not in _EXPECTED_KEY_ORDER:
+            raise ValueError(f"expected values have an unknown key {key!r}")
     header = [
         f"binomial edge ideal of {name or 'a graph'} on {g.n} vertices, {g.m} edges",
         f"graph6: {graph6 or to_graph6(g)}",
+        *(f"expected {k} = {_shown(expected[k])}" for k in _EXPECTED_KEY_ORDER if k in expected),
     ]
-    if expected:
-        header += _fmt_expected(expected)
-    gens = _generators(g)
-    xs = ",".join(f"x{i + 1}" for i in range(g.n))
-    ys = ",".join(f"y{i + 1}" for i in range(g.n))
-    if dialect == "m2":
-        return _emit_m2(header, xs, ys, gens)
-    return _emit_singular(header, xs, ys, gens, 2 * g.n)
-
-
-def _emit_m2(header: list[str], xs: str, ys: str, gens: list[str]) -> str:
-    lines = [f"-- {h}" for h in header]
-    lines.append(f"R = QQ[{xs},{ys}];")
+    gens = [f"    x{u + 1}*y{v + 1}-x{v + 1}*y{u + 1}," for u, v in g.edges()]
     if gens:
-        lines.append("J = ideal(")
-        for i, gen in enumerate(gens):
-            sep = "," if i + 1 < len(gens) else ");"
-            lines.append(f"    {gen}{sep}")
-    else:
-        lines.append("J = ideal(0_R);")
-    lines += [
-        "Q = R^1/J;",
-        '<< "dim = " << dim Q << endl;',
-        '<< "pd = " << pdim Q << endl;',
-        '<< "depth = " << (numgens R - pdim Q) << endl;',
-        '<< "reg = " << regularity Q << endl;',
-        '<< "betti table:" << endl;',
-        "<< betti res Q << endl;",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def _emit_singular(
-    header: list[str], xs: str, ys: str, gens: list[str], nvars: int
-) -> str:
-    lines = [f"// {h}" for h in header]
-    lines.append(f"ring R = 0, ({xs},{ys}), dp;")
-    if gens:
-        lines.append("ideal J =")
-        for i, gen in enumerate(gens):
-            sep = "," if i + 1 < len(gens) else ";"
-            lines.append(f"    {gen}{sep}")
-    else:
-        lines.append("ideal J = 0;")
-    lines += [
-        "ideal Jstd = std(J);",
-        '"dim =", dim(Jstd);',
-        "def FR = mres(J, 0);",
-        "intmat B = betti(FR);",
-        '"pd =", ncols(B) - 1;',
-        f'"depth =", {nvars} - (ncols(B) - 1);',
-        '"reg =", nrows(B) - 1;',
-        '"betti table:";',
-        'print(B, "betti");',
-        "exit;",
+        gens[-1] = gens[-1][:-1] + row.ideal_close
+    variables = ",".join(f"{c}{i}" for c in "xy" for i in range(1, g.n + 1))
+    lines = [
+        *(row.comment + line for line in header),
+        row.ring.format(variables=variables),
+        *([row.ideal_open, *gens] if gens else [row.zero_ideal]),
+        *(query.format(nvars=2 * g.n) for query in row.queries),
     ]
     return "\n".join(lines) + "\n"

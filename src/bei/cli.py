@@ -262,23 +262,21 @@ def main(argv: list[str] | None = None) -> int:
             _named_file(args.output, "--output")
         return args.func(args)
     except EnumerationBoundError as exc:
-        sys.stderr.write(json.dumps({"error": str(exc), "kind": "bound-exceeded"}) + "\n")
-        return 1
-    except (ValueError, KeyError, OverflowError, json.JSONDecodeError) as exc:
+        kind, error = "bound-exceeded", str(exc)
+    except (ValueError, KeyError, OverflowError) as exc:
         # OverflowError: a number too large to index or shift by, such as
         # the vertex count of {"n": 99999999999999999999}
-        sys.stderr.write(json.dumps({"error": str(exc), "kind": "invalid-input"}) + "\n")
-        return 1
+        kind, error = "invalid-input", str(exc)
     except MemoryError as exc:
         # a graph too large to hold, such as {"n": 200000000} under a 1 GiB
         # address-space limit, or a listing too long for the memory left;
         # MemoryError usually carries no message
+        kind = "invalid-input"
         error = f"out of memory: {str(exc) or 'the graph or its results do not fit'}"
-        sys.stderr.write(json.dumps({"error": error, "kind": "invalid-input"}) + "\n")
-        return 1
     except OSError as exc:
-        sys.stderr.write(json.dumps({"error": str(exc), "kind": "io-error"}) + "\n")
-        return 1
+        kind, error = "io-error", str(exc)
+    sys.stderr.write(json.dumps({"error": error, "kind": kind}) + "\n")
+    return 1
 
 
 def console_main() -> None:

@@ -28,17 +28,20 @@ def vset(vertices: Iterable[int]) -> VertexSet:
 
 
 def checked_vset(vertices: list[int], field: str, n: int) -> VertexSet:
-    """``vset`` of a list given on input for a graph on ``n`` vertices; a
-    negative, out-of-range or repeated vertex is a ValueError that names
-    ``field``, raised before any bit is set."""
-    shown = ",".join(map(str, vertices))
-    if any(v < 0 for v in vertices):
-        raise ValueError(f"{field} holds a negative vertex: {shown}")
-    if any(v >= n for v in vertices):
-        raise ValueError(f"{field} holds a vertex out of range for {n} vertices: {shown}")
-    if len(set(vertices)) != len(vertices):
-        raise ValueError(f"{field} repeats a vertex: {shown}")
-    return vset(vertices)
+    """``vset`` of a list given on input for a graph on ``n`` vertices; its
+    first negative, out-of-range or repeated vertex is a ValueError that
+    names ``field`` and that vertex alone, raised before its bit is set."""
+    s = 0
+    for v in vertices:
+        if v < 0:
+            raise ValueError(f"{field} holds a negative vertex: {v}")
+        if v >= n:
+            raise ValueError(f"{field} holds a vertex out of range for {n} vertices: {v}")
+        bit = 1 << v
+        if s & bit:
+            raise ValueError(f"{field} repeats a vertex: {v}")
+        s |= bit
+    return s
 
 
 def _check_vertex_count(n: int) -> None:

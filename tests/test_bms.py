@@ -222,6 +222,14 @@ def test_scan_refuses_a_negative_bound_before_reading_a_line():
     assert next(lines) == "Bw"
 
 
+def test_scan_refuses_an_unknown_dialect_before_reading_a_line():
+    lines = iter(["Bw", "Cr", "C~"])
+    scan = bei.bms_scan(lines, dialect="maple")
+    with pytest.raises(ValueError, match="unknown dialect 'maple'"):
+        next(scan)
+    assert next(lines) == "Bw"
+
+
 def test_scan_deterministic_and_order_preserving():
     corpus = scan_lines(connected_atlas(5))
     a = [json.dumps(r.to_json()) for r in bei.bms_scan(corpus)]
@@ -357,3 +365,13 @@ def test_scan_emits_scripts_for_accessible_graphs(tmp_path, monkeypatch):
     text = (tmp_path / "000001.m2").read_text()
     assert "x1*y2-x2*y1" in text and "expected accessible = true" in text
     assert records[1].cas_script_path is None  # C4 is not accessible
+
+
+@pytest.mark.parametrize("dialect, suffix", [("m2", "m2"), ("singular", "sing")])
+def test_scan_writes_no_script_for_the_empty_graph_and_scans_on(tmp_path, dialect, suffix):
+    # the empty graph is accessible, but has no ring to declare
+    records = list(bei.bms_scan(["Bw", "?", "Bw"], script_dir=str(tmp_path), dialect=dialect))
+    assert [(r.graph6, r.accessible) for r in records] == [("Bw", True), ("?", True), ("Bw", True)]
+    names = [f"000001.{suffix}", f"000003.{suffix}"]
+    assert [r.cas_script_path for r in records] == [str(tmp_path / names[0]), None, str(tmp_path / names[1])]
+    assert sorted(p.name for p in tmp_path.iterdir()) == names

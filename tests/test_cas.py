@@ -44,15 +44,17 @@ def test_singular_dialect():
 
 
 def test_expected_comments_canonical_order():
-    expected = {"unmixed": True, "dim": 9, "depth": 8, "zeta": 1}
+    expected = {"unmixed": True, "dim": 9, "depth": 8}
     text = bei.emit_cas_script(bei.path_graph(2), expected=expected)
     lines = [ln for ln in text.splitlines() if "expected" in ln]
     assert lines == [
         "-- expected dim = 9",
         "-- expected depth = 8",
         "-- expected unmixed = true",
-        "-- expected zeta = 1",
     ]
+    # a key outside the canonical order is refused by name, not sorted last
+    with pytest.raises(ValueError, match="^expected values have an unknown key 'zeta'$"):
+        bei.emit_cas_script(bei.path_graph(2), expected={**expected, "zeta": 1})
 
 
 def test_emission_is_deterministic(square_leaves_product):

@@ -2,10 +2,10 @@
 the verdict witnesses come from one enumeration, and the recorded calls
 under ``tests/golden`` keep their exact stdout, stderr and exit code.
 
-Each golden file holds one call's ``argv`` (paths relative to
-``tests/golden``) and what it printed.  After a deliberate output change,
-``PYTHONPATH=src python tests/test_cli.py`` rewrites every golden file
-from the current CLI.
+Each golden file holds one call's ``argv`` (its input files under
+``inputs/``, which is ``tests/golden/inputs``) and what it printed.  After
+a deliberate output change, ``PYTHONPATH=src python tests/test_cli.py``
+rewrites every golden file from the current CLI.
 """
 
 import contextlib
@@ -17,6 +17,7 @@ import os
 import select
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -684,6 +685,20 @@ def test_scan_jobs_agree_on_a_mixed_corpus(tmp_path, capsys, monkeypatch, square
     assert sorted(files) == ["000007.m2", "000008.m2"]
 
 
+@pytest.mark.parametrize(
+    "spec_l",
+    [[-1, *range(1, 10**5)], [5] * 10**5, [0] * 10**5],
+    ids=["negative", "out-of-range", "repeated"],
+)
+def test_a_bad_vertex_in_a_long_list_is_named_alone(capsys, monkeypatch, spec_l):
+    spec = {"base": "Bw", "L": spec_l, "pendant": "@"}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(spec)))
+    code, out, err = run(["export", "-i", "-"], capsys)
+    assert out == ""
+    assert_invalid_input(code, err)
+    assert len(err.encode()) < 200
+
+
 def test_scan_writes_each_record_as_it_is_found(tmp_path, monkeypatch):
     corpus = tmp_path / "corpus.g6"
     corpus.write_text("Bw\nCr\nC~\n")
@@ -957,15 +972,19 @@ def test_an_empty_output_is_refused_before_any_work(tmp_path, capsys, monkeypatc
 
 
 def capture(argv):
-    """Run one CLI call from the golden directory and return what it did."""
+    """Run one CLI call in an empty directory that holds only ``inputs``,
+    a link to the golden inputs, and return what it did; what the call
+    writes goes with the directory."""
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
-    os.chdir(GOLDEN)
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-    finally:
-        os.chdir(cwd)
+    with tempfile.TemporaryDirectory() as work:
+        os.symlink(GOLDEN / "inputs", Path(work, "inputs"))
+        os.chdir(work)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        finally:
+            os.chdir(cwd)
     return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
