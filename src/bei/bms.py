@@ -34,8 +34,9 @@ import functools
 import math
 import os
 import time
+from collections import namedtuple
 from itertools import islice
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator
 
 from .cas import _dialect, emit_cas_script
 from .corona import _gadget_spec, l_corona
@@ -44,11 +45,12 @@ from .graph import Graph, diameter, distances_from
 from .io import canonical_graph6, from_graph6
 
 
-class ReductionCheck(NamedTuple):
-    gadget_vertices: int
-    diameter_ok: bool
-    accessible_transfer_ok: bool
-    distance_cases_ok: bool
+ReductionCheck = namedtuple(
+    "ReductionCheck", "gadget_vertices diameter_ok accessible_transfer_ok distance_cases_ok"
+)
+ReductionCheck.__doc__ = """The checks of one diameter wrapper: ``gadget_vertices`` (int), and
+``diameter_ok``, ``accessible_transfer_ok`` and ``distance_cases_ok``
+(bool each)."""
 
 
 def _verify(h: Graph, d: int, bound: int | None) -> ReductionCheck:
@@ -100,13 +102,14 @@ def verify_reduction_d3(h: Graph, bound: int | None = None) -> ReductionCheck:
 # corpus scanning
 
 
-class ScanRecord(NamedTuple):
-    graph6: str
-    n: int
-    diameter: int | None
-    unmixed: bool
-    accessible: bool
-    cas_script_path: str | None = None
+class ScanRecord(
+    namedtuple("ScanRecord", "graph6 n diameter unmixed accessible cas_script_path", defaults=(None,))
+):
+    """One scanned graph: ``graph6`` (str), ``n`` (int), ``diameter``
+    (int, or None when disconnected), ``unmixed`` and ``accessible`` (bool)
+    and ``cas_script_path`` (str, or None when no script was written)."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return self._asdict()

@@ -16,20 +16,20 @@ the file suffix.
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple
+from collections import namedtuple
+from typing import Mapping
 
 from .graph import Graph
 from .io import to_graph6
 
 
-class _Dialect(NamedTuple):
-    comment: str  # opens each header line
-    ring: str  # declares R in ``{variables}``
-    ideal_open: str  # the line before the generators
-    ideal_close: str  # ends the last generator; the others end in ","
-    zero_ideal: str  # J of a graph with no edge
-    queries: tuple[str, ...]  # ``{nvars}`` is the variable count
-    suffix: str  # of a script file
+_Dialect = namedtuple("_Dialect", "comment ring ideal_open ideal_close zero_ideal queries suffix")
+_Dialect.__doc__ = """One dialect's script text, all str but ``queries``: ``comment`` opens
+each header line; ``ring`` declares R in ``{variables}``; ``ideal_open``
+is the line before the generators and ``ideal_close`` ends the last one
+(the others end in ","); ``zero_ideal`` is J of a graph with no edge;
+``queries`` is a tuple of str lines, where ``{nvars}`` is the variable
+count; ``suffix`` is a script file's."""
 
 
 _DIALECTS = {

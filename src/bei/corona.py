@@ -10,28 +10,25 @@ occupies ``base.n + r*h .. base.n + (r+1)*h - 1``.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from collections import namedtuple
+from typing import Callable
 
-from .graph import Graph, VertexSet, checked_vset, complete_graph, is_connected, members
+from .graph import Graph, checked_vset, complete_graph, is_connected, members
 from .io import _graph6_checked, _graph6_decode, _is_int_list, _json_fields
 
 
 def _checked_make(cls, iterable):
-    """``_make`` for a NamedTuple whose ``__new__`` checks its fields: the
-    namedtuple one skips ``__new__``, and ``_replace`` calls ``_make``."""
+    """``_make`` for a namedtuple subclass whose ``__new__`` checks its
+    fields: the namedtuple one skips ``__new__``, and ``_replace`` calls
+    ``_make``."""
     return cls(*iterable)
 
 
-class _CoronaSpecFields(NamedTuple):
-    base: Graph
-    attach_set: VertexSet
-    pendant: Graph
-
-
-class CoronaSpec(_CoronaSpecFields):
-    """Base graph, attach set (mask over base vertices) and pendant graph,
-    checked on construction: both graphs nonempty and connected, the attach
-    set nonempty and inside the base."""
+class CoronaSpec(namedtuple("_CoronaSpecFields", "base attach_set pendant")):
+    """Base graph ``base`` (Graph), attach set ``attach_set`` (VertexSet, a
+    mask over base vertices) and pendant graph ``pendant`` (Graph), checked
+    on construction: both graphs nonempty and connected, the attach set
+    nonempty and inside the base."""
 
     __slots__ = ()
     _make = classmethod(_checked_make)

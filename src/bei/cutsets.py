@@ -92,8 +92,9 @@ environment variable changes it.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import product
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from .graph import (
     Graph,
@@ -299,10 +300,12 @@ def _search(
                 stack.append(child)
 
 
-class CutsetReport(NamedTuple):
+class CutsetReport(namedtuple("CutsetReport", "n cutsets per_cutset_components")):
     """Cutset family of one graph, sorted by size, then by ascending member
-    lists, with each cutset's component count.  Nothing else is stored:
-    each property reads the family afresh, so a caller reads each once.
+    lists, with each cutset's component count: ``n`` (int), ``cutsets``
+    (tuple of VertexSet) and ``per_cutset_components`` (tuple of int).
+    Nothing else is stored: each property reads the family afresh, so a
+    caller reads each once.
 
     ``unmixed_violation`` is the first cutset, in report order, whose
     component count breaks unmixedness, as ``(mask, components)``;
@@ -313,9 +316,7 @@ class CutsetReport(NamedTuple):
     ``components == |T| + components(G)``.
     """
 
-    n: int
-    cutsets: tuple[VertexSet, ...]
-    per_cutset_components: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def base_components(self) -> int:

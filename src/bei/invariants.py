@@ -28,7 +28,7 @@ Cohen-Macaulay defect is dim - depth, so both are derived on reading.
 from __future__ import annotations
 
 import json
-from typing import NamedTuple
+from collections import namedtuple
 
 from .corona import _checked_make
 from .cutsets import enumerate_cutsets
@@ -41,30 +41,27 @@ CM_CLOSED = "corona_cm_closed"
 PATH = "corona_path"
 
 
-class Verdict(NamedTuple):
-    value: bool | None
-    rule: str
+Verdict = namedtuple("Verdict", "value rule")
+Verdict.__doc__ = """One verdict: ``value`` (bool, or None when no rule decides it) and
+``rule`` (str), the rule that gave it."""
 
 
-class _BaseInvariantsFields(NamedTuple):
-    h: int
-    dim_q: int
-    depth_q: int
-    reg_q: int
-    is_unmixed: bool | None = None
-    is_accessible: bool | None = None
-    r_extremal: int | None = None
-    provenance: str = "user-supplied"
-
-
-class BaseInvariants(_BaseInvariantsFields):
+class BaseInvariants(
+    namedtuple(
+        "_BaseInvariantsFields",
+        "h dim_q depth_q reg_q is_unmixed is_accessible r_extremal provenance",
+        defaults=(None, None, None, "user-supplied"),
+    )
+):
     """Per-graph algebraic inputs consumed by the formula engine, checked
     on construction.
 
-    Stored: ``h`` (the vertex count), ``dim_q``/``depth_q``/``reg_q`` (the
-    quotient-ring invariants), the unmixed and accessible verdicts and
-    ``r_extremal``, the column offset of the extremal Betti entry in
-    homological degree ``pd`` (>= 2, only defined for non-complete graphs).
+    Stored: ``h`` (int, the vertex count), ``dim_q``/``depth_q``/``reg_q``
+    (int each, the quotient-ring invariants), the unmixed and accessible
+    verdicts ``is_unmixed`` and ``is_accessible`` (bool or None), and
+    ``r_extremal`` (int or None), the column offset of the extremal Betti
+    entry in homological degree ``pd`` (>= 2, only defined for non-complete
+    graphs), and ``provenance`` (str, default ``"user-supplied"``).
     Derived: ``pd`` = 2h - depth (Auslander-Buchsbaum), ``is_cm`` (depth =
     dim) and ``is_complete`` (reg = 1: a connected graph's reg is at least
     its longest induced path, Matsuda-Murai); the single-vertex pendant
@@ -194,27 +191,24 @@ def base_invariants_block_graph(g: Graph, bound: int | None = None) -> BaseInvar
 # reports
 
 
-class _InvariantReportFields(NamedTuple):
-    family: str
-    base: BaseInvariants
-    product_vertices: int
-    depth_q: int
-    reg_q: int
-    dim_q: int
-    extremal_position: tuple[int, int] | None
-    verdicts: dict[str, Verdict]
-    rule: str
-    n: int | None = None
-    ell: int | None = None
-    b: int | None = None
-    notes: tuple[str, ...] = ()
-
-
-class InvariantReport(_InvariantReportFields):
+class InvariantReport(
+    namedtuple(
+        "_InvariantReportFields",
+        "family base product_vertices depth_q reg_q dim_q extremal_position verdicts rule n ell b notes",
+        defaults=(None, None, None, ()),
+    )
+):
     """Exact invariant values for one product, checked on construction.
     ``rule`` is the provenance of depth and regularity, and every dimension
     comes from the one L-corona formula; pd and the Cohen-Macaulay defect
-    are derived from them."""
+    are derived from them.
+
+    Fields: ``family`` (str), ``base`` (BaseInvariants),
+    ``product_vertices``, ``depth_q``, ``reg_q`` and ``dim_q`` (int each),
+    ``extremal_position`` (an ``(i, j)`` pair of int, or None),
+    ``verdicts`` (dict of str to Verdict), ``rule`` (str), ``n``, ``ell``
+    and ``b`` (int or None, the family's sizes) and ``notes`` (tuple of
+    str)."""
 
     __slots__ = ()
     _make = classmethod(_checked_make)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import re
 from typing import Callable
 
 from .graph import Graph, complete_graph, cycle_graph, path_graph
@@ -152,14 +151,11 @@ def parse_edge_list(text: str, check_n: Callable[[int], None] | None = None) -> 
             raise ValueError(f"edge list line {lineno}: expected 'u v'")
         pairs.append((parts[0], parts[1], lineno))
 
-    def as_int(tok: str) -> int | None:
-        try:
-            return int(tok)
-        except ValueError:
-            return None
-
-    if all(as_int(a) is not None and as_int(b) is not None for a, b, _ in pairs):
+    try:
         edges = [(int(a), int(b)) for a, b, _ in pairs]
+    except ValueError:
+        pass  # some token is a name
+    else:
         if any(u < 0 or v < 0 for u, v in edges):
             raise ValueError("negative vertex index in edge list")
         n = max((max(u, v) for u, v in edges), default=-1) + 1
@@ -207,16 +203,14 @@ def to_dot(g: Graph) -> str:
 # ---------------------------------------------------------------------------
 # named graphs
 
-_NAME_RE = re.compile(r"^([KPCkpc])(\d+)$")
-
 
 def graph_from_name(token: str, check_n: Callable[[int], None] | None = None) -> Graph:
     """Build K<n>, P<n> or C<n> from its name (e.g. ``K4``, ``P3``, ``C5``).
     ``check_n``, when given, sees the vertex count before the graph is built."""
-    m = _NAME_RE.match(token.strip())
-    if not m:
+    s = token.strip()
+    if not is_graph_name(s):
         raise ValueError(f"unknown graph name {token!r} (expected K<n>, P<n> or C<n>)")
-    kind, num = m.group(1).upper(), int(m.group(2))
+    kind, num = s[0].upper(), int(s[1:])
     if check_n is not None:
         check_n(num)
     if kind == "K":
@@ -227,7 +221,10 @@ def graph_from_name(token: str, check_n: Callable[[int], None] | None = None) ->
 
 
 def is_graph_name(token: str) -> bool:
-    return bool(_NAME_RE.match(token.strip()))
+    """Whether ``token``, stripped, is one of K, P or C (either case) and
+    then decimal digits only."""
+    s = token.strip()
+    return s[:1] in "KPCkpc" and s[1:].isdecimal()
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,12 @@ def test_distances_from():
     assert bei.distances_from(g, 0) == [0, 1, math.inf]
 
 
+@pytest.mark.parametrize("n, source", [(3, -1), (3, 3), (0, 0)])
+def test_distances_from_refuses_a_source_out_of_range(n, source):
+    with pytest.raises(ValueError, match=rf"^vertex {source} out of range$"):
+        bei.distances_from(bei.path_graph(n) if n else bei.Graph(0, []), source)
+
+
 def test_simplicial_vertices_and_iv():
     assert bei.internal_vertex_count(bei.path_graph(4)) == 2
     for n in range(1, 6):

@@ -1,6 +1,8 @@
 """Formats: graph6 (bit-exact), edge lists, DOT, names, JSON objects."""
 
+import itertools
 import random
+import re
 
 import networkx as nx
 import pytest
@@ -149,6 +151,30 @@ def test_edge_list_rejects_malformed():
         bei.parse_edge_list("-1 0\n")
 
 
+def test_edge_list_converts_each_integer_token_once(monkeypatch):
+    calls = []
+
+    def counting_int(tok):
+        calls.append(tok)
+        return int(tok)
+
+    monkeypatch.setattr(bei.io, "int", counting_int, raising=False)
+    assert bei.parse_edge_list("0 1\n1 2\n2 3\n") == bei.path_graph(4)
+    assert calls == ["0", "1", "1", "2", "2", "3"]
+
+
+def test_edge_list_with_any_name_token_is_symbolic():
+    # one token that is not an integer makes every token a name, an
+    # integer token too; so does a token too long for int()
+    g = bei.parse_edge_list("0 1\n1 a\n")
+    assert g.labels == ("0", "1", "a") and g.m == 2
+    long = "9" * 5000
+    g = bei.parse_edge_list(f"0 {long}\n")
+    assert g.labels == ("0", long)
+    with pytest.raises(ValueError, match="^edge list line 2: self-loop at '1'$"):
+        bei.parse_edge_list("0 a\n1 1\n")
+
+
 def test_dot_export():
     g = bei.Graph(2, [(0, 1)], labels=["left", "right"])
     dot = bei.to_dot(g)
@@ -173,6 +199,16 @@ def test_named_graphs():
         bei.graph_from_name("Q3")
     with pytest.raises(ValueError):
         bei.graph_from_name("C2")
+
+
+def test_a_graph_name_is_a_kpc_letter_then_decimal_digits():
+    # the rule the library used to write as a regular expression
+    name = re.compile(r"^([KPCkpc])(\d+)$")
+    chars = ["K", "p", "C", "Q", "0", "7", "\u0663", "\u00b2", "\u2163", "\uff10", " ", "\n", "-", "+", "_"]
+    for k in range(4):
+        for token in map("".join, itertools.product(chars, repeat=k)):
+            assert is_graph_name(token) == bool(name.match(token.strip())), repr(token)
+    assert bei.graph_from_name(" k\u0663\n") == bei.complete_graph(3)
 
 
 def test_graph_json_roundtrip():

@@ -1,10 +1,10 @@
-"""The value classes: no assignment to a field, and equality by field
-values."""
+"""The value classes: their fields and defaults, no assignment to a field,
+no instance ``__dict__``, and equality by field values."""
 
 import pytest
 
 import bei
-from bei import vset
+from bei import cas, vset
 
 from conftest import decompose_cutset
 
@@ -30,6 +30,47 @@ def one_of_each():
 
 
 VALUES = one_of_each()
+
+# every record type of the library, with its fields and defaults as they
+# stand: a caller may build any of them by position or keyword
+RECORDS = [
+    (bei.ReductionCheck, ("gadget_vertices", "diameter_ok", "accessible_transfer_ok", "distance_cases_ok"), {}),
+    (bei.ScanRecord, ("graph6", "n", "diameter", "unmixed", "accessible", "cas_script_path"), {"cas_script_path": None}),
+    (cas._Dialect, ("comment", "ring", "ideal_open", "ideal_close", "zero_ideal", "queries", "suffix"), {}),
+    (bei.CoronaSpec, ("base", "attach_set", "pendant"), {}),
+    (bei.CutsetReport, ("n", "cutsets", "per_cutset_components"), {}),
+    (bei.Verdict, ("value", "rule"), {}),
+    (
+        bei.BaseInvariants,
+        ("h", "dim_q", "depth_q", "reg_q", "is_unmixed", "is_accessible", "r_extremal", "provenance"),
+        {"is_unmixed": None, "is_accessible": None, "r_extremal": None, "provenance": "user-supplied"},
+    ),
+    (
+        bei.InvariantReport,
+        (
+            "family", "base", "product_vertices", "depth_q", "reg_q", "dim_q", "extremal_position",
+            "verdicts", "rule", "n", "ell", "b", "notes",
+        ),
+        {"n": None, "ell": None, "b": None, "notes": ()},
+    ),
+]
+
+
+@pytest.mark.parametrize("cls, fields, defaults", RECORDS, ids=[c.__name__ for c, _, _ in RECORDS])
+def test_record_fields_and_defaults(cls, fields, defaults):
+    assert cls._fields == fields
+    assert cls._field_defaults == defaults
+
+
+INSTANCES = [v for v, _ in VALUES if type(v).__module__.startswith("bei.")] + [cas._dialect("m2")]
+
+
+@pytest.mark.parametrize("value", INSTANCES, ids=[type(v).__name__ for v in INSTANCES])
+def test_records_hold_no_instance_dict_and_show_their_class(value):
+    assert not hasattr(value, "__dict__")
+    assert repr(value).startswith(type(value).__name__ + "(")
+    assert tuple(value._asdict()) == type(value)._fields
+    assert tuple(value._asdict().values()) == tuple(value)
 
 
 @pytest.mark.parametrize("value, field", VALUES, ids=[type(v).__name__ for v, _ in VALUES])
