@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import argparse
 
-from .cli import _add_common, _graph_arg, _int_list, _render_graph, _write_out
+from .cli import _add_common, _graph_arg, _int_list, _write_out
 from .corona import CoronaSpec, l_corona
 from .graph import checked_vset
+from .io import _GRAPH_WRITERS
 
 
 def add_arguments(p: argparse.ArgumentParser) -> None:
@@ -21,7 +22,7 @@ def add_arguments(p: argparse.ArgumentParser) -> None:
         "--attach",
         help="comma-separated base vertices carrying copies (default: every base vertex)",
     )
-    p.add_argument("--out", choices=("graph6", "dot", "edgelist", "json"), default="graph6")
+    p.add_argument("--out", choices=tuple(_GRAPH_WRITERS), default=next(iter(_GRAPH_WRITERS)))
     _add_common(p, input_flag=False, bound_flag=False)  # construct never enumerates
 
 
@@ -30,5 +31,5 @@ def run(args) -> int:
     attach = base.full_mask
     if args.attach is not None:
         attach = checked_vset(_int_list(args.attach, "--attach"), "--attach", base.n)
-    _write_out(_render_graph(l_corona(CoronaSpec(base, attach, pend)), args.out), args.output)
+    _write_out(_GRAPH_WRITERS[args.out](l_corona(CoronaSpec(base, attach, pend))), args.output)
     return 0

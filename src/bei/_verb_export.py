@@ -5,13 +5,14 @@ from __future__ import annotations
 import argparse
 
 from .cas import DIALECTS, emit_cas_script
-from .cli import _add_common, _applies_only, _input_graph, _render_graph, _write_out
+from .cli import _add_common, _applies_only, _input_graph, _write_out
 from .cutsets import enumerate_cutsets
+from .io import _GRAPH_WRITERS
 
 
 def add_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", choices=("graph6", "dot", "edgelist", "json", "cas"), default="graph6", required=False)
-    p.add_argument("--dialect", choices=DIALECTS, help="with --out cas: script dialect (default: m2)")
+    p.add_argument("--out", choices=(*_GRAPH_WRITERS, "cas"), default=next(iter(_GRAPH_WRITERS)))
+    p.add_argument("--dialect", choices=DIALECTS, help=f"with --out cas: script dialect (default: {DIALECTS[0]})")
     p.add_argument("--oracle-expected", action="store_true", help="with --out cas: embed oracle verdicts")
     _add_common(p)
 
@@ -30,7 +31,7 @@ def run(args) -> int:
                 "unmixed": unmixed,
                 "accessible": unmixed and report.is_accessible_system,
             }
-        _write_out(emit_cas_script(g, dialect=args.dialect or "m2", expected=expected), args.output)
+        _write_out(emit_cas_script(g, dialect=args.dialect, expected=expected), args.output)
         return 0
-    _write_out(_render_graph(g, args.out), args.output)
+    _write_out(_GRAPH_WRITERS[args.out](g), args.output)
     return 0

@@ -9,8 +9,9 @@ import argparse
 import json
 
 from .bms import verify_reduction_d2, verify_reduction_d3
-from .cli import _add_common, _applies_only, _input_graph, _render_graph, _write_out
+from .cli import _add_common, _applies_only, _input_graph, _write_out
 from .corona import gadget
+from .io import _GRAPH_WRITERS
 
 
 def add_arguments(p: argparse.ArgumentParser) -> None:
@@ -18,8 +19,8 @@ def add_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--verify", action="store_true")
     p.add_argument(
         "--out",
-        choices=("graph6", "dot", "edgelist", "json"),
-        help="without --verify: output format (default: graph6)",
+        choices=tuple(_GRAPH_WRITERS),
+        help=f"without --verify: output format (default: {next(iter(_GRAPH_WRITERS))})",
     )
     _add_common(p)
 
@@ -32,5 +33,6 @@ def run(args) -> int:
         payload = {"kind": args.kind, **verify(h, args.bound)._asdict()}
         _write_out(json.dumps(payload, indent=2) + "\n", args.output)
         return 0
-    _write_out(_render_graph(gadget(h, int(args.kind[1])), args.out or "graph6"), args.output)
+    write = _GRAPH_WRITERS[args.out or next(iter(_GRAPH_WRITERS))]
+    _write_out(write(gadget(h, int(args.kind[1]))), args.output)
     return 0

@@ -35,7 +35,7 @@ def add_arguments(p: argparse.ArgumentParser) -> None:
         help="pendant graph for --emit-cas, checked against the pendant record",
     )
     p.add_argument("--emit-cas", help="also write a verification script for the product")
-    p.add_argument("--dialect", choices=DIALECTS, help="with --emit-cas: script dialect (default: m2)")
+    p.add_argument("--dialect", choices=DIALECTS, help=f"with --emit-cas: script dialect (default: {DIALECTS[0]})")
     _add_common(p, input_flag=False)
 
 
@@ -105,7 +105,7 @@ def run(args) -> int:
             if entry["value"] is not None:
                 expected[key] = entry["value"]
         product = l_corona(CoronaSpec(b_graph, attach, pendant_graph))
-        script = emit_cas_script(product, dialect=args.dialect or "m2", expected=expected)
+        script = emit_cas_script(product, dialect=args.dialect, expected=expected)
         target.write_text(script)
 
     _write_out(json.dumps(values, indent=2) + "\n", args.output)

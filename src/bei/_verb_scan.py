@@ -13,13 +13,14 @@ import sys
 from .bms import bms_scan
 from .cas import DIALECTS
 from .cli import _add_common, _applies_only, _given, _int_list, _named_file, _not_negative, _opened
+from .graph import _brief
 
 
 def add_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--diameter", help="comma-separated diameters to keep")
     p.add_argument("--max-n", type=int)
     p.add_argument("--scripts-dir", help="write scripts for accessible graphs on at least one vertex")
-    p.add_argument("--dialect", choices=DIALECTS, help="with --scripts-dir: script dialect (default: m2)")
+    p.add_argument("--dialect", choices=DIALECTS, help=f"with --scripts-dir: script dialect (default: {DIALECTS[0]})")
     p.add_argument(
         "--jobs",
         type=int,
@@ -50,7 +51,8 @@ def run(args) -> int:
     if args.diameter is not None:
         diameters = set(_int_list(args.diameter, "--diameter"))
         if not diameters:
-            raise ValueError(f"--diameter takes at least one integer, got {args.diameter!r}")
+            shown = _brief(args.diameter, "str")
+            raise ValueError(f"--diameter takes at least one integer, got {shown}")
 
     def on_error(lineno: int, message: str) -> None:
         sys.stderr.write(json.dumps({"line": lineno, "error": message}) + "\n")
@@ -68,7 +70,7 @@ def run(args) -> int:
             max_n=args.max_n,
             bound=args.bound,
             script_dir=args.scripts_dir,
-            dialect=args.dialect or "m2",
+            dialect=args.dialect,
             jobs=args.jobs,
             on_error=on_error,
         )
@@ -78,7 +80,7 @@ def run(args) -> int:
         record = next(records, None)
         with _opened(out) as f:
             while record is not None:
-                f.write(json.dumps(record.to_json()) + "\n")
+                f.write(json.dumps(record._asdict()) + "\n")
                 f.flush()
                 record = next(records, None)
     return 0

@@ -102,17 +102,12 @@ def verify_reduction_d3(h: Graph, bound: int | None = None) -> ReductionCheck:
 # corpus scanning
 
 
-class ScanRecord(
-    namedtuple("ScanRecord", "graph6 n diameter unmixed accessible cas_script_path", defaults=(None,))
-):
-    """One scanned graph: ``graph6`` (str), ``n`` (int), ``diameter``
-    (int, or None when disconnected), ``unmixed`` and ``accessible`` (bool)
-    and ``cas_script_path`` (str, or None when no script was written)."""
-
-    __slots__ = ()
-
-    def to_json(self) -> dict:
-        return self._asdict()
+ScanRecord = namedtuple(
+    "ScanRecord", "graph6 n diameter unmixed accessible cas_script_path", defaults=(None,)
+)
+ScanRecord.__doc__ = """One scanned graph: ``graph6`` (str), ``n`` (int), ``diameter`` (int, or
+None when disconnected), ``unmixed`` and ``accessible`` (bool) and
+``cas_script_path`` (str, or None when no script was written)."""
 
 
 # In-process analysis time after which a scan with jobs > 1 hands the rest
@@ -162,7 +157,7 @@ def bms_scan(
     max_n: int | None = None,
     bound: int | None = None,
     script_dir: str | None = None,
-    dialect: str = "m2",
+    dialect: str | None = None,
     jobs: int = 1,
     on_error: Callable[[int, str], None] | None = None,
 ) -> Iterator[ScanRecord]:
@@ -172,10 +167,11 @@ def bms_scan(
     their 1-based line number and skipped; the scan continues.  Graphs above
     ``max_n``, and graphs whose diameter (None when disconnected) is not in
     ``diameters``, are filtered silently before their verdicts are computed.
-    When ``script_dir`` is set, it gets scripts for accessible graphs on at
-    least one vertex, named by line number and the dialect's suffix (the
-    empty graph's record has no ``cas_script_path``).  Both name the graph
-    by the validated line's canonical text, ``to_graph6`` of its graph.
+    When ``script_dir`` is set, it gets ``dialect`` scripts (the default if
+    None) for accessible graphs on at least one vertex, named by line number
+    and the dialect's suffix (the empty graph's record has no
+    ``cas_script_path``).  Both name the graph by the validated line's
+    canonical text, ``to_graph6`` of its graph.
 
     Each line is parsed once and its graph analysed in-process.  ``jobs`` is
     an upper bound on the worker processes: only once the in-process

@@ -7,11 +7,11 @@ edge ideal, and dimension / depth / regularity / Betti-table queries.
 inputs yield identical output bytes.
 
 One body renders every dialect from its row of ``_DIALECTS``, and no other
-module names a dialect: the CLI offers the keys, ``DIALECTS``, and a scan
-names its script files by the row's ``suffix``.  A new dialect is one more
-row that fills every field of ``_Dialect``: the comment mark, the ring
-line, the ideal's opening and closing, the zero ideal, the query lines and
-the file suffix.
+module names a dialect: the CLI offers the keys, ``DIALECTS``, the first
+is the default, and a scan names its script files by the row's
+``suffix``.  A new dialect is one more row that fills every field of
+``_Dialect``: the comment mark, the ring line, the ideal's opening and
+closing, the zero ideal, the query lines and the file suffix.
 """
 
 from __future__ import annotations
@@ -68,8 +68,10 @@ DIALECTS = tuple(_DIALECTS)
 _EXPECTED_KEY_ORDER = ("dim", "depth", "reg", "pd", "cmdef", "unmixed", "accessible", "cm", "family")
 
 
-def _dialect(name: str) -> _Dialect:
-    """The row of dialect ``name``; an unknown name is a ValueError."""
+def _dialect(name: str | None) -> _Dialect:
+    """The row of dialect ``name``, ``DIALECTS[0]`` if None; an unknown name
+    is a ValueError."""
+    name = DIALECTS[0] if name is None else name
     if name not in _DIALECTS:
         raise ValueError(f"unknown dialect {name!r} (choose from {DIALECTS})")
     return _DIALECTS[name]
@@ -81,16 +83,16 @@ def _shown(value: object) -> str:
 
 def emit_cas_script(
     g: Graph,
-    dialect: str = "m2",
+    dialect: str | None = None,
     expected: Mapping[str, object] | None = None,
     name: str | None = None,
     graph6: str | None = None,
 ) -> str:
     """The text of a standalone verification script for the binomial edge
-    ideal of ``g`` in the chosen dialect, one of ``DIALECTS``.  ``expected``
-    values become comment lines in ``_EXPECTED_KEY_ORDER``, and any other
-    key is a ValueError that names it.  A caller that holds the graph6 of
-    ``g`` passes it as ``graph6`` to skip encoding it again."""
+    ideal of ``g`` in ``dialect``, one of ``DIALECTS`` (the first if None).
+    ``expected`` values become comment lines in ``_EXPECTED_KEY_ORDER``,
+    and any other key is a ValueError that names it.  A caller that holds
+    the graph6 of ``g`` passes it as ``graph6`` to skip encoding it again."""
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
     row = _dialect(dialect)

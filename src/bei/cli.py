@@ -3,20 +3,10 @@
 Verbs: construct, cutsets, check, invariants, gadget, scan, export.
 ``construct --corona BASE PENDANT [--attach L]`` builds every product: the
 L-corona, with L every base vertex unless given.  A cone over G is
-``--corona K1 G``, its apex vertex 0.  Graph arguments accept inline names
-(K5, P3, C4), file paths, or ``-`` for stdin.
-A name always stands for the named graph (a file called ``K3`` is given as
-``./K3``).  Any other input states its format: a ``.g6`` or ``.graph6``
-suffix means graph6 and ``.json`` JSON.  With neither, text that starts
-with ``{`` and holds ``"`` is JSON, a first nonblank line that is one word
-of graph6 characters (after an optional ``>>graph6<<`` header) is graph6,
-and anything else is an edge list.  No valid input fits two of these: a
-JSON graph's keys are quoted, no graph6 character is ``"``, and an
-edge-list line holds two words.  A graph6 input of more than one graph is
-refused; ``bei scan`` reads a corpus.  A JSON object with any of the keys
-``base``, ``L`` and ``pendant`` is a corona specification, which stands for
-its constructed product and must hold all three.  Validation and bound
-errors exit nonzero with a machine-readable JSON object on stderr.
+``--corona K1 G``, its apex vertex 0.  A graph argument is an inline name
+(K5, P3, C4), a file path, or ``-`` for stdin; ``_graph_arg`` states how
+its format is told.  Validation and bound errors exit nonzero with a
+machine-readable JSON object on stderr.
 
 Each verb's arguments, command and own helpers live in ``bei._verb_<verb>``
 (``bei._verb_cutsets`` and so on), which exposes ``add_arguments(p)`` and
@@ -37,20 +27,11 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from . import __version__
-from .corona import corona_spec_from_json, l_corona
+from .corona import _SPEC_FIELDS, corona_spec_from_json, l_corona
 from .cutsets import DEFAULT_BOUND, EnumerationBoundError, check_bound
-from .graph import Graph
+from .graph import Graph, _brief
 from .io import (
-    format_edge_list,
-    from_graph6,
-    graph_from_json,
-    graph_from_name,
-    graph_to_json,
-    is_graph6_word,
-    is_graph_name,
-    parse_edge_list,
-    to_dot,
-    to_graph6,
+    from_graph6, graph_from_json, graph_from_name, is_graph6_word, is_graph_name, parse_edge_list
 )
 
 # no shared helper uses these: the traced benchmark wraps their functions
@@ -63,13 +44,22 @@ from .invariants import BaseInvariants  # noqa: F401
 
 def _graph_arg(token: str, check_n: Callable[[int], None] | None = None) -> Graph:
     """Resolve a graph argument: inline name, file path, or '-' for stdin.
-    A ``.g6``/``.graph6`` suffix means graph6 and ``.json`` JSON; else text
+
+    A name always stands for the named graph (a file called ``K3`` is given
+    as ``./K3``).  Any other input states its format: a ``.g6`` or
+    ``.graph6`` suffix means graph6 and ``.json`` JSON.  With neither, text
     that starts with ``{`` and holds ``"`` is JSON, a first nonblank line
-    that is one word of graph6 characters is graph6 (of one line only), and
-    the rest is an edge list.  A JSON object with any of ``base``, ``L`` and
-    ``pendant`` is a corona spec.  ``check_n`` sees the vertex count a graph
-    name, graph6 line, JSON object (a spec's product included) or edge list
-    of indices declares before a graph of that size is built."""
+    that is one word of graph6 characters (after an optional ``>>graph6<<``
+    header) is graph6, and anything else is an edge list.  No valid input
+    fits two of these: a JSON graph's keys are quoted, no graph6 character
+    is ``"``, and an edge-list line holds two words.  A graph6 input of more
+    than one graph is refused; ``bei scan`` reads a corpus.  A JSON object
+    with any key of a corona spec (``corona._SPEC_FIELDS``) is one, which
+    stands for its constructed product and must hold every key.
+
+    ``check_n`` sees the vertex count a graph name, graph6 line, JSON object
+    (a spec's product included) or edge list of indices declares before a
+    graph of that size is built."""
     if is_graph_name(token):
         return graph_from_name(token, check_n)
     if token == "-":
@@ -87,7 +77,7 @@ def _graph_arg(token: str, check_n: Callable[[int], None] | None = None) -> Grap
     g6_suffix = lower.endswith((".g6", ".graph6"))
     if lower.endswith(".json") or (not g6_suffix and text.lstrip().startswith("{") and '"' in text):
         obj = json.loads(text)
-        if isinstance(obj, dict) and not obj.keys().isdisjoint(("base", "L", "pendant")):
+        if isinstance(obj, dict) and not obj.keys().isdisjoint(_SPEC_FIELDS):
             return l_corona(corona_spec_from_json(obj, check_n))
         return graph_from_json(obj, check_n)
     if g6_suffix or is_graph6_word(lines[0]):
@@ -141,25 +131,13 @@ def _write_out(text: str | Iterable[str], out: str | None) -> None:
         f.write("".join(chunk))
 
 
-def _render_graph(g: Graph, fmt: str) -> str:
-    if fmt == "graph6":
-        return to_graph6(g) + "\n"
-    if fmt == "dot":
-        return to_dot(g)
-    if fmt == "edgelist":
-        return format_edge_list(g)
-    if fmt == "json":
-        return json.dumps(graph_to_json(g), indent=2) + "\n"
-    raise ValueError(f"unknown output format {fmt!r}")
-
-
 def _int_list(text: str, flag: str) -> list[int]:
     """The integers of the comma-separated list given to ``flag``; empty
     tokens are skipped, so ``""`` is the empty list."""
     try:
         return [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise ValueError(f"{flag} takes comma-separated integers, got {text!r}") from None
+        raise ValueError(f"{flag} takes comma-separated integers, got {_brief(text, 'str')}") from None
 
 
 def _given(args, flag: str) -> bool:
@@ -188,7 +166,7 @@ def _applies_only(args, flag: str, applies: bool, where: str) -> None:
 
 def _not_negative(value: int | None, name: str) -> None:
     if value is not None and value < 0:
-        raise ValueError(f"{name} must be at least 0, got {value}")
+        raise ValueError(f"{name} must be at least 0, got {_brief(str(value))}")
 
 
 # ---------------------------------------------------------------------------

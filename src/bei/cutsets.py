@@ -99,6 +99,7 @@ from typing import Iterable, Iterator
 from .graph import (
     Graph,
     VertexSet,
+    _brief,
     _components,
     _is_clique,
     iter_members,
@@ -134,10 +135,10 @@ def check_bound(n: int, bound: int | None = None) -> None:
     default.  A negative bound is a plain ValueError."""
     limit = DEFAULT_BOUND if bound is None else bound
     if limit < 0:
-        raise ValueError(f"the enumeration bound must be at least 0, got {limit}")
+        raise ValueError(f"the enumeration bound must be at least 0, got {_brief(str(limit))}")
     if n > limit:
         raise EnumerationBoundError(
-            f"{n} vertices exceeds the enumeration bound {limit}"
+            f"{_brief(str(n))} vertices exceeds the enumeration bound {_brief(str(limit))}"
         )
 
 

@@ -27,6 +27,20 @@ def vset(vertices: Iterable[int]) -> VertexSet:
     return s
 
 
+# the longest text of a value read from input that a refusal repeats whole
+_BRIEF_MAX = 40
+
+
+def _brief(text: str, kind: str = "int") -> str:
+    """``text``, a value of type ``kind`` read from input, as a refusal
+    shows it: whole (a str quoted as ``repr`` quotes it) up to
+    ``_BRIEF_MAX`` characters, else by its kind and length alone, so that
+    no message repeats a long input."""
+    if len(text) > _BRIEF_MAX:
+        return f"<{kind} of {len(text)} characters>"
+    return repr(text) if kind == "str" else text
+
+
 def checked_vset(vertices: list[int], field: str, n: int) -> VertexSet:
     """``vset`` of a list given on input for a graph on ``n`` vertices; its
     first negative, out-of-range or repeated vertex is a ValueError that
@@ -34,14 +48,20 @@ def checked_vset(vertices: list[int], field: str, n: int) -> VertexSet:
     s = 0
     for v in vertices:
         if v < 0:
-            raise ValueError(f"{field} holds a negative vertex: {v}")
+            raise ValueError(f"{field} holds a negative vertex: {_brief(str(v))}")
         if v >= n:
-            raise ValueError(f"{field} holds a vertex out of range for {n} vertices: {v}")
+            raise ValueError(f"{field} holds a vertex out of range for {n} vertices: {_brief(str(v))}")
         bit = 1 << v
         if s & bit:
             raise ValueError(f"{field} repeats a vertex: {v}")
         s |= bit
     return s
+
+
+def _too_large(count: str) -> ValueError:
+    """The refusal of a vertex count, written ``count``, above
+    ``sys.maxsize``: too large to index a list by."""
+    return ValueError(f"vertex count {_brief(count)} is too large for a graph")
 
 
 def _check_vertex_count(n: int) -> None:
@@ -50,7 +70,7 @@ def _check_vertex_count(n: int) -> None:
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
     if n > sys.maxsize:
-        raise ValueError(f"vertex count {n} is too large for a graph")
+        raise _too_large(str(n))
 
 
 def members(s: VertexSet) -> list[int]:
@@ -86,9 +106,9 @@ class Graph:
         adj = [0] * n
         for u, v in edges:
             if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
+                raise ValueError(f"self-loop at vertex {_brief(str(u))}")
             if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+                raise ValueError(f"edge ({_brief(str(u))},{_brief(str(v))}) out of range for n={n}")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         lab = None if labels is None else tuple(str(x) for x in labels)
@@ -97,7 +117,7 @@ class Graph:
         if lab is not None and len(set(lab)) < n:
             last = {x: v for v, x in enumerate(lab)}
             repeated = next(x for v, x in enumerate(lab) if last[x] != v)
-            raise ValueError(f"vertex label {repeated!r} is repeated")
+            raise ValueError(f"vertex label {_brief(repeated, 'str')} is repeated")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", tuple(adj))
         object.__setattr__(self, "labels", lab)

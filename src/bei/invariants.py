@@ -32,7 +32,14 @@ from collections import namedtuple
 
 from .corona import _checked_make
 from .cutsets import enumerate_cutsets
-from .graph import Graph, independence_number, internal_vertex_count, is_block_graph, is_cm_closed
+from .graph import (
+    Graph,
+    _brief,
+    independence_number,
+    internal_vertex_count,
+    is_block_graph,
+    is_cm_closed,
+)
 from .io import _is_json_int, _json_fields
 
 L_CORONA = "l_corona_complete"
@@ -142,8 +149,9 @@ class BaseInvariants(
             ("is_cm", cm, depth == dim, "Cohen-Macaulay exactly when depth = dim"),
         ):
             if value not in (None, derived):
-                must = f"{json.dumps(derived)} ({rule})"
-                raise ValueError(f"pendant record field {key!r} must be {must}, got {json.dumps(value)}")
+                must = f"{_brief(json.dumps(derived))} ({rule})"
+                got = _brief(json.dumps(value))
+                raise ValueError(f"pendant record field {key!r} must be {must}, got {got}")
         return cls(h, dim, depth, reg, *stored)
 
 

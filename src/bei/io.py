@@ -3,9 +3,22 @@
 from __future__ import annotations
 
 import json
+import sys
 from typing import Callable
 
-from .graph import Graph, complete_graph, cycle_graph, path_graph
+from .graph import (
+    _BRIEF_MAX,
+    Graph,
+    _brief,
+    _check_vertex_count,
+    _too_large,
+    complete_graph,
+    cycle_graph,
+    path_graph,
+)
+
+# a decimal vertex count of more significant digits is too large for a graph
+_MAX_DIGITS = len(str(sys.maxsize))
 
 _G6_HEADER = ">>graph6<<"
 _G6_CHARS = "".join(map(chr, range(63, 127)))
@@ -151,17 +164,24 @@ def parse_edge_list(text: str, check_n: Callable[[int], None] | None = None) -> 
             raise ValueError(f"edge list line {lineno}: expected 'u v'")
         pairs.append((parts[0], parts[1], lineno))
 
+    huge: list[str] = []
     try:
-        edges = [(int(a), int(b)) for a, b, _ in pairs]
+        indices = [
+            int(tok) if len(tok) <= _MAX_DIGITS else _long_index(tok, huge)
+            for a, b, _ in pairs
+            for tok in (a, b)
+        ]
     except ValueError:
         pass  # some token is a name
     else:
-        if any(u < 0 or v < 0 for u, v in edges):
+        if any(i < 0 for i in indices):
             raise ValueError("negative vertex index in edge list")
-        n = max((max(u, v) for u, v in edges), default=-1) + 1
+        if huge:
+            raise _too_large(_plus_one(max(huge, key=lambda digits: (len(digits), digits))))
+        n = max(indices, default=-1) + 1
         if check_n is not None:
             check_n(n)
-        return Graph(n, edges)
+        return Graph(n, zip(indices[::2], indices[1::2]))
 
     index: dict[str, int] = {}
     edges = []
@@ -170,10 +190,37 @@ def parse_edge_list(text: str, check_n: Callable[[int], None] | None = None) -> 
             if tok not in index:
                 index[tok] = len(index)
         if a == b:
-            raise ValueError(f"edge list line {lineno}: self-loop at {a!r}")
+            raise ValueError(f"edge list line {lineno}: self-loop at {_brief(a, 'str')}")
         edges.append((index[a], index[b]))
     names = sorted(index, key=index.get)
     return Graph(len(index), edges, labels=names)
+
+
+def _long_index(token: str, huge: list[str]) -> int:
+    """``int(token)`` for a token longer than ``_MAX_DIGITS``.  One of ASCII
+    digits after an optional sign is told by its digits, not read, as
+    ``int`` stops at 4300 of them: past ``_MAX_DIGITS`` significant digits
+    it reads as -1 if negative, else as 0 with its digits put in ``huge``,
+    for the vertex-count refusal."""
+    unsigned = token[1:] if token[0] in "+-" else token
+    if not (unsigned.isascii() and unsigned.isdigit()):
+        return int(token)
+    digits = unsigned.lstrip("0")
+    if len(digits) <= _MAX_DIGITS:
+        value = int(digits or "0")
+        return -value if token[0] == "-" else value
+    if token[0] == "-":
+        return -1
+    huge.append(digits)
+    return 0
+
+
+def _plus_one(digits: str) -> str:
+    """The text of ``int(digits) + 1`` for ASCII ``digits`` of any length,
+    written digit by digit."""
+    head = digits.rstrip("9")
+    carried = "0" * (len(digits) - len(head))
+    return (head[:-1] + str(int(head[-1]) + 1) if head else "1") + carried
 
 
 def format_edge_list(g: Graph) -> str:
@@ -210,7 +257,12 @@ def graph_from_name(token: str, check_n: Callable[[int], None] | None = None) ->
     s = token.strip()
     if not is_graph_name(s):
         raise ValueError(f"unknown graph name {token!r} (expected K<n>, P<n> or C<n>)")
-    kind, num = s[0].upper(), int(s[1:])
+    # a count of more digits than sys.maxsize is refused by its digits, as
+    # int() stops at 4300 of them
+    kind, digits = s[0].upper(), s[1:].lstrip("0") or "0"
+    if len(digits) > _MAX_DIGITS:
+        raise _too_large(digits)
+    num = int(digits)
     if check_n is not None:
         check_n(num)
     if kind == "K":
@@ -266,7 +318,7 @@ def _json_fields(obj, what: str, fields: dict) -> list:
         value = obj.get(key, *default)
         if key in obj and not check(value):
             shown = type(value).__name__ if isinstance(value, (list, dict)) else json.dumps(value)
-            shown = shown if len(shown) <= 40 else type(value).__name__
+            shown = shown if len(shown) <= _BRIEF_MAX else type(value).__name__
             raise ValueError(f"{what} field {key!r} must be {kind}, got {shown}")
         values.append(value)
     return values
@@ -282,8 +334,26 @@ _GRAPH_FIELDS = {
 
 def graph_from_json(obj: dict, check_n: Callable[[int], None] | None = None) -> Graph:
     """Graph from ``{"n": int, "edges": [[u, v], ...], "labels": [str, ...]}``;
-    ``check_n``, when given, sees ``n`` before a graph of that size is built."""
+    ``check_n``, when given, sees ``n`` before a graph of that size is built,
+    and after a count no graph can have is refused, as a name's or an edge
+    list's is."""
     n, edges, labels = _json_fields(obj, "JSON graph", _GRAPH_FIELDS)
+    _check_vertex_count(n)
     if check_n is not None:
         check_n(n)
     return Graph(n, edges, labels=labels)
+
+
+# ---------------------------------------------------------------------------
+# output formats
+
+
+# each graph output format and the text it writes; graph6, the first, is the
+# default.  Each writer is called by its module-level name, so a name rebound
+# here (as a tracer does) is the one called.
+_GRAPH_WRITERS = {
+    "graph6": lambda g: to_graph6(g) + "\n",
+    "dot": lambda g: to_dot(g),
+    "edgelist": lambda g: format_edge_list(g),
+    "json": lambda g: json.dumps(graph_to_json(g), indent=2) + "\n",
+}

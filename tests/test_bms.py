@@ -232,8 +232,8 @@ def test_scan_refuses_an_unknown_dialect_before_reading_a_line():
 
 def test_scan_deterministic_and_order_preserving():
     corpus = scan_lines(connected_atlas(5))
-    a = [json.dumps(r.to_json()) for r in bei.bms_scan(corpus)]
-    b = [json.dumps(r.to_json()) for r in bei.bms_scan(corpus)]
+    a = [json.dumps(r._asdict()) for r in bei.bms_scan(corpus)]
+    b = [json.dumps(r._asdict()) for r in bei.bms_scan(corpus)]
     assert a == b
     assert [json.loads(line)["graph6"] for line in a] == corpus
 
@@ -258,7 +258,7 @@ def test_scan_parallel_matches_serial(monkeypatch):
     for jobs in (1, 2):
         errors = []
         records = [
-            r.to_json()
+            r._asdict()
             for r in bei.bms_scan(corpus, jobs=jobs, on_error=lambda *e: errors.append(e))
         ]
         runs.append((records, errors))

@@ -330,8 +330,12 @@ def test_a_vertex_index_out_of_range_is_refused_before_it_is_shifted(capsys, mon
         (["construct", "--corona", f"K{HUGE}", "P2"], "", int(HUGE)),
         (["construct", "--corona", f"P{HUGE}", "P2"], "", int(HUGE)),
         (["construct", "--corona", "K1", f"C{HUGE}"], "", int(HUGE)),
+        # where a cutset search runs too: no bound admits such a count
+        (["cutsets", "-i", "-"], f"0 {HUGE}\n", int(HUGE) + 1),
+        (["cutsets", "-i", "-"], f'{{"n": {HUGE}}}', int(HUGE)),
+        (["cutsets", "-i", f"K{HUGE}"], "", int(HUGE)),
     ],
-    ids=["edge-list", "json-object", "name", "path-name", "cycle-name"],
+    ids=["edge-list", "json-object", "name", "path-name", "cycle-name", "edge-list-bound", "json-bound", "name-bound"],
 )
 def test_a_vertex_count_too_large_to_index_is_invalid_input(capsys, monkeypatch, argv, stdin, count):
     # refused before a list or an edge list of that length is started
@@ -340,6 +344,37 @@ def test_a_vertex_count_too_large_to_index_is_invalid_input(capsys, monkeypatch,
     assert out == ""
     assert_invalid_input(code, err)
     assert json.loads(err)["error"] == f"vertex count {count} is too large for a graph"
+
+
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        (["export", "-i", "-"], f"0 {'9' * 4000}\n"),
+        (["export", "-i", "-"], f"0 {'9' * 5000}\n"),
+        (["export", "-i", "K" + "1" * 5000], ""),
+        (["export", "-i", "-"], json.dumps({"n": 2, "edges": [[0, 10**4000]]})),
+        (["export", "-i", "-"], json.dumps({"n": 2, "labels": ["x" * 5000] * 2})),
+        (["export", "-i", "-"], f"{'t' * 5000} {'t' * 5000}\n"),
+        (["check", "--cutset", "-" + "9" * 4000, "-i", "P3"], ""),
+        (["check", "--cutset", "x" * 5000, "-i", "P3"], ""),
+        (["cutsets", "-i", "P3", "--bound", "-" + "9" * 4000], ""),
+        (["scan", "-i", "-", "--max-n", "-" + "9" * 4000], "Bw\n"),
+        (["scan", "-i", "-", "--diameter", "," * 5000], "Bw\n"),
+        (["invariants", "--family", "path", "--n", "2", "--pendant-base-json", "pd.json"], ""),
+    ],
+    ids=[
+        "edge-list-4000", "edge-list-5000", "name-5000", "json-edge", "json-label", "self-loop",
+        "cutset", "cutset-text", "bound", "max-n", "diameter", "pendant-pd",
+    ],
+)
+def test_a_refusal_of_long_input_stays_short(tmp_path, capsys, monkeypatch, argv, stdin):
+    record = json.loads((GOLDEN / "inputs" / "p3_base.json").read_text())
+    (tmp_path / "pd.json").write_text(json.dumps({**record, "pd": 10**4000}))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    code, out, err = run(argv, capsys)
+    assert out == "" and code == 1
+    assert len(err.encode()) < 200 and "characters>" in json.loads(err)["error"]
 
 
 def test_a_graph_name_is_the_named_graph(tmp_path, capsys, monkeypatch):

@@ -9,7 +9,8 @@ import pytest
 
 import bei
 from bei import members, vset
-from bei.graph import _components, independence_number
+from bei.cutsets import check_bound
+from bei.graph import _components, checked_vset, independence_number
 
 from conftest import atlas, connected_atlas, mixed_graphs, to_nx
 
@@ -40,6 +41,39 @@ def test_graph_refuses_a_repeated_label():
         bei.Graph(3, [(0, 1)], labels=["a", "b", "a"])
     with pytest.raises(ValueError, match="vertex label '1' is repeated"):
         bei.Graph(2, [(0, 1)], labels=[1, "1"])
+
+
+def test_equal_graphs_hash_alike_whatever_their_labels():
+    labelled = bei.Graph(3, [(0, 1)], labels=["a", "b", "c"])
+    plain = bei.Graph(3, [(0, 1)])
+    assert labelled == plain and labelled.labels != plain.labels
+    assert hash(labelled) == hash(plain)
+    assert len({labelled, plain}) == 1
+
+
+HUGE = 10**4000  # 4001 digits
+
+
+@pytest.mark.parametrize(
+    "refused, message",
+    [
+        (lambda: bei.Graph(HUGE), "vertex count <int of 4001 characters> is too large for a graph"),
+        (lambda: bei.Graph(1, [(0, HUGE)]), "edge (0,<int of 4001 characters>) out of range for n=1"),
+        (lambda: bei.Graph(1, [(HUGE, HUGE)]), "self-loop at vertex <int of 4001 characters>"),
+        (lambda: bei.Graph(2, labels=["x" * 5000] * 2), "vertex label <str of 5000 characters> is repeated"),
+        (lambda: checked_vset([-HUGE], "--cutset", 3), "--cutset holds a negative vertex: <int of 4002 characters>"),
+        (lambda: checked_vset([HUGE], "L", 3), "L holds a vertex out of range for 3 vertices: <int of 4001 characters>"),
+        (lambda: check_bound(HUGE), "<int of 4001 characters> vertices exceeds the enumeration bound 24"),
+        # up to 40 characters a value is shown whole
+        (lambda: bei.Graph(10**39), f"vertex count {10**39} is too large for a graph"),
+        (lambda: bei.Graph(2, labels=["y" * 40] * 2), f"vertex label '{'y' * 40}' is repeated"),
+    ],
+    ids=["count", "edge", "self-loop", "label", "negative-vertex", "vertex-out-of-range", "bound", "count-40", "label-40"],
+)
+def test_a_refusal_shows_a_long_value_by_its_kind_and_length(refused, message):
+    with pytest.raises(ValueError) as err:
+        refused()
+    assert str(err.value) == message
 
 
 def test_graph_is_immutable():

@@ -8,7 +8,14 @@ import networkx as nx
 import pytest
 
 import bei
-from bei.io import canonical_graph6, graph_from_json, graph_to_json, is_graph_name
+from bei.io import (
+    _g6_encode_n,
+    _graph6_checked,
+    canonical_graph6,
+    graph_from_json,
+    graph_to_json,
+    is_graph_name,
+)
 
 from conftest import mixed_graphs, to_nx
 
@@ -127,6 +134,18 @@ def test_graph6_rejects_malformed():
         assert str(err.value) == message
 
 
+@pytest.mark.parametrize("n, header", [(30, "]"), (12345, "~B?x"), (460175067, "~~?ZZZZZ")])
+def test_graph6_vertex_count_examples(n, header):
+    # the examples of the graph6 format's own description, the last the
+    # 8-character form; a header alone reads back to the same n, which its
+    # body-length refusal names
+    assert _g6_encode_n(n) == header
+    chars = (n * (n - 1) // 2 + 5) // 6
+    with pytest.raises(ValueError) as err:
+        _graph6_checked(header)
+    assert str(err.value) == f"graph6 body has 0 characters, expected {chars} for n={n}"
+
+
 def test_edge_list_integer_mode():
     g = bei.parse_edge_list("0 1\n1 2\n\n# comment\n2 3  # trailing\n")
     assert g == bei.path_graph(4)
@@ -165,14 +184,40 @@ def test_edge_list_converts_each_integer_token_once(monkeypatch):
 
 def test_edge_list_with_any_name_token_is_symbolic():
     # one token that is not an integer makes every token a name, an
-    # integer token too; so does a token too long for int()
+    # integer token too, however many digits it has
     g = bei.parse_edge_list("0 1\n1 a\n")
     assert g.labels == ("0", "1", "a") and g.m == 2
     long = "9" * 5000
-    g = bei.parse_edge_list(f"0 {long}\n")
-    assert g.labels == ("0", long)
+    g = bei.parse_edge_list(f"a {long}\n")
+    assert g.labels == ("a", long)
     with pytest.raises(ValueError, match="^edge list line 2: self-loop at '1'$"):
         bei.parse_edge_list("0 a\n1 1\n")
+
+
+@pytest.mark.parametrize(
+    "index, count",
+    [
+        ("9" * 20, "1" + "0" * 20),
+        ("+" + "0" * 5000 + "9" * 39, "1" + "0" * 39),  # a count of 40 characters is shown whole
+        ("9" * 40, "<int of 41 characters>"),
+        ("9" * 4000, "<int of 4001 characters>"),
+        ("9" * 5000, "<int of 5001 characters>"),
+        ("1" + "0" * 4999, "<int of 5000 characters>"),
+    ],
+    ids=["20-digit", "zeros-then-39-digit", "40-digit", "4000-digit", "5000-digit", "5000-digit-power"],
+)
+def test_an_index_past_the_digits_of_sys_maxsize_is_refused_by_its_digits(index, count):
+    # int() stops at 4300 digits, and the token would pass for a name
+    with pytest.raises(ValueError) as err:
+        bei.parse_edge_list(f"0 1\n{index} 0\n")
+    assert str(err.value) == f"vertex count {count} is too large for a graph"
+
+
+def test_an_index_is_read_by_its_significant_digits():
+    assert bei.parse_edge_list("0 " + "0" * 5000 + "3\n") == bei.Graph(4, [(0, 3)])
+    assert bei.parse_edge_list("-" + "0" * 5000 + " 1\n") == bei.path_graph(2)
+    with pytest.raises(ValueError, match="^negative vertex index in edge list$"):
+        bei.parse_edge_list("0 -" + "9" * 5000 + "\n")
 
 
 def test_dot_export():
@@ -199,6 +244,14 @@ def test_named_graphs():
         bei.graph_from_name("Q3")
     with pytest.raises(ValueError):
         bei.graph_from_name("C2")
+
+
+def test_a_graph_name_is_read_by_its_significant_digits():
+    assert bei.graph_from_name("K" + "0" * 5000 + "3") == bei.complete_graph(3)
+    for digits, shown in [("9" * 20, "9" * 20), ("1" * 5000, "<int of 5000 characters>")]:
+        with pytest.raises(ValueError) as err:
+            bei.graph_from_name("P" + digits, check_n=lambda n: pytest.fail("count read"))
+        assert str(err.value) == f"vertex count {shown} is too large for a graph"
 
 
 def test_a_graph_name_is_a_kpc_letter_then_decimal_digits():
