@@ -2,12 +2,10 @@
 corona-type graph products.
 
 ``import bei`` loads only ``bei.corona`` and, through it, ``bei.graph`` and
-``bei.io``: ``bei.corona`` must stay bound to the function ``corona``, not
-to its submodule, and only an eager ``from .corona import corona`` does
-that.  Every other public name, and every submodule, is loaded on first use
-by the module ``__getattr__`` (PEP 562), so a program loads only what it
-uses.  A ``bei`` command then compiles ``bei.cli`` while only those three
-are resident, which lowers its peak memory, and of the verb modules
+``bei.io``.  Every other public name, and every submodule, is loaded on
+first use by the module ``__getattr__`` (PEP 562), so a program loads only
+what it uses.  A ``bei`` command then compiles ``bei.cli`` while only those
+three are resident, which lowers its peak memory, and of the verb modules
 ``bei._verb_<verb>`` it compiles only the one it runs.  The names are
 looked up afresh on each access, never cached here, so a name rebound in
 its submodule is seen through ``bei`` too.
@@ -35,7 +33,6 @@ _EXPORTS = {
             "members",
             "path_graph",
             "simplicial_vertices",
-            "vset",
         ),
         "graph",
     ),
@@ -68,7 +65,7 @@ _EXPORTS = {
         "cutsets",
     ),
     **dict.fromkeys(
-        ("CoronaSpec", "corona", "corona_spec_from_json", "gadget", "l_corona"),
+        ("CoronaSpec", "corona_spec_from_json", "gadget", "l_corona"),
         "corona",
     ),
     **dict.fromkeys(
@@ -106,5 +103,6 @@ def __dir__() -> list[str]:
     return sorted({*globals(), *_EXPORTS, *_SUBMODULES})
 
 
-# binds the function over the submodule attribute its import sets
-from .corona import corona  # noqa: E402
+# loaded at import although no name needs it yet: a ``bei`` command whose
+# ``import bei`` loaded no submodule peaked 0.1 MB higher
+from . import corona  # noqa: E402, F401

@@ -17,6 +17,7 @@ from .invariants import (
     depth_reg_corona_complete,
     depth_reg_corona_path,
 )
+from .io import read_json
 
 
 def add_arguments(p: argparse.ArgumentParser) -> None:
@@ -51,7 +52,7 @@ def _base_record(args) -> tuple[BaseInvariants, Graph | None]:
         block_graph = _graph_arg(args.pendant_block_graph)
         base = base_invariants_block_graph(block_graph, bound=args.bound)
     else:
-        obj = json.loads(_named_file(args.pendant_base_json, "--pendant-base-json").read_text())
+        obj = read_json(_named_file(args.pendant_base_json, "--pendant-base-json").read_text())
         base = BaseInvariants.from_json(obj)
     if pendant_graph is None:
         return base, block_graph

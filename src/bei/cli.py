@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import json
 import sys
 from importlib import import_module
@@ -29,9 +30,9 @@ from typing import Callable, Iterable
 from . import __version__
 from .corona import _SPEC_FIELDS, corona_spec_from_json, l_corona
 from .cutsets import DEFAULT_BOUND, EnumerationBoundError, check_bound
-from .graph import Graph, _brief
+from .graph import _BRIEF_MAX, Graph, _brief
 from .io import (
-    from_graph6, graph_from_json, graph_from_name, is_graph6_word, is_graph_name, parse_edge_list
+    from_graph6, graph_from_json, graph_from_name, is_graph6_word, is_graph_name, parse_edge_list, read_json
 )
 
 # no shared helper uses these: the traced benchmark wraps their functions
@@ -66,9 +67,16 @@ def _graph_arg(token: str, check_n: Callable[[int], None] | None = None) -> Grap
         text, source = sys.stdin.read(), "stdin"
     else:
         path = Path(token)
-        # Path("") is ".", a directory the user never named
-        if not token or not path.exists():
-            raise ValueError(f"no such file or graph name: {token or repr(token)}")
+        try:
+            # Path("") is ".", a directory the user never named
+            found = bool(token) and path.exists()
+        except OSError as exc:
+            if exc.errno != errno.ENAMETOOLONG:
+                raise
+            found = False  # no file has a name too long for the file system
+        if not found:
+            shown = token if 0 < len(token) <= _BRIEF_MAX else _brief(token, "str")
+            raise ValueError(f"no such file or graph name: {shown}")
         text, source = path.read_text(), token
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
@@ -76,7 +84,7 @@ def _graph_arg(token: str, check_n: Callable[[int], None] | None = None) -> Grap
     lower = token.lower()
     g6_suffix = lower.endswith((".g6", ".graph6"))
     if lower.endswith(".json") or (not g6_suffix and text.lstrip().startswith("{") and '"' in text):
-        obj = json.loads(text)
+        obj = read_json(text)
         if isinstance(obj, dict) and not obj.keys().isdisjoint(_SPEC_FIELDS):
             return l_corona(corona_spec_from_json(obj, check_n))
         return graph_from_json(obj, check_n)
@@ -242,8 +250,9 @@ def main(argv: list[str] | None = None) -> int:
     except EnumerationBoundError as exc:
         kind, error = "bound-exceeded", str(exc)
     except (ValueError, KeyError, OverflowError) as exc:
-        # OverflowError: a number too large to index or shift by, such as
-        # the vertex count of {"n": 99999999999999999999}
+        # OverflowError: a number too large to index or shift by; every
+        # vertex count and index is checked first, so no input is known to
+        # reach this, and it stays only as a fallback
         kind, error = "invalid-input", str(exc)
     except MemoryError as exc:
         # a graph too large to hold, such as {"n": 200000000} under a 1 GiB

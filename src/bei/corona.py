@@ -57,16 +57,6 @@ class CoronaSpec(namedtuple("_CoronaSpecFields", "base attach_set pendant")):
     def product_vertices(self) -> int:
         return self.base.n + self.ell * self.pendant.n
 
-    def attach_vertices(self) -> list[int]:
-        return members(self.attach_set)
-
-    def copy_start(self, v: int) -> int:
-        """First product index of the pendant copy attached at ``v``."""
-        if not (self.attach_set >> v) & 1:
-            raise ValueError(f"vertex {v} carries no pendant copy")
-        rank = (self.attach_set & ((1 << v) - 1)).bit_count()
-        return self.base.n + rank * self.pendant.n
-
 
 def l_corona(spec: CoronaSpec) -> Graph:
     """Construct the product for ``spec`` in the layout above: the one
@@ -77,18 +67,13 @@ def l_corona(spec: CoronaSpec) -> Graph:
     edges = list(base.edges())
     labelled = base.labels is not None or pend.labels is not None
     labels = [base.label(v) for v in range(base.n)] if labelled else None
-    for v in spec.attach_vertices():
-        start = spec.copy_start(v)
+    for r, v in enumerate(members(spec.attach_set)):
+        start = base.n + r * h
         edges += [(start + a, start + b) for a, b in pend_edges]
         edges += [(v, start + j) for j in range(h)]
         if labelled:
             labels += [f"{pend.label(j)}@{base.label(v)}" for j in range(h)]
     return Graph(spec.product_vertices, edges, labels)
-
-
-def corona(g: Graph, h: Graph) -> Graph:
-    """Plain corona: one pendant copy at every base vertex."""
-    return l_corona(CoronaSpec(g, g.full_mask, h))
 
 
 # ---------------------------------------------------------------------------

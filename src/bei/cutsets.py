@@ -201,9 +201,8 @@ def _nonempty_cutsets(
                     # first) would leave v inside one component
                     family = family[1:]
                 chosen.append(family)
-        # the first pendant varies slowest, as when the products were
-        # built one pendant at a time; a set with no apex is its own one
-        # product
+        # the first pendant varies slowest; a set with no apex is its own
+        # one product
         for combo in product(*chosen):
             m, x = s, w
             for pm, pw in combo:

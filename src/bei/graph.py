@@ -19,14 +19,6 @@ from typing import Iterable, Iterator
 VertexSet = int
 
 
-def vset(vertices: Iterable[int]) -> VertexSet:
-    """Pack vertex indices into a bitmask."""
-    s = 0
-    for v in vertices:
-        s |= 1 << v
-    return s
-
-
 # the longest text of a value read from input that a refusal repeats whole
 _BRIEF_MAX = 40
 
@@ -42,7 +34,7 @@ def _brief(text: str, kind: str = "int") -> str:
 
 
 def checked_vset(vertices: list[int], field: str, n: int) -> VertexSet:
-    """``vset`` of a list given on input for a graph on ``n`` vertices; its
+    """The mask of ``vertices``, read from input for a graph on ``n`` vertices; its
     first negative, out-of-range or repeated vertex is a ValueError that
     names ``field`` and that vertex alone, raised before its bit is set."""
     s = 0

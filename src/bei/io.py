@@ -283,6 +283,19 @@ def is_graph_name(token: str) -> bool:
 # JSON graph objects
 
 
+def read_json(text: str):
+    """The JSON value ``text`` holds.  An integer of more digits than
+    ``int()`` reads is a ValueError that shows it by its length."""
+    return json.loads(text, parse_int=_json_int)
+
+
+def _json_int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise ValueError(f"JSON integer {_brief(digits)} has too many digits") from None
+
+
 def graph_to_json(g: Graph) -> dict:
     obj: dict = {"n": g.n, "edges": [[u, v] for u, v in g.edges()]}
     if g.labels is not None:

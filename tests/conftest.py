@@ -1,4 +1,5 @@
-"""Shared fixtures: an independent brute-force cutset oracle and the checks
+"""Shared fixtures: vertex masks, full coronas and the copy offsets of the
+product layout, an independent brute-force cutset oracle and the checks
 built on it, the paper's structure of corona cutsets, the worked
 unmixedness counterexample, the small-graph corpus, and a fresh interpreter
 that imports ``bei`` from the tree under test."""
@@ -17,6 +18,32 @@ import pytest
 
 import bei
 from bei import cutsets, is_cutset, iter_members, members
+
+
+# ---------------------------------------------------------------------------
+# vertex sets and products
+
+
+def vset(vertices) -> int:
+    """Pack vertex indices into a bitmask."""
+    s = 0
+    for v in vertices:
+        s |= 1 << v
+    return s
+
+
+def full_corona(g: bei.Graph, h: bei.Graph) -> bei.Graph:
+    """G∘H: one pendant copy of ``h`` at every vertex of ``g``."""
+    return bei.l_corona(bei.CoronaSpec(g, g.full_mask, h))
+
+
+def copy_start(spec: bei.CoronaSpec, v: int) -> int:
+    """First product index of the pendant copy at attach vertex ``v``, by
+    the layout the ``bei.corona`` docstring states: the copy at the r-th
+    attach vertex, in ascending order, starts at ``base.n + r*h``."""
+    assert spec.attach_set >> v & 1, f"vertex {v} carries no pendant copy"
+    r = (spec.attach_set & ((1 << v) - 1)).bit_count()
+    return spec.base.n + r * spec.pendant.n
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +204,7 @@ class CoronaDecomposition(NamedTuple):
     def reassemble(self, spec: bei.CoronaSpec) -> int:
         t = self.t0
         for v, part in self.tv:
-            t |= part << spec.copy_start(v)
+            t |= part << copy_start(spec, v)
         return t
 
 
@@ -193,8 +220,8 @@ def decompose_cutset(spec: bei.CoronaSpec, t: int) -> CoronaDecomposition:
     tv: list[tuple[int, int]] = []
     nonempty = 0
     predicted = _ncomp(base, t0)
-    for v in spec.attach_vertices():
-        part = (t >> spec.copy_start(v)) & h_mask
+    for v in members(spec.attach_set):
+        part = (t >> copy_start(spec, v)) & h_mask
         tv.append((v, part))
         if part:
             nonempty |= 1 << v
@@ -277,7 +304,7 @@ def square_leaves_base() -> bei.Graph:
 
 @pytest.fixture
 def square_leaves_spec(square_leaves_base) -> bei.CoronaSpec:
-    return bei.CoronaSpec(square_leaves_base, bei.vset([1, 2]), bei.complete_graph(2))
+    return bei.CoronaSpec(square_leaves_base, vset([1, 2]), bei.complete_graph(2))
 
 
 @pytest.fixture

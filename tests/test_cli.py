@@ -36,7 +36,16 @@ from bei import (
 from bei._verb_cutsets import _report_pieces
 from bei.cli import build_parser, main
 
-from conftest import atlas, cone_over, connected_atlas, factors_pendants, python_env, run_python, to_nx
+from conftest import (
+    atlas,
+    cone_over,
+    connected_atlas,
+    factors_pendants,
+    full_corona,
+    python_env,
+    run_python,
+    to_nx,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -390,7 +399,7 @@ def test_a_graph_name_is_the_named_graph(tmp_path, capsys, monkeypatch):
 
 
 # K3oP2, and P60, whose graph6 starts with "{" (63 + 60) but is not JSON
-FORMAT_GRAPHS = [bei.corona(complete_graph(3), path_graph(2)), path_graph(60)]
+FORMAT_GRAPHS = [full_corona(complete_graph(3), path_graph(2)), path_graph(60)]
 
 
 def format_texts(g):
@@ -537,7 +546,7 @@ def test_invariants_take_the_oracle_dimension_over_a_pendant_graph(capsys):
     code, out, err = run(argv, capsys)
     assert code == 0 and err == ""
     dim = json.loads(out)["dim"]
-    product = bei.corona(path_graph(3), path_graph(3))
+    product = full_corona(path_graph(3), path_graph(3))
     assert dim == {"value": bei.dimension_oracle(product), "provenance": "formula:l-corona-dimension"}
 
 
@@ -560,7 +569,7 @@ def script_header(text):
         (["l-corona", "--n", "4", "--ell", "2", "--pendant-block-graph", "P3"], None,
          bei.l_corona(bei.CoronaSpec(complete_graph(4), 0b11, path_graph(3)))),
         (["path", "--n", "3", "--pendant-block-graph", "K3", "--pendant-graph", "K3"], "singular",
-         bei.corona(path_graph(3), complete_graph(3))),
+         full_corona(path_graph(3), complete_graph(3))),
     ],
     ids=["l-corona-m2", "path-singular"],
 )
@@ -643,7 +652,7 @@ def test_cutsets_json_is_the_indented_report(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(bei._verb_cutsets, "enumerate_cutsets", recording)
     for base, pendant in BENCH_PRODUCTS:
         path = tmp_path / f"{base}o{pendant}.g6"
-        product = bei.corona(bei.graph_from_name(base), bei.graph_from_name(pendant))
+        product = full_corona(bei.graph_from_name(base), bei.graph_from_name(pendant))
         path.write_text(to_graph6(product) + "\n")
         for cap in caps:
             argv = ["cutsets", "--input", str(path)]
@@ -656,7 +665,7 @@ def test_cutsets_json_is_the_indented_report(tmp_path, capsys, monkeypatch):
 
 def test_cutsets_jsonl_lists_the_json_reports_rows(tmp_path, capsys):
     # a factored family, in the report's order and under the same cap
-    product = bei.corona(complete_graph(2), cycle_graph(8))
+    product = full_corona(complete_graph(2), cycle_graph(8))
     assert factors_pendants(product)
     path = tmp_path / "k2oc8.g6"
     path.write_text(to_graph6(product) + "\n")

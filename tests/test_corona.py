@@ -8,42 +8,42 @@ import networkx as nx
 import pytest
 
 import bei
-from bei import members, vset
+from bei import members
 
 from conftest import (
+    _naive_adjacency,
     assert_matches_naive,
     check_cutset_structure,
     cone_over,
+    connected_atlas,
+    copy_start,
     decompose_cutset,
     factors_pendants,
+    full_corona,
     naive_ncomp,
     random_connected_graph,
     to_nx,
+    vset,
 )
 
 
-def test_bei_corona_is_the_function_and_the_submodule_stays_importable():
-    # the package re-exports the function under its submodule's name
-    module = importlib.import_module("bei.corona")
-    assert isinstance(module, types.ModuleType)
-    assert bei.corona is module.corona
+def test_bei_corona_is_the_submodule():
     import bei.corona as imported
 
-    assert imported is module.corona
-    from bei.corona import l_corona
-
-    assert l_corona is module.l_corona
+    assert isinstance(imported, types.ModuleType)
+    assert imported is bei.corona is importlib.import_module("bei.corona")
+    assert imported.l_corona is bei.l_corona
 
 
 def test_corona_tiny_cases():
-    p2 = bei.corona(bei.complete_graph(1), bei.complete_graph(1))
+    p2 = full_corona(bei.complete_graph(1), bei.complete_graph(1))
     assert p2 == bei.path_graph(2)
-    p4 = bei.corona(bei.complete_graph(2), bei.complete_graph(1))
+    p4 = full_corona(bei.complete_graph(2), bei.complete_graph(1))
     assert nx.is_isomorphic(to_nx(p4), to_nx(bei.path_graph(4)))
 
 
 def test_corona_counts():
-    g = bei.corona(bei.complete_graph(3), bei.path_graph(2))
+    g = full_corona(bei.complete_graph(3), bei.path_graph(2))
     assert g.n == 9
     assert g.m == 3 + 3 * (2 + 1) == 12
 
@@ -53,20 +53,45 @@ def test_corona_count_formulas_random():
     for _ in range(25):
         base = random_connected_graph(rng, rng.randrange(1, 6))
         pend = random_connected_graph(rng, rng.randrange(1, 5))
-        prod = bei.corona(base, pend)
+        prod = full_corona(base, pend)
         assert prod.n == base.n * (1 + pend.n)
         assert prod.m == base.m + base.n * (pend.n + pend.m)
 
 
 def test_corona_not_commutative():
     a, b = bei.complete_graph(2), bei.complete_graph(3)
-    assert bei.corona(a, b).n != bei.corona(b, a).n
+    assert full_corona(a, b).n != full_corona(b, a).n
 
 
 def test_l_corona_matches_corona_at_full_attach_set():
-    base, pend = bei.path_graph(3), bei.complete_graph(2)
-    spec = bei.CoronaSpec(base, base.full_mask, pend)
-    assert bei.l_corona(spec) == bei.corona(base, pend)
+    # G∘H as networkx builds it, up to isomorphism
+    rng = random.Random(3)
+    for _ in range(10):
+        base = random_connected_graph(rng, rng.randrange(1, 5))
+        pend = random_connected_graph(rng, rng.randrange(1, 4))
+        prod = bei.l_corona(bei.CoronaSpec(base, base.full_mask, pend))
+        assert nx.is_isomorphic(to_nx(prod), nx.corona_product(to_nx(base), to_nx(pend)))
+
+
+def test_l_corona_keeps_the_documented_layout():
+    # vertex base.n + r*h + j is vertex j of the copy at the r-th attach
+    # vertex in ascending order: adjacent to that vertex and to the copies
+    # of j's pendant neighbours, and to nothing else
+    pendants = connected_atlas(3)
+    for base in connected_atlas(4):
+        base_adj = _naive_adjacency(base)
+        for attach in range(1, base.full_mask + 1):
+            for pend in pendants:
+                h, pend_adj = pend.n, _naive_adjacency(pend)
+                prod = bei.l_corona(bei.CoronaSpec(base, attach, pend))
+                adj = _naive_adjacency(prod)
+                assert prod.n == base.n + attach.bit_count() * h
+                for u in range(base.n):
+                    assert {w for w in adj[u] if w < base.n} == base_adj[u]
+                for r, v in enumerate(members(attach)):
+                    start = base.n + r * h
+                    for j in range(h):
+                        assert adj[start + j] == {v} | {start + k for k in pend_adj[j]}
 
 
 def test_l_corona_layout_and_labels():
@@ -75,9 +100,6 @@ def test_l_corona_layout_and_labels():
     g = bei.l_corona(spec)
     assert g.n == 5
     assert g.labels == ("a", "b", "c", "0@a", "0@c")
-    assert spec.copy_start(0) == 3 and spec.copy_start(2) == 4
-    with pytest.raises(ValueError):
-        spec.copy_start(1)
 
 
 def test_l_corona_single_attach_is_cone():
@@ -126,7 +148,7 @@ def test_decompose_attach_vertex_plus_pendant_cutset():
     base = bei.path_graph(3)
     pend = bei.path_graph(3)
     spec = bei.CoronaSpec(base, vset([0]), pend)
-    t = vset([0]) | (vset([1]) << spec.copy_start(0))  # {v} + middle of the copy
+    t = vset([0]) | (vset([1]) << copy_start(spec, 0))  # {v} + middle of the copy
     dec = decompose_cutset(spec, t)
     want = naive_ncomp(base, {0}) + naive_ncomp(pend, {1})
     assert dec.predicted_components == want
@@ -230,13 +252,13 @@ def test_gadget_refuses_other_diameters(d):
 
 def test_cutsets_of_nested_coronas_match_naive():
     c4 = bei.cycle_graph(4)
-    inner = bei.corona(bei.complete_graph(2), c4)
+    inner = full_corona(bei.complete_graph(2), c4)
     graphs = [
         # the pendant is itself factored again
-        bei.corona(bei.complete_graph(1), inner),
+        full_corona(bei.complete_graph(1), inner),
         # two apexes, each inside the other's pendant
         cone_over(cone_over(inner)),
-        bei.corona(bei.complete_graph(2), bei.corona(bei.complete_graph(1), c4)),
+        full_corona(bei.complete_graph(2), full_corona(bei.complete_graph(1), c4)),
     ]
     for g in graphs:
         assert factors_pendants(g)
@@ -246,7 +268,7 @@ def test_cutsets_of_nested_coronas_match_naive():
 def test_cutsets_of_gadgets_match_naive():
     graphs = [
         bei.gadget(bei.cycle_graph(7), 2),
-        bei.gadget(bei.corona(bei.complete_graph(2), bei.cycle_graph(4)), 2),
+        bei.gadget(full_corona(bei.complete_graph(2), bei.cycle_graph(4)), 2),
         bei.gadget(bei.cycle_graph(4), 3),
         bei.gadget(bei.cycle_graph(5), 3),
     ]

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bei
-from bei import cutsets, members, vset
+from bei import cutsets, members
 from bei._verb_cutsets import _report_pieces
 
 from conftest import (
@@ -20,13 +20,16 @@ from conftest import (
     assert_matches_naive,
     atlas,
     connected_atlas,
+    copy_start,
     factors_pendants,
+    full_corona,
     mixed_graphs,
     naive_cutsets,
     naive_is_accessible_system,
     naive_is_unmixed,
     naive_ncomp,
     random_connected_graph,
+    vset,
 )
 
 
@@ -106,8 +109,8 @@ def test_each_copy_of_a_non_complete_pendant_is_a_cone_pendant_of_its_attach_ver
                 g = bei.l_corona(spec)
                 cand = g.full_mask & ~bei.simplicial_vertices(g)
                 found = cutsets._cone_pendants(g.adj, g.full_mask, cand)
-                for v in spec.attach_vertices():
-                    assert (v, pendant.full_mask << spec.copy_start(v)) in found
+                for v in members(attach):
+                    assert (v, pendant.full_mask << copy_start(spec, v)) in found
                 products += 1
     assert products == 648
 
@@ -124,9 +127,9 @@ def test_enumerate_matches_naive_on_disconnected_graphs():
 def test_enumerate_matches_naive_on_small_coronas():
     pendants = (bei.complete_graph(1), bei.complete_graph(2), bei.path_graph(3))
     products = [
-        bei.corona(bei.complete_graph(n), h) for n in (1, 2, 3) for h in pendants
+        full_corona(bei.complete_graph(n), h) for n in (1, 2, 3) for h in pendants
     ]
-    products.append(bei.corona(bei.cycle_graph(4), bei.complete_graph(1)))
+    products.append(full_corona(bei.cycle_graph(4), bei.complete_graph(1)))
     for g in products:
         assert g.n <= 12
         assert_matches_naive(g)
@@ -265,7 +268,7 @@ def refuse_search_set_up(monkeypatch):
 
 
 def test_empty_set_comes_before_the_search_set_up(monkeypatch):
-    g = bei.corona(bei.cycle_graph(4), bei.path_graph(3))
+    g = full_corona(bei.cycle_graph(4), bei.path_graph(3))
     assert factors_pendants(g)
     refuse_search_set_up(monkeypatch)
     cuts = bei.iter_cutsets(g)
@@ -413,7 +416,7 @@ def test_a_pendant_family_is_listed_when_its_apex_enters_a_core_set(monkeypatch)
     # first, so the copy under vertex 1 is listed only after every cutset
     # whose core is {0}, and each copy once; a pendant's family is a nested
     # _nonempty_cutsets call (C8 has no pendant of its own)
-    g = bei.corona(bei.complete_graph(2), bei.cycle_graph(8))
+    g = full_corona(bei.complete_graph(2), bei.cycle_graph(8))
     listed = []
     nonempty_cutsets = cutsets._nonempty_cutsets
 
@@ -525,7 +528,7 @@ def test_dimension_oracle_examples():
     # complete base with unmixed pendant everywhere: n + n*h + 1
     for n in (1, 2, 3):
         for h in (bei.complete_graph(2), bei.path_graph(3)):
-            prod = bei.corona(bei.complete_graph(n), h)
+            prod = full_corona(bei.complete_graph(n), h)
             assert bei.dimension_oracle(prod) == n + n * h.n + 1
 
 

@@ -8,11 +8,11 @@ import networkx as nx
 import pytest
 
 import bei
-from bei import members, vset
+from bei import members
 from bei.cutsets import check_bound
 from bei.graph import _components, checked_vset, independence_number
 
-from conftest import atlas, connected_atlas, mixed_graphs, to_nx
+from conftest import atlas, connected_atlas, full_corona, mixed_graphs, to_nx, vset
 
 
 def test_graph_construction_and_queries():
@@ -85,7 +85,7 @@ def test_graph_is_immutable():
 
 
 def test_vertex_set_helpers():
-    assert vset([0, 2, 5]) == 0b100101
+    assert checked_vset([0, 2, 5], "vertices", 6) == 0b100101
     assert members(0b100101) == [0, 2, 5]
     assert list(bei.iter_members(0)) == []
 
@@ -152,7 +152,7 @@ def test_simplicial_vertices_and_iv():
     # in K_n with complete copies everywhere, exactly the base is internal
     for n in (2, 3):
         for h in (1, 2, 3):
-            g = bei.corona(bei.complete_graph(n), bei.complete_graph(h))
+            g = full_corona(bei.complete_graph(n), bei.complete_graph(h))
             assert bei.internal_vertex_count(g) == n
     assert bei.simplicial_vertices(bei.path_graph(3)) == vset([0, 2])
 

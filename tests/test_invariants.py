@@ -2,16 +2,14 @@
 formulas, Cohen-Macaulay defect, extremal Betti positions, classification,
 and the dimension formula against the cutset oracle."""
 
-import importlib
 import json
 
 import pytest
 
 import bei
-from bei import vset
 from bei.invariants import CM_CLOSED, FULL_CORONA, L_CORONA, PATH
 
-from conftest import connected_atlas
+from conftest import connected_atlas, full_corona, vset
 
 
 def block(g):
@@ -219,7 +217,7 @@ def test_single_vertex_base_complete_pendant_is_complete_product():
     # the product of a point with a complete pendant is complete: reg 1
     for h in (1, 2, 3):
         rep = bei.depth_reg_corona_complete(1, 1, block(bei.complete_graph(h)))
-        prod = bei.corona(bei.complete_graph(1), bei.complete_graph(h))
+        prod = full_corona(bei.complete_graph(1), bei.complete_graph(h))
         assert prod == bei.complete_graph(prod.n)
         assert rep.reg_q == 1 == bei.internal_vertex_count(prod) + 1
         assert rep.depth_q == prod.n + 1
@@ -258,7 +256,7 @@ def test_cmdef_with_almost_cm_pendant_built_from_a_report():
     assert pend.h == 8 and pend.dim_q - pend.depth_q == 1
     assert pend.pd == inner.pd and not pend.is_complete
     # oracle cross-check at desk scale: dim of the 19-vertex product
-    inner_graph = bei.corona(bei.complete_graph(2), bei.path_graph(3))
+    inner_graph = full_corona(bei.complete_graph(2), bei.path_graph(3))
     outer = bei.l_corona(
         bei.CoronaSpec(bei.complete_graph(3), vset([0, 1]), inner_graph)
     )
@@ -276,7 +274,7 @@ def test_cm_closed_family():
     assert rep.depth_q == 1 + 3 * 3 == 10
     assert rep.reg_q == 4
     # the product is a block graph on 9 vertices: check the closed forms
-    prod = bei.corona(bei.path_graph(3), bei.complete_graph(2))
+    prod = full_corona(bei.path_graph(3), bei.complete_graph(2))
     assert bei.is_block_graph(prod)
     assert rep.depth_q == prod.n + 1
     assert rep.reg_q == bei.internal_vertex_count(prod) + 1
@@ -301,7 +299,7 @@ def test_cm_closed_over_the_bound_builds_no_product(monkeypatch):
         raise AssertionError("the product was built or enumerated")
 
     p3 = block(bei.path_graph(3))
-    monkeypatch.setattr(importlib.import_module("bei.corona"), "l_corona", no_product)
+    monkeypatch.setattr(bei.corona, "l_corona", no_product)
     monkeypatch.setattr(bei.cutsets, "iter_cutsets", no_product)
     rep = bei.depth_reg_corona_cm_closed(bei.path_graph(7), p3)
     assert 7 * 4 > bei.DEFAULT_BOUND
@@ -409,7 +407,7 @@ def test_classify_transfer_and_oracle_agreement():
     # full corona with a non-complete pendant fails, and the oracle agrees
     v2 = bei.depth_reg_corona_complete(2, 2, block(bei.path_graph(3))).verdicts
     assert v2["unmixed"].value is False and v2["cm"].value is False
-    prod = bei.corona(bei.complete_graph(2), bei.path_graph(3))
+    prod = full_corona(bei.complete_graph(2), bei.path_graph(3))
     assert not bei.enumerate_cutsets(prod).is_unmixed
     # complete pendant on a complete base is Cohen-Macaulay
     v3 = bei.depth_reg_corona_complete(3, 3, block(bei.complete_graph(2))).verdicts
@@ -471,7 +469,7 @@ def test_clique_path_dimension_formula_matches_the_oracle():
         for h_graph, rec in pendants:
             if b_graph.n * (1 + h_graph.n) > 24:
                 continue
-            want = bei.dimension_oracle(bei.corona(b_graph, h_graph))
+            want = bei.dimension_oracle(full_corona(b_graph, h_graph))
             got = bei.depth_reg_corona_cm_closed(b_graph, rec).dim_q
             assert got == want, (bei.to_graph6(b_graph), bei.to_graph6(h_graph))
             products += 1
@@ -495,11 +493,11 @@ def test_every_family_with_a_complete_pendant_matches_its_block_graph_record():
             for ell in range(1, n + 1)
         ]
         cases += [
-            (bei.depth_reg_corona_path(n, rec), bei.corona(bei.path_graph(n), pendant))
+            (bei.depth_reg_corona_path(n, rec), full_corona(bei.path_graph(n), pendant))
             for n in range(1, 6)
         ]
         cases += [
-            (bei.depth_reg_corona_cm_closed(b_graph, rec), bei.corona(b_graph, pendant))
+            (bei.depth_reg_corona_cm_closed(b_graph, rec), full_corona(b_graph, pendant))
             for b_graph in clique_paths
             if b_graph.n * (1 + h) <= 20
         ]

@@ -1,8 +1,10 @@
 """Formats: graph6 (bit-exact), edge lists, DOT, names, JSON objects."""
 
 import itertools
+import json
 import random
 import re
+import sys
 
 import networkx as nx
 import pytest
@@ -15,6 +17,7 @@ from bei.io import (
     graph_from_json,
     graph_to_json,
     is_graph_name,
+    read_json,
 )
 
 from conftest import mixed_graphs, to_nx
@@ -269,6 +272,17 @@ def test_graph_json_roundtrip():
     obj = graph_to_json(g)
     back = graph_from_json(obj)
     assert back == g and back.labels == g.labels
+
+
+def test_read_json_reads_what_json_reads_and_shows_a_longer_integer_by_its_length():
+    # int() reads at most sys.get_int_max_str_digits() digits, 4300 by default
+    limit = sys.get_int_max_str_digits()
+    for text in ["[0, -1, 2.5, true]", "9" * limit, "-" + "9" * limit, '{"n": 3}']:
+        assert read_json(text) == json.loads(text)
+    for digits in ["9" * (limit + 1), "-" + "9" * 5000]:
+        with pytest.raises(ValueError) as info:
+            read_json('{"n": ' + digits + "}")
+        assert str(info.value) == f"JSON integer <int of {len(digits)} characters> has too many digits"
 
 
 @pytest.mark.parametrize("key", ["edge", "lables", "base"])

@@ -4,9 +4,9 @@ no instance ``__dict__``, and equality by field values."""
 import pytest
 
 import bei
-from bei import cas, vset
+from bei import cas
 
-from conftest import decompose_cutset
+from conftest import decompose_cutset, vset
 
 
 def block(g):
