@@ -6,8 +6,8 @@ from __future__ import annotations
 import argparse
 import json
 
-from .cli import _add_common, _applies_only, _input_graph, _int_list, _one_of, _write_out
-from .cutsets import accessibility_witness_chain, enumerate_cutsets, is_cutset, unmixed_report
+from .cli import _add_common, _applies_only, _graph_arg, _int_list, _one_of, _write_out
+from .cutsets import accessibility_witness_chain, check_bound, enumerate_cutsets, is_cutset, unmixed_report
 from .graph import Graph, checked_vset, is_cm_closed, members
 
 
@@ -29,7 +29,11 @@ def run(args) -> int:
     mode = _one_of(args, "--unmixed", "--accessible", "--accessible-system", "--cutset", "--cm-closed")
     _applies_only(args, "--chain", mode == "--cutset", "--cutset")
     searches = mode in ("--unmixed", "--accessible", "--accessible-system")
-    g = _input_graph(args, searches, "--unmixed, --accessible and --accessible-system")
+    # a --chain search is bounded by the size of its set, not by n
+    _applies_only(
+        args, "--bound", searches or args.chain, "--unmixed, --accessible, --accessible-system and --chain"
+    )
+    g = _graph_arg(args.input, (lambda n: check_bound(n, args.bound)) if searches else None)
     if mode == "--unmixed":
         report = enumerate_cutsets(g, bound=args.bound)
         violation = report.unmixed_violation
@@ -58,7 +62,7 @@ def run(args) -> int:
         value = is_cutset(g, mask)
         result = {"check": "cutset", "set": _labels(g, mask), "value": value}
         if value and args.chain:
-            chain = accessibility_witness_chain(g, mask)
+            chain = accessibility_witness_chain(g, mask, args.bound)
             result["witness_chain"] = None if chain is None else [g.label(v) for v in chain]
     else:
         result = {"check": "cm-closed", "value": is_cm_closed(g)}

@@ -9,6 +9,7 @@ import json
 from .cas import DIALECTS, emit_cas_script
 from .cli import _add_common, _applies_only, _given, _graph_arg, _named_file, _one_of, _write_out
 from .corona import CoronaSpec, l_corona
+from .cutsets import check_bound
 from .graph import Graph, complete_graph, is_connected, path_graph
 from .invariants import (
     BaseInvariants,
@@ -49,7 +50,8 @@ def _base_record(args) -> tuple[BaseInvariants, Graph | None]:
     if args.pendant_graph is not None:
         pendant_graph = _graph_arg(args.pendant_graph)
     if source == "--pendant-block-graph":
-        block_graph = _graph_arg(args.pendant_block_graph)
+        # refused above the bound before it is built, as an --input graph is
+        block_graph = _graph_arg(args.pendant_block_graph, lambda n: check_bound(n, args.bound))
         base = base_invariants_block_graph(block_graph, bound=args.bound)
     else:
         obj = read_json(_named_file(args.pendant_base_json, "--pendant-base-json").read_text())

@@ -199,7 +199,8 @@ def _add_common(
         p.add_argument(
             "--bound",
             type=int,
-            help=f"most vertices a cutset search takes (default: {DEFAULT_BOUND})",
+            help="most vertices a cutset search takes, and the largest set check --chain searches "
+            f"(default: {DEFAULT_BOUND})",
         )
     p.add_argument("--output", "-o", help="output file (default: stdout)")
 
@@ -261,7 +262,10 @@ def main(argv: list[str] | None = None) -> int:
         kind = "invalid-input"
         error = f"out of memory: {str(exc) or 'the graph or its results do not fit'}"
     except OSError as exc:
+        # str(exc) repeats the whole file name: a long one is shown by its length
         kind, error = "io-error", str(exc)
+        if exc.filename is not None:
+            error = f"[Errno {exc.errno}] {exc.strerror}: {_brief(str(exc.filename), 'str')}"
     sys.stderr.write(json.dumps({"error": error, "kind": kind}) + "\n")
     return 1
 

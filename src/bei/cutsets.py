@@ -459,11 +459,13 @@ def dimension_oracle(g: Graph, bound: int | None = None) -> int:
     return _dimension(g.n, iter_cutsets(g, bound))
 
 
-def accessibility_witness_chain(g: Graph, t: VertexSet) -> list[int] | None:
+def accessibility_witness_chain(g: Graph, t: VertexSet, bound: int | None = None) -> list[int] | None:
     """Removal order emptying the cutset ``t`` through successive cutsets,
     smallest removable vertex first; None when no such order exists.  A
     subset is tried at most once (one that was tried and is met again led to
-    no chain), so the search makes at most 2^|t| cutset checks."""
+    no chain), so the search makes at most 2^|t| cutset checks; ``bound``
+    limits |t|, as ``check_bound`` limits n, before the first."""
+    check_bound(t.bit_count(), bound)
     if not is_cutset(g, t):
         raise ValueError("t is not a cutset")
     tried: set[VertexSet] = set()

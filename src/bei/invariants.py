@@ -31,7 +31,7 @@ import json
 from collections import namedtuple
 
 from .corona import _checked_make
-from .cutsets import enumerate_cutsets
+from .cutsets import check_bound, enumerate_cutsets
 from .graph import (
     Graph,
     _brief,
@@ -173,7 +173,9 @@ def base_invariants_block_graph(g: Graph, bound: int | None = None) -> BaseInvar
     reg = iv+1 exactly; dimension and the verdict flags come from the cutset
     oracle.  When the graph turns out Cohen-Macaulay, the extremal Betti
     offset is the regularity (the Betti table of a CM quotient has a single
-    corner at (pd, pd + reg))."""
+    corner at (pd, pd + reg)).  The bound is checked first: the block and
+    internal-vertex passes are cubic on K_n."""
+    check_bound(g.n, bound)
     if not is_block_graph(g):
         raise ValueError("not a block graph: some biconnected component is not a clique")
     h = g.n
@@ -266,7 +268,7 @@ class InvariantReport(
 
 
 def _single_vertex_notes(n: int, base: BaseInvariants) -> tuple[str, ...]:
-    """What a report over a complete base says when that base is one vertex."""
+    """What a report says when its base is one vertex, in every family."""
     if n > 1:
         return ()
     if base.is_complete:
@@ -290,8 +292,9 @@ def _corona_report(
     """A copy of the pendant H at ``ell`` vertices of a base on ``b``
     vertices -- K_n or a clique path -- whose independence number is
     ``alpha``.  Every family comes through here; they differ only in their
-    family, rule, notes and ids.  With bare = ell < b (some base vertex
-    carries no copy, which only a complete base allows here):
+    family, rule, notes and ids, and over a single vertex each gets
+    ``_single_vertex_notes`` ahead of its own.  With bare = ell < b (some
+    base vertex carries no copy, which only a complete base allows here):
 
     - depth = b - ell + ell*depth H + [bare or H complete];
     - reg = ell*reg H + [bare or (H complete and b >= 2)];
@@ -356,7 +359,7 @@ def _corona_report(
         extremal_position=extremal,
         verdicts=verdicts,
         rule=rule,
-        notes=notes,
+        notes=_single_vertex_notes(b, base) + notes,
         **ids,
     )
 
@@ -370,11 +373,11 @@ def depth_reg_corona_complete(n: int, ell: int, base: BaseInvariants) -> Invaria
     if not 1 <= ell <= n:
         raise ValueError("attach count must satisfy 1 <= ell <= n")
     if ell == n:
-        family, rule, notes = FULL_CORONA, "formula:full-corona", _single_vertex_notes(n, base)
+        family, rule = FULL_CORONA, "formula:full-corona"
     else:  # one rule for every ell < n; only its label names ell = 1
-        family, notes = L_CORONA, ()
+        family = L_CORONA
         rule = "formula:single-attach" if ell == 1 else "formula:multi-attach"
-    return _corona_report(family, rule, n, ell, 1, base, notes, n=n, ell=ell)
+    return _corona_report(family, rule, n, ell, 1, base, (), n=n, ell=ell)
 
 
 def depth_reg_corona_cm_closed(b_graph: Graph, base: BaseInvariants) -> InvariantReport:
@@ -388,9 +391,7 @@ def depth_reg_corona_cm_closed(b_graph: Graph, base: BaseInvariants) -> Invarian
     alpha = independence_number(b_graph)
     if alpha == 1:
         rule = "formula:full-corona"
-        notes = _single_vertex_notes(b, base) + (
-            "complete clique path: complete-base closed forms apply",
-        )
+        notes = ("complete clique path: complete-base closed forms apply",)
     else:
         rule, notes = "formula:cm-closed-corona", ()
     return _corona_report(CM_CLOSED, rule, b, b, alpha, base, notes, b=b)

@@ -161,6 +161,7 @@ def test_a_call_parses_as_with_every_verb_built(capsys, argv):
 
 
 INVARIANTS_BOUND = "--bound applies only to --pendant-block-graph"
+CHECK_BOUND = "--bound applies only to --unmixed, --accessible, --accessible-system and --chain"
 
 
 @pytest.mark.parametrize(
@@ -186,10 +187,8 @@ INVARIANTS_BOUND = "--bound applies only to --pendant-block-graph"
         (["export", "-i", "P3", "--out", "json", "--oracle-expected"],
          "--oracle-expected applies only to --out cas"),
         # --bound where no cutset search runs
-        (["check", "--cutset", "1", "-i", "P4", "--bound", "3"],
-         "--bound applies only to --unmixed, --accessible and --accessible-system"),
-        (["check", "--cm-closed", "-i", "P4", "--bound", "3"],
-         "--bound applies only to --unmixed, --accessible and --accessible-system"),
+        (["check", "--cutset", "1", "-i", "P4", "--bound", "3"], CHECK_BOUND),
+        (["check", "--cm-closed", "-i", "P4", "--bound", "3"], CHECK_BOUND),
         (["gadget", "--kind", "d2", "-i", "P4", "--bound", "3"], "--bound applies only to --verify"),
         (["export", "-i", "P3", "--out", "cas", "--bound", "3"],
          "--bound applies only to --oracle-expected"),
@@ -228,6 +227,28 @@ def test_a_mode_or_modifier_that_would_be_ignored_is_refused(capsys, argv, error
     assert out == ""
     assert_invalid_input(code, err)
     assert json.loads(err)["error"] == error
+
+
+def test_a_chain_search_is_bounded_by_its_set_not_by_n(capsys):
+    # C_30 is over the default bound; {0, 2} is a cutset with no chain
+    code, out, _ = run(["check", "--cutset", "0,2", "--chain", "-i", "C30", "--bound", "2"], capsys)
+    assert code == 0 and json.loads(out)["witness_chain"] is None
+
+
+@pytest.mark.parametrize("graph", ["K3000", "C30"])
+def test_an_over_bound_pendant_block_graph_is_refused_before_it_is_built(capsys, monkeypatch, graph):
+    # as an --input graph is, and before C_30 is found not to be a block graph
+    def not_built(n):
+        raise AssertionError("the graph was built")
+
+    monkeypatch.setattr(bei.io, "complete_graph", not_built)
+    monkeypatch.setattr(bei.io, "cycle_graph", not_built)
+    code, out, err = run(["invariants", "--family", "path", "--n", "2", "--pendant-block-graph", graph], capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": f"{graph[1:]} vertices exceeds the enumeration bound 24",
+        "kind": "bound-exceeded",
+    }
 
 
 def test_gadget_verify_builds_the_wrapper_once(capsys, monkeypatch):
@@ -370,10 +391,15 @@ def test_a_vertex_count_too_large_to_index_is_invalid_input(capsys, monkeypatch,
         (["scan", "-i", "-", "--max-n", "-" + "9" * 4000], "Bw\n"),
         (["scan", "-i", "-", "--diameter", "," * 5000], "Bw\n"),
         (["invariants", "--family", "path", "--n", "2", "--pendant-base-json", "pd.json"], ""),
+        # a file name too long for the file system, in an io-error
+        (["export", "-i", "K3", "-o", "x" * 3000], ""),
+        (["scan", "-i", "x" * 3000], ""),
+        (["invariants", "--family", "path", "--n", "2", "--pendant-base-json", "x" * 3000], ""),
     ],
     ids=[
         "edge-list-4000", "edge-list-5000", "name-5000", "json-edge", "json-label", "self-loop",
         "cutset", "cutset-text", "bound", "max-n", "diameter", "pendant-pd",
+        "io-output", "io-scan-input", "io-pendant-base-json",
     ],
 )
 def test_a_refusal_of_long_input_stays_short(tmp_path, capsys, monkeypatch, argv, stdin):

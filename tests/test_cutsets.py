@@ -576,6 +576,18 @@ def test_witness_chain_tries_each_subset_once(monkeypatch):
     assert bei.accessibility_witness_chain(bei.cycle_graph(20), t) is None
 
 
+def test_witness_chain_is_bounded_before_any_cutset_check(monkeypatch):
+    def not_run(g, t):
+        raise AssertionError("is_cutset ran")
+
+    monkeypatch.setattr(cutsets, "is_cutset", not_run)
+    t = vset(range(0, 20, 2))
+    with pytest.raises(bei.EnumerationBoundError, match="^10 vertices exceeds the enumeration bound 9$"):
+        bei.accessibility_witness_chain(bei.cycle_graph(20), t, bound=9)
+    with pytest.raises(bei.EnumerationBoundError):
+        bei.accessibility_witness_chain(bei.cycle_graph(60), vset(range(0, 50, 2)))
+
+
 def test_witness_chain_prefers_smallest_vertex(square_leaves_product):
     chain = bei.accessibility_witness_chain(square_leaves_product, vset([0, 2]))
     assert chain == [0, 2]

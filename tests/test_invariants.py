@@ -141,6 +141,19 @@ def test_block_graph_constructor_rejects_non_block_graphs():
         block(bei.Graph(3, [(0, 1)]))
 
 
+def test_an_over_bound_block_graph_is_refused_before_its_passes(monkeypatch):
+    # the block and internal-vertex passes are cubic on K_n
+    def not_run(g):
+        raise AssertionError("simplicial_vertices ran")
+
+    monkeypatch.setattr(bei.graph, "simplicial_vertices", not_run)
+    with pytest.raises(bei.EnumerationBoundError, match="^25 vertices exceeds the enumeration bound 24$"):
+        block(bei.complete_graph(25))
+    # the bound comes first, before the graph is found not to be a block graph
+    with pytest.raises(bei.EnumerationBoundError):
+        bei.base_invariants_block_graph(bei.cycle_graph(5), bound=4)
+
+
 def dim_l_corona(n, ell, rec):
     return bei.depth_reg_corona_complete(n, ell, rec).dim_q
 
@@ -337,6 +350,9 @@ def test_path_family_matches_cm_closed():
             assert (a.depth_q, a.reg_q, a.pd, a.dim_q) == (b.depth_q, b.reg_q, b.pd, b.dim_q)
             assert a.extremal_position == b.extremal_position
             assert a.family == PATH
+            if n == 1:
+                # the cone over H that the full corona over K_1 describes
+                assert a.notes == bei.depth_reg_corona_complete(1, 1, rec).notes != ()
 
 
 def test_extremal_positions_golden():
