@@ -66,5 +66,5 @@ def run(args) -> int:
             result["witness_chain"] = None if chain is None else [g.label(v) for v in chain]
     else:
         result = {"check": "cm-closed", "value": is_cm_closed(g)}
-    _write_out(json.dumps(result, indent=2) + "\n", args.output)
+    _write_out(json.dumps(result, indent=2) + "\n")
     return 0

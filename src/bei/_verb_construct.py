@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import argparse
 
-from .cli import _add_common, _graph_arg, _int_list, _write_out
+from .cli import _graph_arg, _int_list, _write_out
 from .corona import CoronaSpec, l_corona
 from .graph import checked_vset
 from .io import _GRAPH_WRITERS
@@ -23,7 +23,6 @@ def add_arguments(p: argparse.ArgumentParser) -> None:
         help="comma-separated base vertices carrying copies (default: every base vertex)",
     )
     p.add_argument("--out", choices=tuple(_GRAPH_WRITERS), default=next(iter(_GRAPH_WRITERS)))
-    _add_common(p, input_flag=False, bound_flag=False)  # construct never enumerates
 
 
 def run(args) -> int:
@@ -31,5 +30,5 @@ def run(args) -> int:
     attach = base.full_mask
     if args.attach is not None:
         attach = checked_vset(_int_list(args.attach, "--attach"), "--attach", base.n)
-    _write_out(_GRAPH_WRITERS[args.out](l_corona(CoronaSpec(base, attach, pend))), args.output)
+    _write_out(_GRAPH_WRITERS[args.out](l_corona(CoronaSpec(base, attach, pend))))
     return 0

@@ -83,7 +83,7 @@ def run(args) -> int:
         listed = _listed(report, cap)
         rows = zip(report.cutsets[:listed], report.per_cutset_components[:listed])
         lines = (json.dumps({"cutset": members(mask), "components": w}) + "\n" for mask, w in rows)
-        _write_out(lines, args.output)
+        _write_out(lines)
         return 0
-    _write_out(_report_pieces(report, cap), args.output)
+    _write_out(_report_pieces(report, cap))
     return 0

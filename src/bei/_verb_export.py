@@ -31,7 +31,7 @@ def run(args) -> int:
                 "unmixed": unmixed,
                 "accessible": unmixed and report.is_accessible_system,
             }
-        _write_out(emit_cas_script(g, dialect=args.dialect, expected=expected), args.output)
+        _write_out(emit_cas_script(g, dialect=args.dialect, expected=expected))
         return 0
-    _write_out(_GRAPH_WRITERS[args.out](g), args.output)
+    _write_out(_GRAPH_WRITERS[args.out](g))
     return 0

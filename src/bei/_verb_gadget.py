@@ -31,8 +31,8 @@ def run(args) -> int:
     if args.verify:
         verify = verify_reduction_d2 if args.kind == "d2" else verify_reduction_d3
         payload = {"kind": args.kind, **verify(h, args.bound)._asdict()}
-        _write_out(json.dumps(payload, indent=2) + "\n", args.output)
+        _write_out(json.dumps(payload, indent=2) + "\n")
         return 0
     write = _GRAPH_WRITERS[args.out or next(iter(_GRAPH_WRITERS))]
-    _write_out(write(gadget(h, int(args.kind[1]))), args.output)
+    _write_out(write(gadget(h, int(args.kind[1]))))
     return 0

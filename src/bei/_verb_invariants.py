@@ -111,5 +111,5 @@ def run(args) -> int:
         script = emit_cas_script(product, dialect=args.dialect, expected=expected)
         target.write_text(script)
 
-    _write_out(json.dumps(values, indent=2) + "\n", args.output)
+    _write_out(json.dumps(values, indent=2) + "\n")
     return 0

@@ -5,14 +5,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import io
+import errno
 import json
 import os
 import sys
 
 from .bms import bms_scan
 from .cas import DIALECTS
-from .cli import _add_common, _applies_only, _given, _int_list, _named_file, _not_negative, _opened
+from .cli import _add_common, _applies_only, _given, _int_list, _named_file, _not_negative
 from .graph import _brief
 
 
@@ -32,19 +32,18 @@ def add_arguments(p: argparse.ArgumentParser) -> None:
     _add_common(p, input_flag=False)
 
 
-def _reads_from(corpus, path: str) -> bool:
-    """Whether the open input ``corpus``, a file or stdin, is the file at
-    ``path``: a scan reads as it writes, so writing there would truncate it."""
-    try:
-        return os.path.samestat(os.fstat(corpus.fileno()), os.stat(path))
-    except (io.UnsupportedOperation, FileNotFoundError):  # no descriptor, or no such file
-        return False
-
-
 def run(args) -> int:
     _named_file(args.input, "--input")
     if args.scripts_dir is not None:
         _named_file(args.scripts_dir, "--scripts-dir")
+        # the scripts directory is made at the first accessible graph: a file
+        # in its place, or in the place of a directory above it, is refused
+        # before any record is written, not there
+        head = os.path.abspath(args.scripts_dir)
+        while not os.path.exists(head):
+            head = os.path.dirname(head)
+        if not os.path.isdir(head):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), args.scripts_dir)
     _not_negative(args.max_n, "--max-n")
     _applies_only(args, "--dialect", _given(args, "--scripts-dir"), "--scripts-dir")
     diameters = None
@@ -57,10 +56,7 @@ def run(args) -> int:
     def on_error(lineno: int, message: str) -> None:
         sys.stderr.write(json.dumps({"line": lineno, "error": message}) + "\n")
 
-    out = args.output
     with contextlib.nullcontext(sys.stdin) if args.input == "-" else open(args.input) as corpus:
-        if out not in (None, "-") and _reads_from(corpus, out):
-            raise ValueError("--output is the input file, which the scan reads as it writes")
         # split as str.splitlines splits the whole text, so error records
         # keep their line numbers
         lines = (line for physical in corpus for line in physical.splitlines())
@@ -75,12 +71,8 @@ def run(args) -> int:
             on_error=on_error,
         )
         # each record is written and flushed as the scan yields it, so a pipe
-        # reader gets it while the input is still open; the first is taken
-        # before an output file is opened, so a refused --jobs leaves none behind
-        record = next(records, None)
-        with _opened(out) as f:
-            while record is not None:
-                f.write(json.dumps(record._asdict()) + "\n")
-                f.flush()
-                record = next(records, None)
+        # reader gets it while the input is still open
+        for record in records:
+            sys.stdout.write(json.dumps(record._asdict()) + "\n")
+            sys.stdout.flush()
     return 0

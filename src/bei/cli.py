@@ -5,8 +5,14 @@ Verbs: construct, cutsets, check, invariants, gadget, scan, export.
 L-corona, with L every base vertex unless given.  A cone over G is
 ``--corona K1 G``, its apex vertex 0.  A graph argument is an inline name
 (K5, P3, C4), a file path, or ``-`` for stdin; ``_graph_arg`` states how
-its format is told.  Validation and bound errors exit nonzero with a
-machine-readable JSON object on stderr.
+its format is told.
+
+Results go to stdout; a user who wants a file uses the shell's ``>``.  A
+refusal (bad input, a bound exceeded, a file that cannot be read or
+written) is one JSON object, ``{"error": ..., "kind": ...}``, on stderr
+with exit 1, and a usage error is argparse's, with exit 2.  The only files
+``bei`` writes are the scripts that ``invariants --emit-cas`` and
+``scan --scripts-dir`` name.
 
 Each verb's arguments, command and own helpers live in ``bei._verb_<verb>``
 (``bei._verb_cutsets`` and so on), which exposes ``add_arguments(p)`` and
@@ -18,7 +24,6 @@ and its error mapping, and the helpers that two or more verbs share.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import errno
 import json
 import sys
@@ -115,28 +120,22 @@ def _named_file(value: str, flag: str) -> Path:
     return Path(value)
 
 
-def _opened(out: str | None):
-    """stdout, or the file ``out`` opened for writing."""
-    return contextlib.nullcontext(sys.stdout) if out in (None, "-") else open(out, "w")
-
-
-def _write_out(text: str | Iterable[str], out: str | None) -> None:
-    """Write ``text``, or its pieces, to ``_opened(out)``.  Pieces are
-    joined until they reach ``io.DEFAULT_BUFFER_SIZE`` characters, then
-    written: a long listing is never held whole, a write holds about one
-    buffer's worth however long or short the rows are, and no row is a
-    syscall of its own when unbuffered."""
+def _write_out(text: str | Iterable[str]) -> None:
+    """Write ``text``, or its pieces, to stdout.  Pieces are joined until
+    they reach ``io.DEFAULT_BUFFER_SIZE`` characters, then written: a long
+    listing is never held whole, a write holds about one buffer's worth
+    however long or short the rows are, and no row is a syscall of its own
+    when unbuffered."""
     chunk: list[str] = []
     size = 0
-    with _opened(out) as f:
-        for piece in [text] if isinstance(text, str) else text:
-            chunk.append(piece)
-            size += len(piece)
-            if size >= DEFAULT_BUFFER_SIZE:
-                f.write("".join(chunk))
-                chunk.clear()
-                size = 0
-        f.write("".join(chunk))
+    for piece in [text] if isinstance(text, str) else text:
+        chunk.append(piece)
+        size += len(piece)
+        if size >= DEFAULT_BUFFER_SIZE:
+            sys.stdout.write("".join(chunk))
+            chunk.clear()
+            size = 0
+    sys.stdout.write("".join(chunk))
 
 
 def _int_list(text: str, flag: str) -> list[int]:
@@ -181,12 +180,9 @@ def _not_negative(value: int | None, name: str) -> None:
 # parser
 
 
-def _add_common(
-    p: argparse.ArgumentParser,
-    input_flag: bool = True,
-    bound_flag: bool = True,
-) -> None:
-    """The shared options; a verb that never reads one does not register it."""
+def _add_common(p: argparse.ArgumentParser, input_flag: bool = True) -> None:
+    """``--bound``, which every verb but construct takes, and ``--input``
+    where the verb reads one graph."""
     if input_flag:
         p.add_argument(
             "--input",
@@ -195,14 +191,12 @@ def _add_common(
             help='graph: name, file, or -; JSON if .json or {..."...}, one graph6 line if .g6, '
             ".graph6 or a graph6 word, else an edge list",
         )
-    if bound_flag:
-        p.add_argument(
-            "--bound",
-            type=int,
-            help="most vertices a cutset search takes, and the largest set check --chain searches "
-            f"(default: {DEFAULT_BOUND})",
-        )
-    p.add_argument("--output", "-o", help="output file (default: stdout)")
+    p.add_argument(
+        "--bound",
+        type=int,
+        help="most vertices a cutset search takes, and the largest set check --chain searches "
+        f"(default: {DEFAULT_BOUND})",
+    )
 
 
 # each verb and its help line; ``bei._verb_<verb>`` adds its arguments and runs it
@@ -223,7 +217,9 @@ def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
     only its module is imported."""
     parser = argparse.ArgumentParser(
         prog="bei",
-        description="Cutset combinatorics and invariant formulas for binomial edge ideals of corona-type products.",
+        description="Cutset combinatorics and invariant formulas for binomial edge ideals of corona-type products. "
+        "Results go to stdout. A refusal is a JSON object on stderr with exit 1, and a usage error exits 2. "
+        "The only files bei writes are the scripts named by --emit-cas and --scripts-dir.",
     )
     parser.add_argument("--version", action="version", version=f"bei {__version__}")
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -245,8 +241,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser(verb).parse_args(argv)
     try:
         _not_negative(getattr(args, "bound", None), "--bound")
-        if args.output is not None:
-            _named_file(args.output, "--output")
         return args.func(args)
     except EnumerationBoundError as exc:
         kind, error = "bound-exceeded", str(exc)

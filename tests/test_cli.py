@@ -92,11 +92,6 @@ def test_scan_rejects_jobs_below_one(tmp_path, capsys, jobs):
     code, out, err = run(["scan", "--input", str(corpus), "--jobs", jobs], capsys)
     assert out == ""
     assert_invalid_input(code, err)
-    output = tmp_path / "out.jsonl"
-    argv = ["scan", "--input", str(corpus), "--jobs", jobs, "--output", str(output)]
-    code, out, err = run(argv, capsys)
-    assert_invalid_input(code, err)
-    assert not output.exists()
 
 
 # the input states its format, so no verb takes --format
@@ -392,7 +387,8 @@ def test_a_vertex_count_too_large_to_index_is_invalid_input(capsys, monkeypatch,
         (["scan", "-i", "-", "--diameter", "," * 5000], "Bw\n"),
         (["invariants", "--family", "path", "--n", "2", "--pendant-base-json", "pd.json"], ""),
         # a file name too long for the file system, in an io-error
-        (["export", "-i", "K3", "-o", "x" * 3000], ""),
+        (["invariants", "--family", "path", "--n", "2", "--pendant-block-graph", "P3",
+          "--emit-cas", "x" * 3000], ""),
         (["scan", "-i", "x" * 3000], ""),
         (["invariants", "--family", "path", "--n", "2", "--pendant-base-json", "x" * 3000], ""),
     ],
@@ -705,16 +701,29 @@ def test_cutsets_jsonl_lists_the_json_reports_rows(tmp_path, capsys):
         assert listed == list(zip(report["cutsets"], report["per_cutset_components"]))
 
 
+class CountedWrites(io.StringIO):
+    """A stdout that counts its ``write`` calls."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
 @pytest.mark.parametrize("out", ["json", "jsonl"])
-def test_cutsets_output_file_gets_the_stdout_bytes(tmp_path, capsys, out):
-    # C16 lists 2,191 cutsets, written a thousand pieces to a write
+def test_write_out_writes_in_buffer_sized_chunks(capsys, monkeypatch, out):
+    # C16 lists 2,191 cutsets: each write but the last holds at least a
+    # buffer's worth, so no row is a write of its own
     argv = ["cutsets", "--input", "C16", "--out", out]
-    code, printed, _ = run(argv, capsys)
-    assert code == 0 and printed.count("\n") >= 2191
-    path = tmp_path / "c16.out"
-    code, nothing, _ = run([*argv, "--output", str(path)], capsys)
-    assert code == 0 and nothing == ""
-    assert path.read_bytes() == printed.encode()
+    _, printed, _ = run(argv, capsys)
+    stdout = CountedWrites()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(argv) == 0
+    text = stdout.getvalue()
+    assert text == printed and text.count("\n") >= 2191
+    buffers = len(text) // io.DEFAULT_BUFFER_SIZE
+    assert buffers <= stdout.writes <= buffers + 1
 
 
 def test_scan_jobs_agree_on_a_mixed_corpus(tmp_path, capsys, monkeypatch, square_leaves_product):
@@ -809,20 +818,15 @@ def test_scan_reads_its_input_as_it_scans():
     assert proc.returncode == 0
 
 
-def test_scan_refuses_to_write_over_its_input(tmp_path, capsys):
-    # the input is read as it is scanned, so writing over it would truncate
-    # it unread: the output names the same file another way, or stdin is
-    # redirected from it
+def test_a_scripts_dir_below_a_file_is_refused_before_any_record(tmp_path, capsys):
+    # as one in the file's own place is (golden scan-scripts-dir-not-a-directory):
+    # the first graph is not accessible, so no script is due before the second
     corpus = tmp_path / "corpus.g6"
-    corpus.write_text("Bw\nCr\n")
-    argv = ["scan", "--input", str(corpus), "--output", str(tmp_path / "." / "corpus.g6")]
+    corpus.write_text("Cr\nBw\n")
+    argv = ["scan", "--input", str(corpus), "--scripts-dir", str(corpus / "a" / "b")]
     code, out, err = run(argv, capsys)
-    assert out == ""
-    assert_invalid_input(code, err)
-    with corpus.open() as stdin:
-        proc = run_python(["-m", "bei.cli", "scan", "-i", "-", "-o", str(corpus)], stdin=stdin)
-    assert proc.returncode == 1 and json.loads(proc.stderr)["kind"] == "invalid-input"
-    assert corpus.read_text() == "Bw\nCr\n"
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"].startswith("[Errno 20] Not a directory: ")
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():
@@ -843,15 +847,15 @@ def test_small_parallel_scan_starts_no_pool(tmp_path):
     corpus.write_text("Bw\nCr\nC~\n")
     code = (
         "import sys; from bei.cli import main; "
-        f"code = main(['scan', '--input', {str(corpus)!r}, '--jobs', '2', "
-        f"'--output', {str(tmp_path / 'out.jsonl')!r}]); "
+        f"code = main(['scan', '--input', {str(corpus)!r}, '--jobs', '2']); "
         "print(code, sorted(m for m in sys.modules if m.split('.')[0] in "
         "('concurrent', 'multiprocessing')))"
     )
     proc = run_python(["-c", code])
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "0 []"
-    assert len((tmp_path / "out.jsonl").read_text().splitlines()) == 3
+    *records, last = proc.stdout.splitlines()
+    assert last == "0 []"
+    assert [json.loads(record)["graph6"] for record in records] == ["Bw", "Cr", "C~"]
 
 
 def _limit_address_space():
@@ -1027,17 +1031,16 @@ def test_running_the_cli_module_compiles_it_once(verb):
 
 @pytest.mark.parametrize("verb", VERB_NAMES)
 def test_an_empty_output_is_refused_before_any_work(tmp_path, capsys, monkeypatch, verb):
-    # open("") would fail only once the work is done: the refusal comes
-    # before the verb runs
+    # results go to stdout: no verb takes -o or --output, so an output file
+    # name, empty or not, is a usage error before the verb runs
     def not_run(args):
         raise AssertionError(f"{verb} ran")
 
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(importlib.import_module(f"bei._verb_{verb}"), "run", not_run)
-    code, out, err = run([verb, *VERB_CALLS[verb], "-o", ""], capsys)
-    assert out == ""
-    assert_invalid_input(code, err)
-    assert json.loads(err)["error"] == "--output needs a file name, got ''"
+    for option in (["-o", ""], ["-o", "x"], ["--output", "x"]):
+        code, out, _ = parser_exit(main, [verb, *VERB_CALLS[verb], *option], capsys)
+        assert code == 2 and out == ""
     assert not any(tmp_path.iterdir())
 
 
